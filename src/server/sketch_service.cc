@@ -67,6 +67,38 @@ double EstimateF2FromCounters(const CountSketch& sketch) {
   return rows[rows.size() / 2];
 }
 
+/// A scalar an entry derives from its whole state by a full scan (F2 from
+/// a counter table, a Bloom filter's fill ratio), computed by the first
+/// read after a write and reused until the next write. Reads run under the
+/// owning handle's shared lock, so the fill is serialized by mutex_:
+/// readers of a stale value wait for one scan instead of each running
+/// their own. Ingest runs under the exclusive lock and calls Invalidate.
+/// The cached double is the scan's own result, so every answer stays
+/// bit-identical to an uncached scan. mutex_ is innermost: the scan takes
+/// no other lock.
+class CachedScan {
+ public:
+  void Invalidate() {
+    MutexLock lock(mutex_);
+    valid_ = false;
+  }
+
+  template <typename Scan>
+  double Get(Scan&& scan) {
+    MutexLock lock(mutex_);
+    if (!valid_) {
+      value_ = scan();
+      valid_ = true;
+    }
+    return value_;
+  }
+
+ private:
+  Mutex mutex_;
+  double value_ SKETCH_GUARDED_BY(mutex_) = 0.0;
+  bool valid_ SKETCH_GUARDED_BY(mutex_) = false;
+};
+
 /// JSON string escaping for sketch names (arbitrary client bytes).
 std::string EscapeJson(const std::string& raw) {
   std::string out;
@@ -186,30 +218,26 @@ class CountSketchEntry : public SketchEntry {
   bool Ingest(UpdateSpan updates, ErrorResponse*) override {
     sketch_.ApplyBatch(updates);
     updates_applied_ += updates.size();
+    f2_.Invalidate();
     return true;
   }
 
   PointValueResponse PointQuery(uint64_t item) override {
     PointValueResponse response;
     response.estimate = sketch_.Estimate(item);
-    response.error_bound =
-        std::sqrt(3.0 * EstimateF2FromCounters(sketch_) /
-                  static_cast<double>(sketch_.width()));
+    response.error_bound = L2Bound();
     response.bound_kind = BoundKind::kL2;
     return response;
   }
 
   void PointQueryBatch(const std::vector<uint64_t>& items,
                        std::vector<PointValueResponse>* out) override {
-    // The F2 scan (a full pass over the counter table) dominates a single
-    // point query; batching amortizes it over the whole key list on top of
-    // the SIMD bucket/sign computation in EstimateBatch.
+    // Buckets and signs come from the EstimateBatch kernel (SIMD-tier);
+    // the L2 bound is read once and shared by every key in the batch.
     std::vector<int64_t> estimates(items.size());
     sketch_.EstimateBatch(items.data(), items.size(), estimates.data());
     PointValueResponse value;
-    value.error_bound =
-        std::sqrt(3.0 * EstimateF2FromCounters(sketch_) /
-                  static_cast<double>(sketch_.width()));
+    value.error_bound = L2Bound();
     value.bound_kind = BoundKind::kL2;
     out->reserve(items.size());
     for (int64_t estimate : estimates) {
@@ -254,7 +282,14 @@ class CountSketchEntry : public SketchEntry {
   StatsSnapshot Introspect() const override { return sketch_.Introspect(); }
 
  private:
+  /// sqrt(3 * F2 / width), with F2 from the cached counter-table scan.
+  double L2Bound() {
+    const double f2 = f2_.Get([&] { return EstimateF2FromCounters(sketch_); });
+    return std::sqrt(3.0 * f2 / static_cast<double>(sketch_.width()));
+  }
+
   CountSketch sketch_;
+  CachedScan f2_;
 };
 
 class BloomEntry : public SketchEntry {
@@ -268,6 +303,7 @@ class BloomEntry : public SketchEntry {
     // (a Bloom filter has no deletion).
     filter_.ApplyBatch(updates);
     updates_applied_ += updates.size();
+    fill_ratio_.Invalidate();
     return true;
   }
 
@@ -275,9 +311,9 @@ class BloomEntry : public SketchEntry {
     PointValueResponse response;
     response.estimate = filter_.MayContain(item) ? 1 : 0;
     // The membership answer's error scale is the current false-positive
-    // probability: FillRatio^num_hashes.
-    response.error_bound =
-        std::pow(filter_.FillRatio(), filter_.num_hashes());
+    // probability: FillRatio^num_hashes (the popcount scan is cached).
+    const double fill = fill_ratio_.Get([&] { return filter_.FillRatio(); });
+    response.error_bound = std::pow(fill, filter_.num_hashes());
     response.bound_kind = BoundKind::kFpr;
     return response;
   }
@@ -306,6 +342,7 @@ class BloomEntry : public SketchEntry {
 
  private:
   BloomFilter filter_;
+  CachedScan fill_ratio_;
 };
 
 class SummaryEntry : public SketchEntry {
@@ -329,6 +366,7 @@ class SummaryEntry : public SketchEntry {
     }
     summary_.ApplyBatch(updates);
     updates_applied_ += updates.size();
+    f2_.Invalidate();
     return true;
   }
 
@@ -344,9 +382,7 @@ class SummaryEntry : public SketchEntry {
       return response;
     }
     response.estimate = summary_.EstimateCount(item);
-    response.error_bound =
-        std::sqrt(3.0 * summary_.EstimateF2() /
-                  static_cast<double>(summary_.options().verify_width));
+    response.error_bound = L2Bound();
     response.bound_kind = BoundKind::kL2;
     return response;
   }
@@ -374,7 +410,15 @@ class SummaryEntry : public SketchEntry {
   StatsSnapshot Introspect() const override { return summary_.Introspect(); }
 
  private:
+  /// sqrt(3 * F2 / verify_width), with F2 from the cached AMS scan.
+  double L2Bound() {
+    const double f2 = f2_.Get([&] { return summary_.EstimateF2(); });
+    const auto width = static_cast<double>(summary_.options().verify_width);
+    return std::sqrt(3.0 * f2 / width);
+  }
+
   StreamSummary summary_;
+  CachedScan f2_;
 };
 
 /// Sharded Count-Min: ingest fans out across `num_shards` replicas on the

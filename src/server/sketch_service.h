@@ -53,8 +53,10 @@ namespace internal {
 /// Locking contract: Ingest is only called under the owning handle's
 /// exclusive lock; every other method may be called under a shared lock
 /// from many threads at once, so it must not mutate state visible outside
-/// an internal mutex (ShardedCountMinEntry's materialization cache is the
-/// one such case).
+/// an internal mutex. Two kinds of derived state do so: the cached scans
+/// behind the CountSketch and StreamSummary F2 and the Bloom fill ratio,
+/// and ShardedCountMinEntry's materialization cache. Ingest invalidates
+/// them; the first reader after it refills them.
 class SketchEntry {
  public:
   virtual ~SketchEntry() = default;

@@ -7,6 +7,7 @@
 // thread-per-connection path; the rest run under both transports (the
 // forced-blocking ctest re-run covers the fallback).
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -204,9 +205,20 @@ TEST(EventLoopTest, SlowClientBackpressureEvictsTheConnection) {
   for (int i = 0; i < 512 && !write_failed; ++i) {
     write_failed = !WriteAll(stream.get(), frame);
   }
-  // Whether or not the writes managed to fail first, the server must
-  // have closed the connection: draining what it already sent ends in
-  // EOF/reset rather than blocking forever.
+  // The server's receive buffer may have taken every query above (its
+  // kernel limit can exceed their 16 MiB), so the writes need not have
+  // failed yet. Still without reading, keep pinging: the server answers
+  // only after it reads, its answers back up, and once it has evicted
+  // us a write into the closed connection fails. The deadline turns a
+  // missing eviction into a failure instead of a hang.
+  const std::vector<uint8_t> ping = EncodePing();
+  for (int i = 0; i < 3000 && !write_failed; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    write_failed = !WriteAll(stream.get(), ping);
+  }
+  ASSERT_TRUE(write_failed) << "the server never evicted the connection";
+  // The server has closed the connection: draining what it already sent
+  // ends in EOF/reset rather than blocking forever.
   uint8_t sink[64 * 1024];
   std::ptrdiff_t n;
   do {

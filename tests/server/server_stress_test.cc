@@ -6,9 +6,11 @@
 // replay of the same updates into a local sketch — Serialize() equality,
 // not just query-level agreement. Runs under TSan in CI, so it also
 // doubles as a data-race detector for the connection/service/transport
-// stack.
+// stack, including the cached error-bound scans that concurrent readers
+// fill under the shared entry lock.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "fresh_bound.h"
 #include "gtest/gtest.h"
 #include "server/client.h"
 #include "server/connection.h"
@@ -24,13 +27,13 @@
 #include "server/sketch_service.h"
 #include "server/transport.h"
 #include "sketch/count_min.h"
+#include "sketch/count_sketch.h"
 #include "stream/update.h"
 
 namespace sketch::server {
 namespace {
 
 constexpr int kWriters = 4;
-constexpr int kReaders = 2;
 constexpr uint64_t kBatchesPerWriter = 20;
 constexpr uint64_t kBatchSize = 256;
 constexpr uint64_t kUniverse = 1 << 12;
@@ -71,10 +74,25 @@ class Connection {
   std::thread thread_;
 };
 
-/// Runs the concurrent ingest+query workload against `name`, then returns
-/// the server's final snapshot of it.
+/// Per-answer sanity under concurrency. Count-Min (L1-bounded) answers
+/// never fall below zero on this nonnegative stream; Count-Sketch answers
+/// may, but their L2 bound is finite and nonnegative.
+void ExpectPlausible(const PointValueResponse& value) {
+  if (value.bound_kind == BoundKind::kL1) {
+    ASSERT_GE(value.estimate, 0);
+  } else {
+    ASSERT_EQ(value.bound_kind, BoundKind::kL2);
+    ASSERT_TRUE(std::isfinite(value.error_bound));
+    ASSERT_GE(value.error_bound, 0.0);
+  }
+}
+
+/// Runs the concurrent ingest+query workload against `name` with
+/// `point_readers` threads issuing PointQuery and `batch_readers` issuing
+/// PointQueryBatch, then returns the server's final snapshot of it.
 std::vector<uint8_t> RunWorkload(SketchService* service,
-                                 const std::string& name) {
+                                 const std::string& name, int point_readers = 1,
+                                 int batch_readers = 1) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> queries{0};
 
@@ -92,16 +110,19 @@ std::vector<uint8_t> RunWorkload(SketchService* service,
   }
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([service, &name, &done, &queries, r] {
+  for (int r = 0; r < point_readers + batch_readers; ++r) {
+    const bool batched = r >= point_readers;
+    readers.emplace_back([service, &name, &done, &queries, batched] {
       Connection conn(service);
       uint64_t item = 0;
-      while (!done.load(std::memory_order_relaxed)) {
-        if (r % 2 == 0) {
+      // do-while: every reader answers at least one query even when the
+      // writers all finish before it is first scheduled (a loaded host).
+      do {
+        if (!batched) {
           PointValueResponse value;
           ASSERT_TRUE(
               conn.client().PointQuery(name, item % kUniverse, &value));
-          ASSERT_GE(value.estimate, 0);  // nonnegative stream
+          ExpectPlausible(value);
         } else {
           // Batched read path: shares the same (shared) entry lock and
           // must be race-free against concurrent exclusive ingests.
@@ -113,12 +134,14 @@ std::vector<uint8_t> RunWorkload(SketchService* service,
           ASSERT_TRUE(conn.client().PointQueryBatch(name, keys, &values));
           ASSERT_EQ(values.size(), keys.size());
           for (const PointValueResponse& value : values) {
-            ASSERT_GE(value.estimate, 0);
+            ExpectPlausible(value);
+            // One bound per batch: a batch never straddles a cache refill.
+            ASSERT_EQ(value.error_bound, values.front().error_bound);
           }
         }
         ++item;
         queries.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!done.load(std::memory_order_relaxed));
     });
   }
 
@@ -136,9 +159,10 @@ std::vector<uint8_t> RunWorkload(SketchService* service,
 /// The same updates applied sequentially to a local sketch, in writer-major
 /// order. Order is irrelevant to the final counters (the sketch is
 /// linear), which is exactly why bit-identity is a fair assertion.
+template <typename Sketch>
 std::vector<uint8_t> SequentialReplay(uint64_t width, uint64_t depth,
                                       uint64_t seed) {
-  CountMinSketch local(width, depth, seed);
+  Sketch local(width, depth, seed);
   for (int w = 0; w < kWriters; ++w) {
     for (uint64_t step = 0; step < kBatchesPerWriter; ++step) {
       local.UpdateAll(BatchFor(w, step));
@@ -153,7 +177,7 @@ TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplayCountMin) {
   ASSERT_TRUE(admin.client().CreateSketch("stress", SketchType::kCountMin,
                                           {1024, 4, 77, 0, 0}));
   const std::vector<uint8_t> served = RunWorkload(&service, "stress");
-  EXPECT_EQ(served, SequentialReplay(1024, 4, 77));
+  EXPECT_EQ(served, SequentialReplay<CountMinSketch>(1024, 4, 77));
 }
 
 TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplaySharded) {
@@ -165,7 +189,27 @@ TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplaySharded) {
   const std::vector<uint8_t> served = RunWorkload(&service, "stress-sharded");
   // A sharded sketch collapses to the same counters: merge-linearity
   // makes the snapshot bit-identical to the unsharded sequential replay.
-  EXPECT_EQ(served, SequentialReplay(1024, 4, 77));
+  EXPECT_EQ(served, SequentialReplay<CountMinSketch>(1024, 4, 77));
+}
+
+TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplayCountSketch) {
+  // One point reader and three batched readers race to refill the cached
+  // F2 scan after every ingest. The final state must still match the
+  // replay, and the bound served afterwards must equal a fresh scan of
+  // that state bit for bit.
+  SketchService service({});
+  Connection admin(&service);
+  ASSERT_TRUE(admin.client().CreateSketch("stress-cs", SketchType::kCountSketch,
+                                          {1024, 4, 77, 0, 0}));
+  const std::vector<uint8_t> served = RunWorkload(&service, "stress-cs", 1, 3);
+  EXPECT_EQ(served, SequentialReplay<CountSketch>(1024, 4, 77));
+
+  std::vector<PointValueResponse> values;
+  ASSERT_TRUE(admin.client().PointQueryBatch("stress-cs", {1, 2, 3}, &values));
+  ASSERT_EQ(values.size(), 3u);
+  for (const PointValueResponse& value : values) {
+    EXPECT_EQ(value.error_bound, FreshCountSketchBound(served));
+  }
 }
 
 TEST(ServerStressTest, SharedLocksMatchExclusiveOracleBitIdentically) {
@@ -199,7 +243,7 @@ TEST(ServerStressTest, SharedLocksMatchExclusiveOracleBitIdentically) {
     statsz_reader.join();
   }
   EXPECT_EQ(snapshots[0], snapshots[1]);
-  EXPECT_EQ(snapshots[0], SequentialReplay(1024, 4, 77));
+  EXPECT_EQ(snapshots[0], SequentialReplay<CountMinSketch>(1024, 4, 77));
 }
 
 TEST(ServerStressTest, RegistryChurnWhileQuerying) {

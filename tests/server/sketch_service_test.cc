@@ -1,15 +1,18 @@
 // Service-level tests driven directly through HandleFrame (no transport):
 // create/ingest/query semantics per sketch family, error-bound reporting,
-// snapshot/restore equivalence, registry management, and the statsz /
-// trace introspection endpoints.
+// snapshot/restore equivalence, cached bounds staying bit-identical to a
+// fresh scan across writes, registry management, and the statsz / trace
+// introspection endpoints.
 
 #include "server/sketch_service.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "fresh_bound.h"
 #include "gtest/gtest.h"
 #include "server/protocol.h"
 #include "sketch/count_min.h"
@@ -81,6 +84,61 @@ std::vector<uint8_t> Snapshot(SketchService* service,
   return blob.bytes;
 }
 
+std::vector<PointValueResponse> QueryBatch(SketchService* service,
+                                           const std::string& name,
+                                           const std::vector<uint64_t>& items) {
+  PointQueryBatchRequest request;
+  request.name = name;
+  request.items = items;
+  const Frame response = Handle(service, EncodePointQueryBatch(request));
+  ValueBatchResponse batch;
+  EXPECT_TRUE(DecodeValueBatch(response, &batch));
+  return batch.values;
+}
+
+using FreshBound = double (*)(const std::vector<uint8_t>&);
+
+/// Checks that every bound `name` serves (single and batched, read twice
+/// so the second read comes from the cache) equals a fresh scan of its
+/// current snapshot; returns that bound.
+double ExpectServedBoundIsFreshScan(SketchService* service,
+                                    const std::string& name, FreshBound fresh) {
+  const double expected = fresh(Snapshot(service, name));
+  for (int read = 0; read < 2; ++read) {
+    EXPECT_EQ(Query(service, name, 1).error_bound, expected) << name;
+    for (const PointValueResponse& value :
+         QueryBatch(service, name, {1, 2, 3})) {
+      EXPECT_EQ(value.error_bound, expected) << name;
+    }
+  }
+  return expected;
+}
+
+/// Walks one sketch through create, ingest, query -> ingest -> query, and
+/// snapshot -> restore under a new name, checking the served bound
+/// against a fresh scan at each point. `second` must move the bound.
+void ExpectCachedBoundTracksWrites(SketchType type,
+                                   const std::array<uint64_t, 5>& params,
+                                   const std::vector<StreamUpdate>& first,
+                                   const std::vector<StreamUpdate>& second,
+                                   FreshBound fresh) {
+  SketchService service({});
+  Create(&service, "s", type, params);
+  ExpectServedBoundIsFreshScan(&service, "s", fresh);
+  Ingest(&service, "s", first);
+  const double before = ExpectServedBoundIsFreshScan(&service, "s", fresh);
+  Ingest(&service, "s", second);
+  const double after = ExpectServedBoundIsFreshScan(&service, "s", fresh);
+  EXPECT_NE(after, before);  // the ingest invalidated the cached scan
+
+  RestoreRequest restore;
+  restore.name = "restored";
+  restore.type = type;
+  restore.blob = Snapshot(&service, "s");
+  ExpectOk(&service, EncodeRestore(restore));
+  EXPECT_EQ(ExpectServedBoundIsFreshScan(&service, "restored", fresh), after);
+}
+
 TEST(SketchServiceTest, CountMinIngestQueryAndBound) {
   SketchService service({});
   Create(&service, "cm", SketchType::kCountMin, {4096, 4, 7, 0, 0});
@@ -146,6 +204,27 @@ TEST(SketchServiceTest, StreamSummaryHeavyHittersAndUniverseGuard) {
   EXPECT_EQ(error.code, ErrorCode::kMalformedPayload);
   // Out-of-universe queries answer zero without touching the sketch.
   EXPECT_EQ(Query(&service, "sum", 1ULL << 30).estimate, 0);
+}
+
+TEST(SketchServiceTest, CountSketchCachedBoundIsFreshScan) {
+  std::vector<StreamUpdate> first;
+  for (uint64_t i = 0; i < 100; ++i) first.push_back({i, 10});
+  ExpectCachedBoundTracksWrites(SketchType::kCountSketch, {2048, 5, 11, 0, 0},
+                                first, {{7, 1000}}, FreshCountSketchBound);
+}
+
+TEST(SketchServiceTest, BloomCachedBoundIsFreshScan) {
+  ExpectCachedBoundTracksWrites(SketchType::kBloom, {8192, 4, 3, 0, 0},
+                                {{42, 1}, {77, 1}}, {{500, 1}, {501, 1}},
+                                FreshBloomBound);
+}
+
+TEST(SketchServiceTest, StreamSummaryCachedBoundIsFreshScan) {
+  std::vector<StreamUpdate> first;
+  for (uint64_t i = 0; i < 2000; ++i) first.push_back({i % 500, 1});
+  ExpectCachedBoundTracksWrites(SketchType::kStreamSummary,
+                                {16, 512, 4, 4096, 13}, first, {{7, 3000}},
+                                FreshSummaryBound);
 }
 
 TEST(SketchServiceTest, ShardedCountMinMatchesPlainCountMin) {
