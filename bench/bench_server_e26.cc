@@ -3,11 +3,9 @@
 //
 // Claim: the E26 front door (a small epoll I/O-thread pool, per-entry
 // reader-writer locks striped by name hash, and batched ingest/point-query
-// dispatch) sustains at least 2x the mixed-workload throughput of the PR5
-// design at 64 connections on the same host, with a bounded p99 latency.
-// The PR5 oracle is run in the same binary via SketchServer's pr5_oracle
-// mode: thread-per-connection transport, per-frame dispatch with one
-// write per response, and exclusive-only entry locks.
+// dispatch) holds its mixed-workload throughput from 8 to 256 connections
+// with a bounded p99 latency. Its rows are gated against the committed
+// baseline.
 //
 // Workload: C client connections over 127.0.0.1 TCP. Each connection is
 // closed-loop per *window*: it pipelines a window of 32 operations in a
@@ -15,11 +13,10 @@
 // otherwise a 64-update Zipf(1.1) ingest frame — then reads all 32
 // responses back. Pipelining is the shape the E26 front door is built
 // for: the epoll path drains the whole window in one read, applies the
-// ingest run under one lock, and coalesces all responses into one send,
-// while the oracle pays a dispatch + write per frame. Frames are small
-// on purpose: this experiment weighs the per-frame front-door cost
-// (framing, locking, syscalls), not raw sketch update throughput, which
-// E1/E3 measure in isolation. We sweep C in {8, 64, 256} and the read
+// ingest run under one lock, and coalesces all responses into one send.
+// Frames are small on purpose: this experiment weighs the per-frame
+// front-door cost (framing, locking, syscalls), not raw sketch update
+// throughput, which E1/E3 measure in isolation. We sweep C in {8, 64, 256} and the read
 // fraction in {0.1, 0.5, 0.9}; latency is measured per window round
 // trip.
 
@@ -61,10 +58,8 @@ struct RunResult {
   bool ok = false;
 };
 
-RunResult RunMixed(bool pr5_oracle, std::size_t connections,
-                   double read_fraction) {
+RunResult RunMixed(std::size_t connections, double read_fraction) {
   SketchServer::Options options;
-  options.pr5_oracle = pr5_oracle;
   options.io_threads = 1;
   SketchServer server(options);
   RunResult result;
@@ -230,32 +225,28 @@ int Main(int argc, char** argv) {
   bench::PrintHeader(
       "E26: server front-door scaling (epoll + striped locks, real TCP)",
       "the epoll event loop with striped shared locks and batched dispatch "
-      "beats the PR5 front door (thread-per-connection, per-frame dispatch, "
-      "exclusive locks) by >=2x on pipelined mixed load at 64 connections",
+      "holds its pipelined mixed-load throughput from 8 to 256 connections "
+      "(rows gated against the committed baseline)",
       "C connections x 16-op pipelined windows (16-key batched queries / "
       "256-update Zipf ingests), one shared CountMin, 127.0.0.1 TCP");
 
   bench::BenchReporter reporter;
   struct Config {
     const char* key;
-    bool pr5_oracle;
     std::size_t connections;
     double read_fraction;
   };
   const Config configs[] = {
-      {"E26/epoll/c8/mix50", false, 8, 0.5},
-      {"E26/epoll/c64/mix50", false, 64, 0.5},
-      {"E26/epoll/c256/mix50", false, 256, 0.5},
-      {"E26/epoll/c64/read90", false, 64, 0.9},
-      {"E26/epoll/c64/write90", false, 64, 0.1},
-      {"E26/pr5/c64/mix50", true, 64, 0.5},
+      {"E26/epoll/c8/mix50", 8, 0.5},
+      {"E26/epoll/c64/mix50", 64, 0.5},
+      {"E26/epoll/c256/mix50", 256, 0.5},
+      {"E26/epoll/c64/read90", 64, 0.9},
+      {"E26/epoll/c64/write90", 64, 0.1},
   };
 
-  double epoll_c64 = 0.0;
-  double oracle_c64 = 0.0;
   for (const Config& config : configs) {
-    const RunResult result = RunMixed(config.pr5_oracle, config.connections,
-                                      config.read_fraction);
+    const RunResult result =
+        RunMixed(config.connections, config.read_fraction);
     if (!result.ok) {
       bench::Row("E26: workload failed for %s", config.key);
       return 1;
@@ -266,26 +257,15 @@ int Main(int argc, char** argv) {
                result.updates_per_second / 1e6, result.p50_us,
                result.p99_us);
     char label[64];
-    std::snprintf(label, sizeof(label), "%zu conns read=%.1f %s",
-                  config.connections, config.read_fraction,
-                  config.pr5_oracle ? "pr5-oracle" : "epoll");
+    std::snprintf(label, sizeof(label), "%zu conns read=%.1f epoll",
+                  config.connections, config.read_fraction);
     reporter.Add(config.key, result.ops_per_second,
                  1e9 / result.ops_per_second, label);
     if (std::strcmp(config.key, "E26/epoll/c64/mix50") == 0) {
-      epoll_c64 = result.ops_per_second;
       reporter.Add("E26/epoll/c64/mix50/window_p99",
                    result.p99_us > 0.0 ? 1e6 / result.p99_us : 0.0,
                    result.p99_us * 1e3, "16-op pipelined window p99");
     }
-    if (std::strcmp(config.key, "E26/pr5/c64/mix50") == 0) {
-      oracle_c64 = result.ops_per_second;
-    }
-  }
-
-  if (oracle_c64 > 0.0) {
-    bench::Row("");
-    bench::Row("epoll vs PR5 oracle at 64 connections: %.2fx",
-               epoll_c64 / oracle_c64);
   }
 
   bench::Row("");

@@ -15,7 +15,7 @@
 namespace sketch::server {
 
 /// Synchronous client for the sketch daemon: one request in flight at a
-/// time over any ByteStream (socket or loopback). Every call returns
+/// time over any ByteStream (a socket, or a FaultyStream around one). Every call returns
 /// false on transport failure, protocol violation, or a server error
 /// response; last_error() explains the most recent failure.
 class SketchClient {

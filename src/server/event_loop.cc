@@ -15,8 +15,9 @@ namespace sketch::server {
 
 namespace {
 
-/// Per-event read granularity; sized like the blocking path's chunk so
-/// both exercise the decoder's resumption behavior identically.
+/// Per-event read granularity: a fraction of the max frame, so a large
+/// frame arrives over several reads and exercises the decoder's
+/// resumption path.
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 bool SetNonBlocking(int fd, bool nonblocking) {
@@ -57,23 +58,22 @@ bool EventLoopPool::Start() {
     auto loop = std::make_unique<Loop>();
     loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     loop->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (loop->epoll_fd < 0 || loop->wake_fd < 0) {
-      if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
-      if (loop->wake_fd >= 0) ::close(loop->wake_fd);
-      loops_.clear();
-      return false;
-    }
     epoll_event wake_event{};
     wake_event.events = EPOLLIN;
     wake_event.data.fd = loop->wake_fd;
-    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd,
-                    &wake_event) != 0) {
-      ::close(loop->epoll_fd);
-      ::close(loop->wake_fd);
+    const bool ready = loop->epoll_fd >= 0 && loop->wake_fd >= 0 &&
+                       ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD,
+                                   loop->wake_fd, &wake_event) == 0;
+    loops_.push_back(std::move(loop));
+    if (!ready) {
+      // Close this loop's descriptors and every earlier loop's too.
+      for (const std::unique_ptr<Loop>& made : loops_) {
+        if (made->epoll_fd >= 0) ::close(made->epoll_fd);
+        if (made->wake_fd >= 0) ::close(made->wake_fd);
+      }
       loops_.clear();
       return false;
     }
-    loops_.push_back(std::move(loop));
   }
   for (const std::unique_ptr<Loop>& loop : loops_) {
     loop->thread = std::thread([this, raw = loop.get()] { Run(raw); });
@@ -230,7 +230,7 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
   // Drain every complete frame buffered by the reads; the whole run goes
   // through HandleFrames so consecutive same-sketch ingest frames share
   // one lookup + one exclusive lock. Frames pipelined after a kShutdown
-  // are dropped, mirroring the blocking path.
+  // are dropped.
 #if SKETCH_TELEMETRY_ENABLED
   const uint64_t rx_start_ns = MonotonicNowNs();
 #endif

@@ -15,9 +15,10 @@
 #include "server/sketch_service.h"
 
 /// \file
-/// The epoll front door (E26): a small pool of I/O threads multiplexing
-/// many connections, replacing PR5's thread-per-connection model for
-/// kernel sockets.
+/// The daemon's only sketchwire front door (E26): a small pool of I/O
+/// threads multiplexing many connections. Every served connection, and
+/// every server test (over a socketpair(2) or a real listener), goes
+/// through this loop.
 ///
 /// Each I/O thread owns one epoll instance plus an eventfd for wakeups;
 /// accepted descriptors are handed to a thread round-robin and never
@@ -35,9 +36,9 @@
 /// slow consumer cannot pin unbounded response memory (backpressure
 /// contract in DESIGN.md "Server").
 ///
-/// The blocking ByteStream path (`ServeConnection`) remains the loopback
-/// and fault-injection substrate; `SKETCH_FORCE_BLOCKING=1` pins the
-/// daemon to it end to end.
+/// Fault injection sits on the client side of the socket (FaultyStream in
+/// transport.h): fragmented and paced writes, and a peer that vanishes
+/// mid-frame, reach this loop as real short reads and resets.
 
 namespace sketch::server {
 

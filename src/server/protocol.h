@@ -15,8 +15,8 @@
 /// This layer is a pure codec: it converts between message structs and
 /// length-prefixed binary frames, and never touches a socket, a sketch, or
 /// a thread — so the whole protocol is unit-testable in-process, and the
-/// daemon, the in-process loopback transport, the client library, and the
-/// fuzz harness all share one decoder.
+/// daemon's event loop, the client library, and the fuzz harness all
+/// share one decoder.
 ///
 /// Frame layout (all integers little-endian):
 ///

@@ -2,8 +2,6 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "telemetry/prometheus.h"
@@ -11,23 +9,10 @@
 
 namespace sketch::server {
 
-namespace {
-
-/// SKETCH_FORCE_BLOCKING=1 pins the daemon to the thread-per-connection
-/// path — the transport analogue of SKETCH_FORCE_SCALAR, used to diff the
-/// epoll front door against the simple oracle.
-bool ForceBlockingTransport() {
-  const char* value = std::getenv("SKETCH_FORCE_BLOCKING");
-  return value != nullptr && std::strcmp(value, "1") == 0;
-}
-
-}  // namespace
-
 SketchServer::SketchServer(const Options& options)
     : options_(options),
       pool_(options.pool_threads),
       service_(SketchService::Options{&pool_, options.default_shards,
-                                      options.pr5_oracle,
                                       options.slow_query_log_size}) {}
 
 SketchServer::~SketchServer() { Stop(); }
@@ -37,26 +22,27 @@ bool SketchServer::Start() {
                   ? SocketListener::ListenTcp(options_.tcp_port)
                   : SocketListener::ListenUnix(options_.unix_path);
   if (listener_ == nullptr) return false;
-  if (options_.use_event_loop && !options_.pr5_oracle &&
-      !ForceBlockingTransport()) {
-    EventLoopPool::Options pool_options;
-    pool_options.num_threads = options_.io_threads;
-    pool_options.max_outbound_bytes = options_.max_outbound_bytes;
-    event_pool_ = std::make_unique<EventLoopPool>(&service_, pool_options);
-    // Once a kShutdown response has been delivered, closing the listener
-    // unblocks the accept loop so the daemon can drain and exit.
-    event_pool_->set_shutdown_callback([this] { listener_->Close(); });
-    if (!event_pool_->Start()) {
-      // epoll/eventfd creation failed (fd exhaustion, exotic kernel):
-      // fall back to the blocking path rather than refusing to serve.
-      event_pool_.reset();
-    } else {
-      service_.RegisterGauge("server.connections_live", [pool =
-                                                             event_pool_.get()] {
-        return pool->connections_live();
-      });
-    }
-  }
+  // A failed Start leaves nothing running: no I/O threads, no health
+  // sampler, no bound port.
+  const auto abandon = [this] {
+    if (health_monitor_ != nullptr) health_monitor_->Stop();
+    health_monitor_.reset();
+    http_.reset();
+    if (event_pool_ != nullptr) event_pool_->Stop();
+    event_pool_.reset();
+    listener_->Close();
+    listener_.reset();
+    return false;
+  };
+  EventLoopPool::Options pool_options;
+  pool_options.num_threads = options_.io_threads;
+  pool_options.max_outbound_bytes = options_.max_outbound_bytes;
+  event_pool_ = std::make_unique<EventLoopPool>(&service_, pool_options);
+  // Once a kShutdown response has been delivered, closing the listener
+  // unblocks the accept loop so the daemon can drain and exit.
+  event_pool_->set_shutdown_callback([this] { listener_->Close(); });
+  // epoll/eventfd creation can fail (fd exhaustion); refuse to serve.
+  if (!event_pool_->Start()) return abandon();
   if (options_.enable_http) {
     HealthMonitor::Options health_options;
     health_options.period_ms =
@@ -85,15 +71,14 @@ bool SketchServer::Start() {
     handlers.healthz = [this] { return health_monitor_->HealthzJson(); };
     handlers.healthy = [this] { return !health_monitor_->degraded(); };
     http_ = std::make_unique<HttpExposition>(std::move(handlers));
-    if (!http_->Start(options_.http_port)) {
-      health_monitor_->Stop();
-      health_monitor_.reset();
-      http_.reset();
-      listener_->Close();
-      listener_.reset();
-      return false;
-    }
+    if (!http_->Start(options_.http_port)) return abandon();
   }
+  // Registered only once Start cannot fail, so the gauge never outlives
+  // the pool it reads.
+  service_.RegisterGauge("server.connections_live",
+                         [pool = event_pool_.get()] {
+                           return pool->connections_live();
+                         });
   started_ = true;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return true;
@@ -101,56 +86,22 @@ bool SketchServer::Start() {
 
 void SketchServer::AcceptLoop() {
   while (true) {
-    if (event_pool_ != nullptr) {
-      const int fd = listener_->AcceptRaw();
-      if (fd < 0) break;  // listener closed
-      if (service_.shutdown_requested()) {
-        ::close(fd);
-        break;
-      }
-      event_pool_->Adopt(fd);
-      continue;
-    }
-    std::unique_ptr<ByteStream> stream = listener_->Accept();
-    if (stream == nullptr) break;  // listener closed
+    const int fd = listener_->AcceptRaw();
+    if (fd < 0) break;  // listener closed
     if (service_.shutdown_requested()) {
-      stream->Close();
+      ::close(fd);
       break;
     }
-    // Dedicated thread per connection (see ServeConnection's contract):
-    // the connection blocks on ShardedSketch ingests that Wait() on the
-    // shared pool, so it must not itself be a pool task.
-    std::shared_ptr<ByteStream> shared = std::move(stream);
-    MutexLock lock(connections_mutex_);
-    std::erase_if(live_streams_, [](const std::shared_ptr<ByteStream>& s) {
-      return s.use_count() == 1;  // serving thread finished with it
-    });
-    live_streams_.push_back(shared);
-    connections_.emplace_back([this, owned = std::move(shared)] {
-      ServeConnection(owned.get(), &service_,
-                      ServeOptions{!options_.pr5_oracle});
-      if (service_.shutdown_requested()) {
-        // Unblock the accept loop so the daemon can drain and exit.
-        listener_->Close();
-      }
-    });
+    event_pool_->Adopt(fd);
   }
 }
 
 void SketchServer::Wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (event_pool_ != nullptr) {
-    // Flushes every connection's pending responses and joins the I/O
-    // threads. The pool object stays alive (Stopped) because the statsz
-    // gauge registered in Start() reads its live-connection count.
-    event_pool_->Stop();
-  }
-  MutexLock lock(connections_mutex_);
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
-  }
-  connections_.clear();
-  live_streams_.clear();
+  // Flushes every connection's pending responses and joins the I/O
+  // threads. The pool object stays alive (stopped) because the statsz
+  // gauge registered in Start() reads its live-connection count.
+  if (event_pool_ != nullptr) event_pool_->Stop();
 }
 
 void SketchServer::Stop() {
@@ -158,16 +109,6 @@ void SketchServer::Stop() {
   if (http_ != nullptr) http_->Stop();
   if (health_monitor_ != nullptr) health_monitor_->Stop();
   if (listener_ != nullptr) listener_->Close();
-  {
-    // Force-close blocking-transport connections still mid-conversation:
-    // without this, Wait() would block on connection threads whose
-    // clients never hang up. (The event-loop path force-closes its own
-    // connections inside EventLoopPool::Stop.)
-    MutexLock lock(connections_mutex_);
-    for (const std::shared_ptr<ByteStream>& stream : live_streams_) {
-      stream->Close();  // idempotent; no-op for finished connections
-    }
-  }
   Wait();
   started_ = false;
 }

@@ -4,11 +4,8 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "server/connection.h"
 #include "server/event_loop.h"
 #include "server/health_monitor.h"
 #include "server/http_exposition.h"
@@ -18,10 +15,9 @@
 namespace sketch::server {
 
 /// The long-lived daemon: a listener (TCP or Unix-domain), an epoll
-/// event-loop pool (or one blocking thread per connection when
-/// `use_event_loop` is off / `SKETCH_FORCE_BLOCKING=1` is set), and a
-/// shared SketchService. A kShutdown request from any client stops the
-/// accept loop and drains the connections.
+/// event-loop pool that serves every accepted connection, and a shared
+/// SketchService. A kShutdown request from any client stops the accept
+/// loop and drains the connections.
 class SketchServer {
  public:
   struct Options {
@@ -34,23 +30,11 @@ class SketchServer {
     std::size_t pool_threads = 4;
     /// Shard replicas per kShardedCountMin sketch.
     std::size_t default_shards = 4;
-    /// Serve connections on the epoll event loop (the E26 front door).
-    /// False restores PR5's thread-per-connection model; the environment
-    /// variable SKETCH_FORCE_BLOCKING=1 forces false regardless (the
-    /// transport fallback oracle, mirroring SKETCH_FORCE_SCALAR for
-    /// kernels).
-    bool use_event_loop = true;
     /// Event-loop I/O threads (each multiplexes many connections).
     std::size_t io_threads = 2;
     /// Per-connection outbound backlog cap before a slow client is
     /// evicted (see EventLoopPool::Options::max_outbound_bytes).
     std::size_t max_outbound_bytes = 4 * 1024 * 1024;
-    /// Benchmark/test oracle: emulate the PR5 front door end to end —
-    /// thread-per-connection transport, per-frame dispatch (no ingest-run
-    /// coalescing), and exclusive-only entry locks in the service.
-    /// Overrides use_event_loop. The E26 speedup claim is measured
-    /// against a server in this mode.
-    bool pr5_oracle = false;
     /// Serve the HTTP observability endpoints (/metrics /statsz /tracez
     /// /healthz) on a second, local-only port. Off by default: the
     /// sketchwire port stays the only listener unless asked.
@@ -73,17 +57,19 @@ class SketchServer {
   SketchServer(const SketchServer&) = delete;
   SketchServer& operator=(const SketchServer&) = delete;
 
-  /// Binds the listener and starts the accept loop. False if the address
-  /// cannot be bound.
+  /// Binds the listener, starts the event loop and (with enable_http) the
+  /// observability plane, then the accept loop. False if an address
+  /// cannot be bound or the event loop cannot start; nothing is left
+  /// running in that case.
   bool Start();
 
   /// Blocks until a shutdown request has been served and every
-  /// connection thread has drained.
-  void Wait() SKETCH_EXCLUDES(connections_mutex_);
+  /// connection has drained.
+  void Wait();
 
   /// Stops accepting, closes the listener, and joins all threads. Safe to
   /// call more than once; also called by the destructor.
-  void Stop() SKETCH_EXCLUDES(connections_mutex_);
+  void Stop();
 
   /// Bound TCP port (valid after Start when listening on TCP).
   uint16_t port() const;
@@ -96,23 +82,20 @@ class SketchServer {
   /// Non-null after Start when enable_http is set.
   HealthMonitor* health_monitor() { return health_monitor_.get(); }
 
-  /// True if this server is serving through the epoll event loop (false
-  /// when configured off or overridden by SKETCH_FORCE_BLOCKING=1).
-  bool using_event_loop() const { return event_pool_ != nullptr; }
-
  private:
-  void AcceptLoop() SKETCH_EXCLUDES(connections_mutex_);
+  void AcceptLoop();
 
   Options options_;
   ThreadPool pool_;
   SketchService service_;
   // Set in Start() before the accept thread is spawned and never
-  // reassigned, so connection threads may call listener_->Close() without
-  // a lock (SocketListener::Close is itself race-safe).
+  // reassigned, so I/O threads may call listener_->Close() without a lock
+  // (SocketListener::Close is itself race-safe).
   std::unique_ptr<SocketListener> listener_;
-  // Non-null iff serving through the event loop; created in Start()
-  // before the accept thread exists and torn down in Wait() after it has
-  // joined, so the accept loop reads it without a lock.
+  // Created in Start() before the accept thread exists and stopped in
+  // Wait() after it has joined, so the accept loop reads it without a
+  // lock. The object outlives Stop because the statsz gauge registered
+  // in Start() reads its live-connection count.
   std::unique_ptr<EventLoopPool> event_pool_;
   // Observability plane (non-null iff enable_http): both created in
   // Start() before any request is served and stopped in Stop(). The
@@ -120,16 +103,6 @@ class SketchServer {
   std::unique_ptr<HealthMonitor> health_monitor_;
   std::unique_ptr<HttpExposition> http_;
   std::thread accept_thread_;
-  sketch::Mutex connections_mutex_;
-  std::vector<std::thread> connections_
-      SKETCH_GUARDED_BY(connections_mutex_);
-  // Blocking-transport connections still being served: Stop() closes them
-  // (SocketStream::Close unblocks a blocked Read) so it can force-stop
-  // connections mid-conversation, matching the event-loop path. A
-  // use_count of 1 means the serving thread has dropped its reference —
-  // the connection is over — and the accept loop prunes such entries.
-  std::vector<std::shared_ptr<ByteStream>> live_streams_
-      SKETCH_GUARDED_BY(connections_mutex_);
   // Owner-thread only (Start/Stop/destructor share the owning thread by
   // the class contract), so unguarded.
   bool started_ = false;

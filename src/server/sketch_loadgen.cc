@@ -1,9 +1,10 @@
 // Load-generator client for the sketch daemon: N writer threads stream
 // Zipf batches into one sharded sketch while M reader threads fire point
 // queries, then prints sustained updates/sec and query-latency
-// percentiles. The E24/E26 experiment harnesses (bench/bench_server_*.cc)
-// measure the same pipeline in-process over the loopback transport; this
-// binary drives a real daemon over TCP or a Unix socket.
+// percentiles. It drives a separate daemon over TCP or a Unix socket;
+// the E26/E27 benches (bench/bench_server_*.cc) start a SketchServer in
+// their own process and drive it over 127.0.0.1 TCP, and perfbench/
+// drives a stock sketch_serverd with verified answers.
 //
 // Two workload shapes:
 //  - Legacy split mode (default): --writers ingest-only connections plus

@@ -965,12 +965,6 @@ std::vector<uint8_t> SketchService::WithEntryShared(const std::string& name,
                                                     Fn&& fn) {
   const std::shared_ptr<internal::EntryHandle> handle = FindHandle(name);
   if (handle == nullptr) return NoSuchSketch(name);
-  if (options_.exclusive_queries) {
-    const TracedLockTimer timer;
-    WriterMutexLock lock(handle->mutex);
-    timer.Locked();
-    return RunKernel(fn, *handle->entry);
-  }
   const TracedLockTimer timer;
   ReaderMutexLock lock(handle->mutex);
   timer.Locked();
@@ -1223,10 +1217,6 @@ std::vector<uint8_t> SketchService::HandleInnerProduct(const Frame& frame) {
   }
   if (left == right) {
     // Self inner product: one entry, one lock.
-    if (options_.exclusive_queries) {
-      WriterMutexLock lock(left->mutex);
-      return InnerProductBetween(*left->entry, *left->entry);
-    }
     ReaderMutexLock lock(left->mutex);
     return InnerProductBetween(*left->entry, *left->entry);
   }
@@ -1238,14 +1228,6 @@ std::vector<uint8_t> SketchService::HandleInnerProduct(const Frame& frame) {
       std::less<internal::EntryHandle*>()(left.get(), right.get());
   internal::EntryHandle& lo = left_first ? *left : *right;
   internal::EntryHandle& hi = left_first ? *right : *left;
-  if (options_.exclusive_queries) {
-    WriterMutexLock lo_lock(lo.mutex);
-    WriterMutexLock hi_lock(hi.mutex);
-    internal::SketchEntry& lo_entry = *lo.entry;
-    internal::SketchEntry& hi_entry = *hi.entry;
-    return InnerProductBetween(left_first ? lo_entry : hi_entry,
-                               left_first ? hi_entry : lo_entry);
-  }
   ReaderMutexLock lo_lock(lo.mutex);
   ReaderMutexLock hi_lock(hi.mutex);
   internal::SketchEntry& lo_entry = *lo.entry;
@@ -1321,13 +1303,8 @@ std::vector<uint8_t> SketchService::HandleList() {
           << entry.SizeInCounters() << ",\"updates\":"
           << entry.updates_applied() << "}";
     };
-    if (options_.exclusive_queries) {
-      WriterMutexLock lock(handle->mutex);
-      describe(*handle->entry);
-    } else {
-      ReaderMutexLock lock(handle->mutex);
-      describe(*handle->entry);
-    }
+    ReaderMutexLock lock(handle->mutex);
+    describe(*handle->entry);
   }
   out << "]";
   TextResponse response;
@@ -1362,13 +1339,8 @@ std::string SketchService::StatszJson() {
           << entry.MemoryFootprintBytes() << ",\"updates\":"
           << entry.updates_applied() << "}";
     };
-    if (options_.exclusive_queries) {
-      WriterMutexLock lock(handle->mutex);
-      describe(*handle->entry);
-    } else {
-      ReaderMutexLock lock(handle->mutex);
-      describe(*handle->entry);
-    }
+    ReaderMutexLock lock(handle->mutex);
+    describe(*handle->entry);
   }
   out << "],\"gauges\":{";
   {

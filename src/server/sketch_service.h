@@ -27,8 +27,8 @@
 /// point / heavy-hitter / inner-product queries, snapshot/restore, and
 /// introspection — everything the daemon does between a decoded request
 /// frame and an encoded response frame. Transport-free by design: the
-/// connection loop, the epoll event loop, the loopback tests, and the
-/// fuzz harness all drive the same HandleFrame/HandleFrames entry points.
+/// epoll event loop, the in-process service tests, and the fuzz harness
+/// all drive the same HandleFrame/HandleFrames entry points.
 ///
 /// Concurrency model (see DESIGN.md "Server"): the registry is striped by
 /// name hash — create/drop take only their stripe's mutex — and every
@@ -138,10 +138,6 @@ class SketchService {
     /// ingest fan-out runs on. A null pool runs shards inline.
     ThreadPool* pool = nullptr;
     std::size_t default_shards = 4;
-    /// Oracle mode for tests/benchmarks: take every entry lock
-    /// exclusively, restoring the PR5 one-writer-at-a-time behavior so
-    /// shared-lock runs can be diffed against it.
-    bool exclusive_queries = false;
     /// Slowest requests retained per opcode in the slow-query log
     /// (surfaced in /statsz and /tracez); 0 disables the log and its
     /// per-request clock reads in telemetry-off builds.
@@ -233,8 +229,8 @@ class SketchService {
   std::shared_ptr<internal::EntryHandle> FindHandle(
       const std::string& name) const;
 
-  /// Runs `fn(entry)` under the entry's shared lock (exclusive in
-  /// exclusive_queries oracle mode); NoSuchSketch if absent.
+  /// Runs `fn(entry)` under the entry's shared lock; NoSuchSketch if
+  /// absent.
   template <typename Fn>
   std::vector<uint8_t> WithEntryShared(const std::string& name, Fn&& fn);
 

@@ -29,42 +29,6 @@ bool WriteAll(ByteStream* stream, const std::vector<uint8_t>& bytes) {
   return WriteAll(stream, bytes.data(), bytes.size());
 }
 
-// --- LoopbackPipe ---------------------------------------------------------
-
-std::ptrdiff_t LoopbackPipe::Read(uint8_t* data, std::size_t size) {
-  if (size == 0) return 0;
-  MutexLock lock(mutex_);
-  while (bytes_.empty() && !closed_) readable_.Wait(mutex_);
-  if (bytes_.empty()) return 0;  // closed and drained: clean EOF
-  const std::size_t n = std::min(size, bytes_.size());
-  std::copy_n(bytes_.begin(), n, data);
-  bytes_.erase(bytes_.begin(),
-               bytes_.begin() + static_cast<std::ptrdiff_t>(n));
-  return static_cast<std::ptrdiff_t>(n);
-}
-
-std::ptrdiff_t LoopbackPipe::Write(const uint8_t* data, std::size_t size) {
-  MutexLock lock(mutex_);
-  if (closed_) return -1;
-  bytes_.insert(bytes_.end(), data, data + size);
-  readable_.NotifyAll();
-  return static_cast<std::ptrdiff_t>(size);
-}
-
-void LoopbackPipe::Close() {
-  MutexLock lock(mutex_);
-  closed_ = true;
-  readable_.NotifyAll();
-}
-
-std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
-MakeLoopbackPair() {
-  auto forward = std::make_shared<LoopbackPipe>();
-  auto backward = std::make_shared<LoopbackPipe>();
-  return {std::make_unique<LoopbackStream>(backward, forward),
-          std::make_unique<LoopbackStream>(forward, backward)};
-}
-
 // --- FaultyStream ---------------------------------------------------------
 
 std::ptrdiff_t FaultyStream::Read(uint8_t* data, std::size_t size) {
@@ -220,9 +184,9 @@ int SocketListener::AcceptRaw() {
 }
 
 void SocketListener::Close() {
-  // Close races with Accept and with itself (connection threads, Stop,
-  // and the destructor all call it); the exchange picks a single winner,
-  // which also makes the unlink below happen exactly once.
+  // Close races with Accept and with itself (I/O threads, Stop, and the
+  // destructor all call it); the exchange picks a single winner, which
+  // also makes the unlink below happen exactly once.
   const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd < 0) return;
   // shutdown() unblocks a concurrent Accept before the fd goes away.

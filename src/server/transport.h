@@ -4,23 +4,20 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/thread_annotations.h"
-
 /// \file
 /// Byte-stream transports for the sketch daemon.
 ///
-/// The server and client speak to an abstract ByteStream, so the same
-/// connection loop runs over a kernel socket (TCP or Unix-domain), an
-/// in-process loopback pipe (tests need no ports, no /tmp paths, and no
-/// syscall flakiness), or a fault-injecting wrapper that deliberately
-/// fragments, stalls, and severs the stream to exercise every partial-read
-/// and disconnect path in the framing layer.
+/// The client and the HTTP exposition speak to an abstract ByteStream:
+/// a kernel socket (TCP or Unix-domain), or a fault-injecting wrapper
+/// that deliberately fragments, stalls, and severs the client's side of
+/// a connection so the event loop sees every partial-read and disconnect
+/// path. The sketchwire server itself manages raw descriptors (see
+/// event_loop.h).
 
 namespace sketch::server {
 
@@ -47,55 +44,6 @@ class ByteStream {
 /// the stream errors out first.
 bool WriteAll(ByteStream* stream, const uint8_t* data, std::size_t size);
 bool WriteAll(ByteStream* stream, const std::vector<uint8_t>& bytes);
-
-// --- In-process loopback --------------------------------------------------
-
-/// One direction of a loopback connection: an unbounded byte queue with a
-/// closed flag, guarded by a mutex.
-class LoopbackPipe {
- public:
-  std::ptrdiff_t Read(uint8_t* data, std::size_t size)
-      SKETCH_EXCLUDES(mutex_);
-  std::ptrdiff_t Write(const uint8_t* data, std::size_t size)
-      SKETCH_EXCLUDES(mutex_);
-  void Close() SKETCH_EXCLUDES(mutex_);
-
- private:
-  sketch::Mutex mutex_;
-  sketch::CondVar readable_;
-  std::deque<uint8_t> bytes_ SKETCH_GUARDED_BY(mutex_);
-  bool closed_ SKETCH_GUARDED_BY(mutex_) = false;
-};
-
-/// One endpoint of a loopback pair: reads from one pipe, writes to the
-/// other.
-class LoopbackStream : public ByteStream {
- public:
-  LoopbackStream(std::shared_ptr<LoopbackPipe> read_pipe,
-                 std::shared_ptr<LoopbackPipe> write_pipe)
-      : read_pipe_(std::move(read_pipe)), write_pipe_(std::move(write_pipe)) {}
-  ~LoopbackStream() override { Close(); }
-
-  std::ptrdiff_t Read(uint8_t* data, std::size_t size) override {
-    return read_pipe_->Read(data, size);
-  }
-  std::ptrdiff_t Write(const uint8_t* data, std::size_t size) override {
-    return write_pipe_->Write(data, size);
-  }
-  void Close() override {
-    read_pipe_->Close();
-    write_pipe_->Close();
-  }
-
- private:
-  std::shared_ptr<LoopbackPipe> read_pipe_;
-  std::shared_ptr<LoopbackPipe> write_pipe_;
-};
-
-/// Creates a connected pair of in-process streams: bytes written to
-/// `first` are read from `second` and vice versa.
-std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
-MakeLoopbackPair();
 
 // --- Fault injection ------------------------------------------------------
 
@@ -143,11 +91,11 @@ class FaultyStream : public ByteStream {
 // --- Kernel sockets -------------------------------------------------------
 
 /// A connected TCP or Unix-domain socket. `Close()` may race with a
-/// blocked `Read`/`Write` on another thread (the server's shutdown path
-/// closes connection streams out from under their reader threads), so the
-/// descriptor is atomic and Close claims it with an exchange: exactly one
-/// closer wins, and a loser (or a racing Read) sees -1 instead of
-/// double-closing a possibly-reused descriptor.
+/// blocked `Read`/`Write` on another thread (a client torn down while a
+/// reader thread is blocked on its reply), so the descriptor is atomic
+/// and Close claims it with an exchange: exactly one closer wins, and a
+/// loser (or a racing Read) sees -1 instead of double-closing a
+/// possibly-reused descriptor.
 class SocketStream : public ByteStream {
  public:
   explicit SocketStream(int fd) : fd_(fd) {}
@@ -191,8 +139,8 @@ class SocketListener {
 
   /// Unblocks Accept and closes the listening socket. Safe to call from
   /// any thread, concurrently with Accept and with itself (the daemon's
-  /// kShutdown path closes the listener from a connection thread while
-  /// the accept thread blocks in Accept).
+  /// kShutdown path closes the listener from an I/O thread while the
+  /// accept thread blocks in Accept).
   void Close();
 
   /// Bound TCP port (after ListenTcp with port 0), or 0 for Unix sockets.

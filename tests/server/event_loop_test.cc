@@ -1,16 +1,13 @@
-// Integration tests for the E26 epoll front door over real kernel TCP
-// sockets: many concurrent clients against one daemon, bit-identity of
-// the served sketch with a sequential replay, pipelined-frame batching,
-// slow-client backpressure/eviction, fragmented frames, and shutdown
-// draining. Tests that specifically require the epoll transport skip
-// themselves when SKETCH_FORCE_BLOCKING=1 pins the daemon to the
-// thread-per-connection path; the rest run under both transports (the
-// forced-blocking ctest re-run covers the fallback).
+// Integration tests for the daemon's epoll front door over real kernel
+// TCP sockets: many concurrent clients against one daemon, bit-identity
+// of the served sketch with a sequential replay, pipelined-frame
+// batching, slow-client backpressure/eviction, fragmented frames,
+// shutdown draining, and a failed Start that leaves nothing running.
+
+#include <dirent.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,11 +29,6 @@ constexpr int kClients = 64;
 constexpr uint64_t kBatchesPerClient = 8;
 constexpr uint64_t kBatchSize = 128;
 constexpr uint64_t kUniverse = 1 << 12;
-
-bool ForcedBlocking() {
-  const char* value = std::getenv("SKETCH_FORCE_BLOCKING");
-  return value != nullptr && std::strcmp(value, "1") == 0;
-}
 
 /// Deterministic batch for (client, step): the full multiset is
 /// reproducible for the sequential replay.
@@ -76,10 +68,9 @@ TEST(EventLoopTest, SixtyFourConcurrentClientsMatchSequentialReplay) {
   // 64 clients over real TCP, all ingesting into one shared CountMin
   // while interleaving point queries. The sketch is linear, so the final
   // snapshot must be bit-identical to a sequential replay regardless of
-  // arrival order — under either transport.
+  // arrival order.
   SketchServer server({});
   ASSERT_TRUE(server.Start());
-  EXPECT_EQ(server.using_event_loop(), !ForcedBlocking());
 
   {
     auto admin = ConnectTcp("127.0.0.1", server.port());
@@ -170,18 +161,12 @@ TEST(EventLoopTest, PipelinedFramesEachGetAnOrderedResponse) {
 TEST(EventLoopTest, SlowClientBackpressureEvictsTheConnection) {
   // A client that pipelines large batched queries without ever reading
   // responses must be evicted once its outbound backlog exceeds the
-  // configured cap — not buffered without bound. Epoll-path specific:
-  // the blocking transport applies backpressure by blocking the
-  // connection thread in write() instead.
-  if (ForcedBlocking()) {
-    GTEST_SKIP() << "eviction is an event-loop behavior";
-  }
+  // configured cap — not buffered without bound.
   SketchServer::Options options;
   options.max_outbound_bytes = 16 * 1024;  // tiny cap: evict quickly
   options.io_threads = 1;
   SketchServer server(options);
   ASSERT_TRUE(server.Start());
-  ASSERT_TRUE(server.using_event_loop());
 
   {
     auto admin = ConnectTcp("127.0.0.1", server.port());
@@ -300,6 +285,50 @@ TEST(EventLoopTest, FramingViolationGetsErrorThenClose) {
   } while (n > 0);
   EXPECT_LE(n, 0);
   server.Stop();
+}
+
+/// Threads in this process, counted from /proc/self/task. A joined
+/// thread can linger there for a moment after the join returns, so
+/// callers poll.
+int ThreadCount() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return -1;
+  int count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
+
+TEST(EventLoopTest, FailedStartLeavesNothingRunning) {
+  // The HTTP port is taken, so Start fails after the sketchwire listener
+  // and the event loop are already up. It must take both down again: no
+  // I/O thread left running and no sketchwire port accepting.
+  const std::unique_ptr<SocketListener> occupied = SocketListener::ListenTcp(0);
+  ASSERT_NE(occupied, nullptr);
+  uint16_t sketchwire_port = 0;
+  {
+    const std::unique_ptr<SocketListener> probe = SocketListener::ListenTcp(0);
+    ASSERT_NE(probe, nullptr);
+    sketchwire_port = probe->port();
+  }
+  SketchServer::Options options;
+  options.tcp_port = sketchwire_port;
+  options.enable_http = true;
+  options.http_port = occupied->port();
+  options.io_threads = 2;
+  SketchServer server(options);
+  const int threads_before = ThreadCount();
+  ASSERT_GT(threads_before, 0);
+  EXPECT_FALSE(server.Start());
+  int threads_after = ThreadCount();
+  for (int i = 0; i < 2000 && threads_after != threads_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    threads_after = ThreadCount();
+  }
+  EXPECT_EQ(threads_after, threads_before);
+  EXPECT_EQ(ConnectTcp("127.0.0.1", sketchwire_port), nullptr);
 }
 
 }  // namespace

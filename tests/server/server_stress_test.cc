@@ -1,13 +1,14 @@
-// Concurrency stress: many client threads, each on its own loopback
-// connection, hammer one shared sketch with ingest batches while reader
-// threads fire point queries the whole time. Because every served sketch
-// is a linear function of the update stream and the service serializes
-// sketch access, the final state must be *bit-identical* to a sequential
-// replay of the same updates into a local sketch — Serialize() equality,
-// not just query-level agreement. Runs under TSan in CI, so it also
-// doubles as a data-race detector for the connection/service/transport
-// stack, including the cached error-bound scans that concurrent readers
-// fill under the shared entry lock.
+// Concurrency stress: many client threads, each on its own connection to
+// the epoll event loop (LoopHarness, several I/O threads), hammer one
+// shared sketch with ingest batches while reader threads fire point
+// queries the whole time. Because every served sketch is a linear
+// function of the update stream and the service serializes sketch
+// access, the final state must be *bit-identical* to a sequential replay
+// of the same updates into a local sketch — Serialize() equality, not
+// just query-level agreement. Runs under TSan in CI, so it also doubles
+// as a data-race detector for the event-loop/service/transport stack,
+// including the cached error-bound scans that concurrent readers fill
+// under the shared entry lock.
 
 #include <atomic>
 #include <cmath>
@@ -21,11 +22,10 @@
 #include "common/thread_pool.h"
 #include "fresh_bound.h"
 #include "gtest/gtest.h"
+#include "loop_harness.h"
 #include "server/client.h"
-#include "server/connection.h"
 #include "server/protocol.h"
 #include "server/sketch_service.h"
-#include "server/transport.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/update.h"
@@ -37,6 +37,9 @@ constexpr int kWriters = 4;
 constexpr uint64_t kBatchesPerWriter = 20;
 constexpr uint64_t kBatchSize = 256;
 constexpr uint64_t kUniverse = 1 << 12;
+// Enough I/O threads that writers and readers reach the service
+// concurrently rather than taking turns on one loop.
+constexpr std::size_t kIoThreads = 8;
 
 /// The deterministic batch written by `writer` at step `step`: disjoint
 /// (writer, step) pairs produce different updates, and the full multiset
@@ -51,28 +54,6 @@ std::vector<StreamUpdate> BatchFor(int writer, uint64_t step) {
   }
   return batch;
 }
-
-/// Serves one loopback connection on a dedicated thread; hands back the
-/// client end.
-class Connection {
- public:
-  explicit Connection(SketchService* service) {
-    auto [client_end, server_end] = MakeLoopbackPair();
-    client_ = std::make_unique<SketchClient>(std::move(client_end));
-    thread_ = std::thread([service, stream = std::move(server_end)]() mutable {
-      ServeConnection(stream.get(), service);
-    });
-  }
-  ~Connection() {
-    client_->Close();
-    thread_.join();
-  }
-  SketchClient& client() { return *client_; }
-
- private:
-  std::unique_ptr<SketchClient> client_;
-  std::thread thread_;
-};
 
 /// Per-answer sanity under concurrency. Count-Min (L1-bounded) answers
 /// never fall below zero on this nonnegative stream; Count-Sketch answers
@@ -90,20 +71,19 @@ void ExpectPlausible(const PointValueResponse& value) {
 /// Runs the concurrent ingest+query workload against `name` with
 /// `point_readers` threads issuing PointQuery and `batch_readers` issuing
 /// PointQueryBatch, then returns the server's final snapshot of it.
-std::vector<uint8_t> RunWorkload(SketchService* service,
-                                 const std::string& name, int point_readers = 1,
-                                 int batch_readers = 1) {
+std::vector<uint8_t> RunWorkload(LoopHarness* server, const std::string& name,
+                                 int point_readers = 1, int batch_readers = 1) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> queries{0};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([service, &name, w] {
-      Connection conn(service);
+    writers.emplace_back([server, &name, w] {
+      const auto client = server->Connect();
       for (uint64_t step = 0; step < kBatchesPerWriter; ++step) {
         const std::vector<StreamUpdate> batch = BatchFor(w, step);
         uint64_t accepted = 0;
-        ASSERT_TRUE(conn.client().Ingest(name, UpdateSpan(batch), &accepted));
+        ASSERT_TRUE(client->Ingest(name, UpdateSpan(batch), &accepted));
         ASSERT_EQ(accepted, batch.size());
       }
     });
@@ -112,16 +92,15 @@ std::vector<uint8_t> RunWorkload(SketchService* service,
   std::vector<std::thread> readers;
   for (int r = 0; r < point_readers + batch_readers; ++r) {
     const bool batched = r >= point_readers;
-    readers.emplace_back([service, &name, &done, &queries, batched] {
-      Connection conn(service);
+    readers.emplace_back([server, &name, &done, &queries, batched] {
+      const auto client = server->Connect();
       uint64_t item = 0;
       // do-while: every reader answers at least one query even when the
       // writers all finish before it is first scheduled (a loaded host).
       do {
         if (!batched) {
           PointValueResponse value;
-          ASSERT_TRUE(
-              conn.client().PointQuery(name, item % kUniverse, &value));
+          ASSERT_TRUE(client->PointQuery(name, item % kUniverse, &value));
           ExpectPlausible(value);
         } else {
           // Batched read path: shares the same (shared) entry lock and
@@ -131,7 +110,7 @@ std::vector<uint8_t> RunWorkload(SketchService* service,
             keys.push_back((item + k) % kUniverse);
           }
           std::vector<PointValueResponse> values;
-          ASSERT_TRUE(conn.client().PointQueryBatch(name, keys, &values));
+          ASSERT_TRUE(client->PointQueryBatch(name, keys, &values));
           ASSERT_EQ(values.size(), keys.size());
           for (const PointValueResponse& value : values) {
             ExpectPlausible(value);
@@ -150,9 +129,9 @@ std::vector<uint8_t> RunWorkload(SketchService* service,
   for (std::thread& t : readers) t.join();
   EXPECT_GT(queries.load(), 0u);
 
-  Connection conn(service);
+  const auto client = server->Connect();
   std::vector<uint8_t> blob;
-  EXPECT_TRUE(conn.client().Snapshot(name, &blob));
+  EXPECT_TRUE(client->Snapshot(name, &blob));
   return blob;
 }
 
@@ -172,21 +151,21 @@ std::vector<uint8_t> SequentialReplay(uint64_t width, uint64_t depth,
 }
 
 TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplayCountMin) {
-  SketchService service({});
-  Connection admin(&service);
-  ASSERT_TRUE(admin.client().CreateSketch("stress", SketchType::kCountMin,
-                                          {1024, 4, 77, 0, 0}));
-  const std::vector<uint8_t> served = RunWorkload(&service, "stress");
+  LoopHarness server({}, kIoThreads);
+  const auto admin = server.Connect();
+  ASSERT_TRUE(admin->CreateSketch("stress", SketchType::kCountMin,
+                                  {1024, 4, 77, 0, 0}));
+  const std::vector<uint8_t> served = RunWorkload(&server, "stress");
   EXPECT_EQ(served, SequentialReplay<CountMinSketch>(1024, 4, 77));
 }
 
 TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplaySharded) {
   ThreadPool pool(4);
-  SketchService service({&pool, 4});
-  Connection admin(&service);
-  ASSERT_TRUE(admin.client().CreateSketch(
-      "stress-sharded", SketchType::kShardedCountMin, {1024, 4, 77, 4, 0}));
-  const std::vector<uint8_t> served = RunWorkload(&service, "stress-sharded");
+  LoopHarness server({&pool, 4}, kIoThreads);
+  const auto admin = server.Connect();
+  ASSERT_TRUE(admin->CreateSketch("stress-sharded", SketchType::kShardedCountMin,
+                                  {1024, 4, 77, 4, 0}));
+  const std::vector<uint8_t> served = RunWorkload(&server, "stress-sharded");
   // A sharded sketch collapses to the same counters: merge-linearity
   // makes the snapshot bit-identical to the unsharded sequential replay.
   EXPECT_EQ(served, SequentialReplay<CountMinSketch>(1024, 4, 77));
@@ -197,15 +176,15 @@ TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplayCountSketch) {
   // F2 scan after every ingest. The final state must still match the
   // replay, and the bound served afterwards must equal a fresh scan of
   // that state bit for bit.
-  SketchService service({});
-  Connection admin(&service);
-  ASSERT_TRUE(admin.client().CreateSketch("stress-cs", SketchType::kCountSketch,
-                                          {1024, 4, 77, 0, 0}));
-  const std::vector<uint8_t> served = RunWorkload(&service, "stress-cs", 1, 3);
+  LoopHarness server({}, kIoThreads);
+  const auto admin = server.Connect();
+  ASSERT_TRUE(admin->CreateSketch("stress-cs", SketchType::kCountSketch,
+                                  {1024, 4, 77, 0, 0}));
+  const std::vector<uint8_t> served = RunWorkload(&server, "stress-cs", 1, 3);
   EXPECT_EQ(served, SequentialReplay<CountSketch>(1024, 4, 77));
 
   std::vector<PointValueResponse> values;
-  ASSERT_TRUE(admin.client().PointQueryBatch("stress-cs", {1, 2, 3}, &values));
+  ASSERT_TRUE(admin->PointQueryBatch("stress-cs", {1, 2, 3}, &values));
   ASSERT_EQ(values.size(), 3u);
   for (const PointValueResponse& value : values) {
     EXPECT_EQ(value.error_bound, FreshCountSketchBound(served));
@@ -213,68 +192,61 @@ TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplayCountSketch) {
 }
 
 TEST(ServerStressTest, SharedLocksMatchExclusiveOracleBitIdentically) {
-  // The E26 read path takes shared entry locks; the exclusive_queries
-  // oracle restores PR5's one-at-a-time behavior. Both run the same
-  // concurrent mixed query/ingest workload (point, batched, statsz
-  // readers against concurrent writers) and both snapshots must be
-  // bit-identical to each other and to the sequential replay — shared
-  // locking must change scheduling only, never observable sketch state.
-  // Under TSan this is also the data-race certificate for the
-  // reader-writer locking itself.
-  std::vector<uint8_t> snapshots[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    SketchService::Options options;
-    options.exclusive_queries = (mode == 1);
-    SketchService service(options);
-    Connection admin(&service);
-    ASSERT_TRUE(admin.client().CreateSketch("oracle", SketchType::kCountMin,
-                                            {1024, 4, 77, 0, 0}));
-    std::atomic<bool> done{false};
-    std::thread statsz_reader([&service, &done] {
-      Connection conn(&service);
-      while (!done.load(std::memory_order_relaxed)) {
-        std::string json;
-        ASSERT_TRUE(conn.client().Statsz(&json));
-        ASSERT_NE(json.find("\"oracle\""), std::string::npos);
-      }
-    });
-    snapshots[mode] = RunWorkload(&service, "oracle");
-    done.store(true);
-    statsz_reader.join();
-  }
-  EXPECT_EQ(snapshots[0], snapshots[1]);
-  EXPECT_EQ(snapshots[0], SequentialReplay<CountMinSketch>(1024, 4, 77));
+  // The read path takes shared entry locks; writers take them
+  // exclusively. A concurrent mixed query/ingest workload (point, batched
+  // and statsz readers against concurrent writers) must leave a snapshot
+  // bit-identical to the sequential replay, which is the one-at-a-time
+  // oracle: shared locking must change scheduling only, never observable
+  // sketch state. Under TSan this is also the data-race certificate for
+  // the reader-writer locking itself.
+  LoopHarness server({}, kIoThreads);
+  const auto admin = server.Connect();
+  ASSERT_TRUE(admin->CreateSketch("oracle", SketchType::kCountMin,
+                                  {1024, 4, 77, 0, 0}));
+  std::atomic<bool> done{false};
+  std::thread statsz_reader([&server, &done] {
+    const auto client = server.Connect();
+    while (!done.load(std::memory_order_relaxed)) {
+      std::string json;
+      ASSERT_TRUE(client->Statsz(&json));
+      ASSERT_NE(json.find("\"oracle\""), std::string::npos);
+    }
+  });
+  const std::vector<uint8_t> served = RunWorkload(&server, "oracle");
+  done.store(true);
+  statsz_reader.join();
+  EXPECT_EQ(served, SequentialReplay<CountMinSketch>(1024, 4, 77));
 }
 
 TEST(ServerStressTest, RegistryChurnWhileQuerying) {
   // Create/drop churn on other names must never perturb the sketch under
   // test or race the registry.
-  SketchService service({});
-  Connection admin(&service);
-  ASSERT_TRUE(admin.client().CreateSketch("anchor", SketchType::kCountMin,
-                                          {512, 4, 5, 0, 0}));
+  LoopHarness server({}, kIoThreads);
+  const auto admin = server.Connect();
+  ASSERT_TRUE(admin->CreateSketch("anchor", SketchType::kCountMin,
+                                  {512, 4, 5, 0, 0}));
   std::atomic<bool> done{false};
-  std::thread churn([&service, &done] {
-    Connection conn(&service);
+  std::thread churn([&server, &done] {
+    const auto client = server.Connect();
     int round = 0;
     while (!done.load(std::memory_order_relaxed)) {
       const std::string name = "churn-" + std::to_string(round % 8);
-      conn.client().CreateSketch(name, SketchType::kBloom, {512, 3, 1, 0, 0});
-      conn.client().DropSketch(name);
+      client->CreateSketch(name, SketchType::kBloom, {512, 3, 1, 0, 0});
+      client->DropSketch(name);
       ++round;
     }
   });
   for (uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(admin.client().Ingest(
+    ASSERT_TRUE(admin->Ingest(
         "anchor", UpdateSpan(std::vector<StreamUpdate>{{i % 64, 1}})));
     PointValueResponse value;
-    ASSERT_TRUE(admin.client().PointQuery("anchor", i % 64, &value));
+    ASSERT_TRUE(admin->PointQuery("anchor", i % 64, &value));
     ASSERT_GE(value.estimate, 1);
   }
   done.store(true);
   churn.join();
   PointValueResponse value;
-  ASSERT_TRUE(admin.client().PointQuery("anchor", 0, &value));
+  ASSERT_TRUE(admin->PointQuery("anchor", 0, &value));
   EXPECT_GE(value.estimate, 8);  // 500 updates over 64 items
 }
 

@@ -1,7 +1,8 @@
-// End-to-end wire tracing: a sampling client stamps trace ids, the real
-// connection loop decodes them, and the service's spans come out of the
-// trace export tagged with the same id — the property that makes one
-// Perfetto query collect a request's full life across threads.
+// End-to-end wire tracing: a sampling client stamps trace ids, the
+// daemon's epoll event loop decodes them (LoopHarness), and the service's
+// spans come out of the trace export tagged with the same id — the
+// property that makes one Perfetto query collect a request's full life
+// across threads.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
+#include "loop_harness.h"
 #include "server/client.h"
-#include "server/connection.h"
-#include "server/sketch_service.h"
-#include "server/transport.h"
 #include "stream/update.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -37,13 +34,9 @@ TEST(TraceSpanE2eTest, SampledRequestSpansCarryWireTraceId) {
   telemetry::TraceRecorder::Instance().Clear();
   telemetry::TraceRecorder::Instance().SetEnabled(true);
 
-  SketchService service{SketchService::Options{}};
-  auto [client_end, server_end] = MakeLoopbackPair();
-  SketchClient client(std::move(client_end));
-  std::thread server_thread(
-      [&service, stream = std::move(server_end)]() mutable {
-        ServeConnection(stream.get(), &service);
-      });
+  auto server = std::make_unique<LoopHarness>();
+  const std::unique_ptr<SketchClient> connection = server->Connect();
+  SketchClient& client = *connection;
 
   client.SetTraceSampling(1, 0xace1);  // every request stamped
   ASSERT_TRUE(client.CreateSketch("traced", SketchType::kCountMin,
@@ -64,7 +57,7 @@ TEST(TraceSpanE2eTest, SampledRequestSpansCarryWireTraceId) {
   ASSERT_NE(query_id, ingest_id);  // distinct draws from the sampler rng
 
   client.Close();
-  server_thread.join();
+  server.reset();  // joins the I/O thread, so its spans are all recorded
 
   // Every sampled request must have produced a handle_frame span tagged
   // with its wire id, and the kernel span of the query must carry the
@@ -104,13 +97,9 @@ TEST(TraceSpanE2eTest, UnsampledRequestsProduceNoTaggedSpans) {
   telemetry::TraceRecorder::Instance().Clear();
   telemetry::TraceRecorder::Instance().SetEnabled(true);
 
-  SketchService service{SketchService::Options{}};
-  auto [client_end, server_end] = MakeLoopbackPair();
-  SketchClient client(std::move(client_end));
-  std::thread server_thread(
-      [&service, stream = std::move(server_end)]() mutable {
-        ServeConnection(stream.get(), &service);
-      });
+  auto server = std::make_unique<LoopHarness>();
+  const std::unique_ptr<SketchClient> connection = server->Connect();
+  SketchClient& client = *connection;
 
   // Sampling off (the default): no stamping, so last_trace_id stays 0
   // and no span carries a correlation id.
@@ -122,7 +111,7 @@ TEST(TraceSpanE2eTest, UnsampledRequestsProduceNoTaggedSpans) {
   EXPECT_EQ(client.last_trace_id(), 0u);
 
   client.Close();
-  server_thread.join();
+  server.reset();  // joins the I/O thread, so its spans are all recorded
 
   for (const telemetry::TraceEvent& event :
        telemetry::TraceRecorder::Instance().CollectEvents()) {
