@@ -1,4 +1,4 @@
-// Fuzz harness: BloomFilter::Deserialize round-trip (see fuzz_count_min.cc
+// Fuzz harness: BloomFilter::TryDeserialize round-trip (see fuzz_count_min.cc
 // for the harness contract).
 //
 // One subtlety: a Bloom buffer's trailing bit-array word may carry bits
@@ -7,21 +7,26 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 
-#include "common/check.h"
 #include "fuzz/fuzz_util.h"
 #include "sketch/bloom_filter.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  const std::vector<uint8_t> bytes = sketch::fuzz::ToBytes(data, size);
-  try {
-    sketch::BloomFilter filter = sketch::BloomFilter::Deserialize(bytes);
-    sketch::fuzz::RequireIdentical(bytes, filter.Serialize());
-    (void)filter.MayContain(0);
-    (void)filter.FillRatio();
-    filter.Merge(sketch::BloomFilter::Deserialize(bytes));
-  } catch (const sketch::CheckFailure&) {
+  const std::span<const uint8_t> bytes(data, size);
+  std::string error;
+  std::optional<sketch::BloomFilter> filter =
+      sketch::BloomFilter::TryDeserialize(bytes, &error);
+  if (!filter) {
     // Malformed buffer rejected — the expected path for most inputs.
+    sketch::fuzz::RequireReason(error);
+    return 0;
   }
+  sketch::fuzz::RequireIdentical(bytes, filter->Serialize());
+  (void)filter->MayContain(0);
+  (void)filter->FillRatio();
+  filter->Merge(sketch::BloomFilter::TryDeserialize(bytes, nullptr).value());
   return 0;
 }

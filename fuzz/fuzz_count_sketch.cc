@@ -1,22 +1,27 @@
-// Fuzz harness: CountSketch::Deserialize round-trip (see fuzz_count_min.cc
+// Fuzz harness: CountSketch::TryDeserialize round-trip (see fuzz_count_min.cc
 // for the harness contract).
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 
-#include "common/check.h"
 #include "fuzz/fuzz_util.h"
 #include "sketch/count_sketch.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  const std::vector<uint8_t> bytes = sketch::fuzz::ToBytes(data, size);
-  try {
-    sketch::CountSketch sk = sketch::CountSketch::Deserialize(bytes);
-    sketch::fuzz::RequireIdentical(bytes, sk.Serialize());
-    (void)sk.Estimate(0);
-    sk.Merge(sketch::CountSketch::Deserialize(bytes));
-  } catch (const sketch::CheckFailure&) {
+  const std::span<const uint8_t> bytes(data, size);
+  std::string error;
+  std::optional<sketch::CountSketch> sk =
+      sketch::CountSketch::TryDeserialize(bytes, &error);
+  if (!sk) {
     // Malformed buffer rejected — the expected path for most inputs.
+    sketch::fuzz::RequireReason(error);
+    return 0;
   }
+  sketch::fuzz::RequireIdentical(bytes, sk->Serialize());
+  (void)sk->Estimate(0);
+  sk->Merge(sketch::CountSketch::TryDeserialize(bytes, nullptr).value());
   return 0;
 }

@@ -6,6 +6,8 @@
 // typed decoder and then through SketchService::HandleFrame. Invariants
 // enforced with a trap (a real finding, not a rejection):
 //
+//   * no frame reaches a SKETCH_CHECK inside the service (the daemon would
+//     abort there),
 //   * the service always answers with exactly one well-formed frame,
 //   * the answer always carries a response opcode (0x80-0xff),
 //   * no decode path allocates from a hostile length prefix — an
@@ -17,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "common/check.h"
@@ -58,43 +61,53 @@ void TryAllDecoders(const sketch::server::Frame& frame) {
   (void)DecodeIngestAck(frame, &ack);
 }
 
+
+/// The service's answer to one frame. A SKETCH_CHECK reached from
+/// HandleFrame would abort the daemon, so in fuzz builds (where checks
+/// throw) it traps: hostile frames must be answered, never checked.
+std::vector<uint8_t> HandleOrTrap(sketch::server::SketchService& service,
+                                  const sketch::server::Frame& frame) {
+  try {
+    return service.HandleFrame(frame);
+  } catch (const sketch::CheckFailure& failure) {
+    std::fprintf(stderr, "HandleFrame reached a check: %s\n",
+                 failure.what());
+    __builtin_trap();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace sketch::server;
-  try {
-    SketchService service({});
-    FrameDecoder decoder;
-    // Split the input so every frame boundary can land mid-header or
-    // mid-payload at least some of the time.
-    const size_t half = size / 2;
-    decoder.Feed(data, half);
-    decoder.Feed(data + half, size - half);
+  SketchService service({});
+  FrameDecoder decoder;
+  // Split the input so every frame boundary can land mid-header or
+  // mid-payload at least some of the time.
+  const size_t half = size / 2;
+  decoder.Feed(data, half);
+  decoder.Feed(data + half, size - half);
 
-    Frame frame;
-    // Cap the frames handled per input so a frame-dense input cannot
-    // create an unbounded registry.
-    for (int handled = 0; handled < 64; ++handled) {
-      if (decoder.Next(&frame) != DecodeStatus::kFrame) break;
-      TryAllDecoders(frame);
+  Frame frame;
+  // Cap the frames handled per input so a frame-dense input cannot
+  // create an unbounded registry.
+  for (int handled = 0; handled < 64; ++handled) {
+    if (decoder.Next(&frame) != DecodeStatus::kFrame) break;
+    TryAllDecoders(frame);
 
-      const std::vector<uint8_t> response = service.HandleFrame(frame);
-      FrameDecoder response_decoder;
-      response_decoder.Feed(response.data(), response.size());
-      Frame response_frame;
-      if (response_decoder.Next(&response_frame) != DecodeStatus::kFrame) {
-        __builtin_trap();  // the server emitted a malformed frame
-      }
-      if (static_cast<uint8_t>(response_frame.opcode) < 0x80) {
-        __builtin_trap();  // the server answered with a request opcode
-      }
-      if (response_decoder.buffered_bytes() != 0) {
-        __builtin_trap();  // trailing bytes after the response frame
-      }
+    const std::vector<uint8_t> response = HandleOrTrap(service, frame);
+    FrameDecoder response_decoder;
+    response_decoder.Feed(response.data(), response.size());
+    Frame response_frame;
+    if (response_decoder.Next(&response_frame) != DecodeStatus::kFrame) {
+      __builtin_trap();  // the server emitted a malformed frame
     }
-  } catch (const sketch::CheckFailure&) {
-    // A SKETCH_CHECK rejected something downstream — acceptable only in
-    // fuzz builds, where checks throw instead of aborting.
+    if (static_cast<uint8_t>(response_frame.opcode) < 0x80) {
+      __builtin_trap();  // the server answered with a request opcode
+    }
+    if (response_decoder.buffered_bytes() != 0) {
+      __builtin_trap();  // trailing bytes after the response frame
+    }
   }
   return 0;
 }

@@ -1,9 +1,12 @@
 #ifndef SKETCH_FUZZ_FUZZ_UTIL_H_
 #define SKETCH_FUZZ_FUZZ_UTIL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 /// \file
@@ -11,18 +14,14 @@
 ///
 /// Fuzz builds compile the whole library with SKETCH_FUZZING_ABORT_THROWS
 /// (see common/check.h): a failed SKETCH_CHECK throws sketch::CheckFailure
-/// instead of aborting, so "malformed buffer rejected" is an ordinary,
-/// non-crashing outcome for a harness. Anything else that kills the process
-/// — a sanitizer report, an uncaught exception, a __builtin_trap from a
-/// violated round-trip invariant — is a real finding.
+/// instead of aborting. Harnesses catch it only where a check is the
+/// contract under test (a CS decoder given a wrong-length measurement
+/// vector). The sketch deserializers reject malformed buffers by returning
+/// std::nullopt, so their harnesses catch nothing. Anything that kills the
+/// process — a sanitizer report, an uncaught exception, a __builtin_trap
+/// from a violated invariant — is a real finding.
 
 namespace sketch::fuzz {
-
-/// Copies the raw fuzz input into the vector<uint8_t> the Deserialize()
-/// entry points take.
-inline std::vector<uint8_t> ToBytes(const uint8_t* data, size_t size) {
-  return std::vector<uint8_t>(data, data + size);
-}
 
 /// Structured little-endian reader for harnesses that decode a geometry
 /// prefix from the fuzz input. Returns zeros past the end (harnesses clamp
@@ -63,13 +62,21 @@ class InputReader {
   size_t position_ = 0;
 };
 
-/// Round-trip invariant shared by the Deserialize harnesses: if a buffer is
-/// accepted, re-serializing the result must reproduce it bit for bit.
-/// Trap (not SKETCH_CHECK) so the failure is visible even though checks
-/// throw in fuzz builds.
-inline void RequireIdentical(const std::vector<uint8_t>& accepted,
+/// Round-trip invariant shared by the TryDeserialize harnesses: if a
+/// buffer is accepted, re-serializing the result must reproduce it bit for
+/// bit. Trap (not SKETCH_CHECK) so the failure is visible even though
+/// checks throw in fuzz builds.
+inline void RequireIdentical(std::span<const uint8_t> accepted,
                              const std::vector<uint8_t>& reserialized) {
-  if (accepted != reserialized) __builtin_trap();
+  if (!std::equal(accepted.begin(), accepted.end(), reserialized.begin(),
+                  reserialized.end())) {
+    __builtin_trap();
+  }
+}
+
+/// A rejected buffer must come back with the reason it was rejected.
+inline void RequireReason(const std::string& error) {
+  if (error.empty()) __builtin_trap();
 }
 
 }  // namespace sketch::fuzz

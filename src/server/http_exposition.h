@@ -27,6 +27,10 @@
 /// per connection, HTTP/1.0 close-delimited, GET only, no keep-alive, no
 /// TLS, no chunking. A scrape every few seconds and the occasional curl
 /// are the design load; anything heavier belongs behind a real proxy.
+/// Connections are served in turn, so each gets a fixed two seconds to
+/// send its request and two more to take its response: a silent client
+/// delays the scrapes behind it by at most that, and Stop() interrupts
+/// the connection being served instead of waiting for it.
 /// Handler callbacks run on the accept thread, so they must be safe to
 /// call from a non-request thread (all four producers here only take
 /// snapshots under their own locks).
@@ -56,7 +60,8 @@ class HttpExposition {
   /// the accept thread. Returns false if the bind fails.
   bool Start(uint16_t port);
 
-  /// Closes the listener and joins the accept thread (idempotent).
+  /// Closes the listener, interrupts the connection being served, and
+  /// joins the accept thread (idempotent).
   void Stop();
 
   /// Bound port after a successful Start.
@@ -70,10 +75,13 @@ class HttpExposition {
 
  private:
   void AcceptLoop();
-  void ServeConnection(ByteStream* stream) const;
+  void ServeConnection(int fd) const;
 
   const Handlers handlers_;
   std::unique_ptr<SocketListener> listener_;
+  // eventfd that Stop() makes readable; every wait on a connection polls
+  // it too. Set before the accept thread starts, closed after it joins.
+  int wake_fd_ = -1;
   std::thread thread_;
 };
 

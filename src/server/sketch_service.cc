@@ -4,12 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/timer.h"
 #include "parallel/sharded_sketch.h"
-#include "server/blob_check.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -1076,27 +1076,57 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
 }
 
 std::unique_ptr<internal::SketchEntry> SketchService::BuildEntryFromBlob(
-    SketchType type, const std::vector<uint8_t>& blob) {
+    SketchType type, std::span<const uint8_t> blob, std::string* error) {
+  // The decode allocates no more counters than the blob carries (and
+  // kMaxFramePayloadBytes bounds the blob); the served-sketch budget is
+  // then checked on what was decoded.
+  const auto within_budget = [error](uint64_t counters) {
+    if (counters <= kMaxSketchCounters) return true;
+    *error = "geometry exceeds counter budget";
+    return false;
+  };
   switch (type) {
-    case SketchType::kCountMin:
-      return std::make_unique<CountMinEntry>(CountMinSketch::Deserialize(blob));
-    case SketchType::kCountSketch:
-      return std::make_unique<CountSketchEntry>(
-          CountSketch::Deserialize(blob));
-    case SketchType::kBloom:
-      return std::make_unique<BloomEntry>(BloomFilter::Deserialize(blob));
-    case SketchType::kStreamSummary:
-      return std::make_unique<SummaryEntry>(StreamSummary::Deserialize(blob));
+    case SketchType::kCountMin: {
+      std::optional<CountMinSketch> sketch =
+          CountMinSketch::TryDeserialize(blob, error);
+      if (!sketch || !within_budget(sketch->SizeInCounters())) break;
+      return std::make_unique<CountMinEntry>(std::move(*sketch));
+    }
+    case SketchType::kCountSketch: {
+      std::optional<CountSketch> sketch =
+          CountSketch::TryDeserialize(blob, error);
+      if (!sketch || !within_budget(sketch->SizeInCounters())) break;
+      return std::make_unique<CountSketchEntry>(std::move(*sketch));
+    }
+    case SketchType::kBloom: {
+      std::optional<BloomFilter> filter =
+          BloomFilter::TryDeserialize(blob, error);
+      if (!filter || !within_budget((filter->num_bits() + 63) / 64)) break;
+      return std::make_unique<BloomEntry>(std::move(*filter));
+    }
+    case SketchType::kStreamSummary: {
+      std::optional<StreamSummary> summary =
+          StreamSummary::TryDeserialize(blob, error);
+      if (!summary || !within_budget(summary->SizeInCounters())) break;
+      return std::make_unique<SummaryEntry>(std::move(*summary));
+    }
     case SketchType::kShardedCountMin: {
-      CountMinSketch base = CountMinSketch::Deserialize(blob);
-      // base.width() is already rounded when the blob is pow2, so the
+      // A sharded snapshot is the collapsed CountMin state; the budget
+      // applies to it, as to a create's geometry.
+      std::optional<CountMinSketch> base =
+          CountMinSketch::TryDeserialize(blob, error);
+      if (!base || !within_budget(base->SizeInCounters())) break;
+      // base->width() is already rounded when the blob is pow2, so the
       // prototype's own rounding is the identity — shards and the restored
       // base stay merge-compatible.
-      const CountMinSketch prototype(base.width(), base.depth(), base.seed(),
-                                     base.width_mode());
+      const CountMinSketch prototype(base->width(), base->depth(),
+                                     base->seed(), base->width_mode());
       return std::make_unique<ShardedCountMinEntry>(
-          prototype, std::move(base), options_.default_shards, options_.pool);
+          prototype, std::move(*base), options_.default_shards,
+          options_.pool);
     }
+    default:
+      *error = "unknown sketch type";
   }
   return nullptr;
 }
@@ -1253,19 +1283,10 @@ std::vector<uint8_t> SketchService::HandleRestore(const Frame& frame) {
   if (!DecodeRestore(frame, &request) || request.name.empty()) {
     return MalformedPayload(frame.opcode);
   }
-  // Full structural validation of the untrusted blob BEFORE the
-  // CHECK-validating Deserialize sees it: a malformed blob must produce
-  // an error response, never a daemon abort.
-  const BlobCheckResult check =
-      CheckSketchBlob(request.type, request.blob, kMaxSketchCounters);
-  if (!check.ok) {
-    return MakeError(ErrorCode::kBadBlob, check.error);
-  }
+  std::string error;
   std::unique_ptr<internal::SketchEntry> entry =
-      BuildEntryFromBlob(request.type, request.blob);
-  if (entry == nullptr) {
-    return MakeError(ErrorCode::kBadSketchType, "unknown sketch type");
-  }
+      BuildEntryFromBlob(request.type, request.blob, &error);
+  if (entry == nullptr) return MakeError(ErrorCode::kBadBlob, error);
   if (!InsertEntry(request.name, std::move(entry))) {
     return MakeError(ErrorCode::kSketchExists,
                      "a sketch with this name already exists");

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -249,11 +250,10 @@ class SketchService {
   std::unique_ptr<internal::SketchEntry> BuildEntry(
       const CreateSketchRequest& request, ErrorResponse* error);
 
-  /// Builds an entry from a validated snapshot blob. The blob must have
-  /// passed CheckSketchBlob already (this call runs the CHECK-validating
-  /// Deserialize).
+  /// Builds an entry from an untrusted snapshot blob; nullptr + *error if
+  /// the blob does not decode as `type` or exceeds kMaxSketchCounters.
   std::unique_ptr<internal::SketchEntry> BuildEntryFromBlob(
-      SketchType type, const std::vector<uint8_t>& blob);
+      SketchType type, std::span<const uint8_t> blob, std::string* error);
 
   Options options_;
   SlowQueryLog slow_log_;

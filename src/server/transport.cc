@@ -158,11 +158,6 @@ std::unique_ptr<SocketListener> SocketListener::ListenUnix(
                                           /*port=*/0, path);
 }
 
-std::unique_ptr<ByteStream> SocketListener::Accept() {
-  const int client = AcceptRaw();
-  return client < 0 ? nullptr : std::make_unique<SocketStream>(client);
-}
-
 int SocketListener::AcceptRaw() {
   // relaxed: see SocketStream::Read — the fd carries no published memory,
   // and a Close racing with accept() surfaces as an error return.
@@ -184,12 +179,12 @@ int SocketListener::AcceptRaw() {
 }
 
 void SocketListener::Close() {
-  // Close races with Accept and with itself (I/O threads, Stop, and the
+  // Close races with AcceptRaw and with itself (I/O threads, Stop, and the
   // destructor all call it); the exchange picks a single winner, which
   // also makes the unlink below happen exactly once.
   const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd < 0) return;
-  // shutdown() unblocks a concurrent Accept before the fd goes away.
+  // shutdown() unblocks a concurrent AcceptRaw before the fd goes away.
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());

@@ -12,12 +12,12 @@
 /// \file
 /// Byte-stream transports for the sketch daemon.
 ///
-/// The client and the HTTP exposition speak to an abstract ByteStream:
-/// a kernel socket (TCP or Unix-domain), or a fault-injecting wrapper
-/// that deliberately fragments, stalls, and severs the client's side of
-/// a connection so the event loop sees every partial-read and disconnect
-/// path. The sketchwire server itself manages raw descriptors (see
-/// event_loop.h).
+/// The client speaks to an abstract ByteStream: a kernel socket (TCP or
+/// Unix-domain), or a fault-injecting wrapper that deliberately
+/// fragments, stalls, and severs the client's side of a connection so the
+/// event loop sees every partial-read and disconnect path. The sketchwire
+/// server (see event_loop.h) and the HTTP exposition manage the raw
+/// descriptors SocketListener accepts.
 
 namespace sketch::server {
 
@@ -128,19 +128,15 @@ class SocketListener {
   /// Returns nullptr on failure.
   static std::unique_ptr<SocketListener> ListenUnix(const std::string& path);
 
-  /// Blocks for the next connection; nullptr once the listener is closed.
-  std::unique_ptr<ByteStream> Accept();
-
-  /// Accept() without the ByteStream wrapper: blocks for the next
-  /// connection and returns its raw descriptor (the caller owns it), or
-  /// -1 once the listener is closed. Used by the epoll event loop, which
-  /// manages descriptors directly.
+  /// Blocks for the next connection and returns its raw descriptor (the
+  /// caller owns it), or -1 once the listener is closed. The epoll event
+  /// loop and the HTTP exposition both manage descriptors directly.
   int AcceptRaw();
 
-  /// Unblocks Accept and closes the listening socket. Safe to call from
-  /// any thread, concurrently with Accept and with itself (the daemon's
+  /// Unblocks AcceptRaw and closes the listening socket. Safe to call from
+  /// any thread, concurrently with AcceptRaw and with itself (the daemon's
   /// kShutdown path closes the listener from an I/O thread while the
-  /// accept thread blocks in Accept).
+  /// accept thread blocks in AcceptRaw).
   void Close();
 
   /// Bound TCP port (after ListenTcp with port 0), or 0 for Unix sockets.
@@ -148,8 +144,8 @@ class SocketListener {
 
  private:
   // Same atomic-exchange close protocol as SocketStream; port_ and
-  // unix_path_ are immutable after construction so Accept/Close need no
-  // lock around them.
+  // unix_path_ are immutable after construction so AcceptRaw/Close need
+  // no lock around them.
   std::atomic<int> fd_{-1};
   const uint16_t port_ = 0;
   const std::string unix_path_;

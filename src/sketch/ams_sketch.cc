@@ -147,24 +147,31 @@ std::vector<uint8_t> AmsSketch::Serialize() const {
   AppendU64(width_, &out);
   AppendU64(depth_, &out);
   AppendU64(seed_, &out);
-  for (int64_t c : counters_) AppendI64(c, &out);
+  AppendWords(counters_, &out);
   return out;
 }
 
-AmsSketch AmsSketch::Deserialize(const std::vector<uint8_t>& bytes) {
+std::optional<AmsSketch> AmsSketch::TryDeserialize(
+    std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  SKETCH_CHECK_MSG(reader.ReadU64() == kAmsMagic, "not an AmsSketch buffer");
-  const uint64_t width = reader.ReadU64();
-  const uint64_t depth = reader.ReadU64();
-  const uint64_t seed = reader.ReadU64();
-  SKETCH_CHECK_MSG(width >= 1 && depth >= 1, "invalid AmsSketch geometry");
-  CheckSerializedSize(
-      bytes, /*header_words=*/4,
-      CheckedMulU64(width, depth, "AmsSketch geometry overflows"),
-      "AmsSketch buffer size does not match geometry");
+  uint64_t header[4] = {};
+  if (!reader.ReadWords(header)) {
+    return FailDecode(error, "truncated sketch buffer");
+  }
+  const auto [magic, width, depth, seed] = header;
+  if (magic != kAmsMagic) return FailDecode(error, "not an AmsSketch buffer");
+  if (width < 1 || depth < 1) {
+    return FailDecode(error, "invalid AmsSketch geometry");
+  }
+  uint64_t cells = 0;
+  if (!CheckedMulU64(width, depth, &cells)) {
+    return FailDecode(error, "AmsSketch geometry overflows");
+  }
+  if (!CheckSerializedSize(bytes, reader.words_read(), cells)) {
+    return FailDecode(error, "AmsSketch buffer size does not match geometry");
+  }
   AmsSketch sketch(width, depth, seed);
-  for (int64_t& c : sketch.counters_) c = reader.ReadI64();
-  SKETCH_CHECK_MSG(reader.AtEnd(), "trailing bytes in AmsSketch buffer");
+  reader.ReadWords(sketch.counters_);
   return sketch;
 }
 

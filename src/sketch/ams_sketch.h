@@ -2,6 +2,9 @@
 #define SKETCH_SKETCH_AMS_SKETCH_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hash/kwise_hash.h"
@@ -45,9 +48,12 @@ class AmsSketch {
   /// byte buffer (hash functions are rebuilt from the seed on load).
   std::vector<uint8_t> Serialize() const;
 
-  /// Reconstructs a sketch from Serialize() output; aborts on malformed
-  /// buffers.
-  static AmsSketch Deserialize(const std::vector<uint8_t>& bytes);
+  /// Reconstructs a sketch from Serialize() output. Malformed or
+  /// untrusted bytes yield std::nullopt and a reason in *error (if
+  /// non-null); nothing is allocated before the buffer's size matches its
+  /// geometry.
+  static std::optional<AmsSketch> TryDeserialize(
+      std::span<const uint8_t> bytes, std::string* error);
 
   uint64_t width() const { return width_; }
   uint64_t depth() const { return depth_; }

@@ -1,6 +1,7 @@
 #include "sketch/bloom_filter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -181,39 +182,47 @@ std::vector<uint8_t> BloomFilter::Serialize() const {
     AppendU64(seed_, &out);
     AppendU64(static_cast<uint64_t>(width_mode_), &out);
   }
-  for (uint64_t word : bits_) AppendU64(word, &out);
+  AppendWords(bits_, &out);
   return out;
 }
 
-BloomFilter BloomFilter::Deserialize(const std::vector<uint8_t>& bytes) {
+std::optional<BloomFilter> BloomFilter::TryDeserialize(
+    std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  const uint64_t magic = reader.ReadU64();
-  SKETCH_CHECK_MSG(magic == kBloomMagic || magic == kBloomMagicV2,
-                   "not a BloomFilter buffer");
-  const uint64_t num_bits = reader.ReadU64();
-  const uint64_t num_hashes_word = reader.ReadU64();
-  const uint64_t seed = reader.ReadU64();
-  SKETCH_CHECK_MSG(num_bits >= 1 && num_bits <= UINT64_MAX - 63,
-                   "invalid BloomFilter bit count");
-  SKETCH_CHECK_MSG(num_hashes_word >= 1 && num_hashes_word <= 1024,
-                   "invalid BloomFilter hash count");
-  WidthMode mode = WidthMode::kDivision;
-  uint64_t header_words = 4;
-  if (magic == kBloomMagicV2) {
-    const uint64_t mode_word = reader.ReadU64();
-    SKETCH_CHECK_MSG(mode_word == static_cast<uint64_t>(WidthMode::kPow2),
-                     "invalid BloomFilter width mode");
-    SKETCH_CHECK_MSG((num_bits & (num_bits - 1)) == 0,
-                     "pow2 BloomFilter bit count is not a power of two");
-    mode = WidthMode::kPow2;
-    header_words = 5;
+  uint64_t header[4] = {};
+  if (!reader.ReadWords(header)) {
+    return FailDecode(error, "truncated sketch buffer");
   }
-  CheckSerializedSize(bytes, header_words, (num_bits + 63) / 64,
-                      "BloomFilter buffer size does not match geometry");
-  BloomFilter filter(num_bits, static_cast<int>(num_hashes_word), seed,
-                     mode);
-  for (uint64_t& word : filter.bits_) word = reader.ReadU64();
-  SKETCH_CHECK_MSG(reader.AtEnd(), "trailing bytes in BloomFilter buffer");
+  const auto [magic, num_bits, num_hashes, seed] = header;
+  if (magic != kBloomMagic && magic != kBloomMagicV2) {
+    return FailDecode(error, "not a BloomFilter buffer");
+  }
+  if (num_bits < 1 || num_bits > UINT64_MAX - 63) {
+    return FailDecode(error, "invalid BloomFilter bit count");
+  }
+  if (num_hashes < 1 || num_hashes > 1024) {
+    return FailDecode(error, "invalid BloomFilter hash count");
+  }
+  WidthMode mode = WidthMode::kDivision;
+  if (magic == kBloomMagicV2) {
+    uint64_t mode_word = 0;
+    if (!reader.ReadU64(&mode_word)) {
+      return FailDecode(error, "truncated sketch buffer");
+    }
+    if (mode_word != static_cast<uint64_t>(WidthMode::kPow2)) {
+      return FailDecode(error, "invalid BloomFilter width mode");
+    }
+    if (!std::has_single_bit(num_bits)) {
+      return FailDecode(error,
+                        "pow2 BloomFilter bit count is not a power of two");
+    }
+    mode = WidthMode::kPow2;
+  }
+  if (!CheckSerializedSize(bytes, reader.words_read(), (num_bits + 63) / 64)) {
+    return FailDecode(error, "BloomFilter buffer size does not match geometry");
+  }
+  BloomFilter filter(num_bits, static_cast<int>(num_hashes), seed, mode);
+  reader.ReadWords(filter.bits_);
   return filter;
 }
 

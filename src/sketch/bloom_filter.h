@@ -2,6 +2,9 @@
 #define SKETCH_SKETCH_BLOOM_FILTER_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hash/kwise_hash.h"
@@ -67,9 +70,12 @@ class BloomFilter {
   /// little-endian byte buffer.
   std::vector<uint8_t> Serialize() const;
 
-  /// Reconstructs a filter from Serialize() output; aborts on malformed
-  /// buffers.
-  static BloomFilter Deserialize(const std::vector<uint8_t>& bytes);
+  /// Reconstructs a filter from Serialize() output. Malformed or
+  /// untrusted bytes yield std::nullopt and a reason in *error (if
+  /// non-null); nothing is allocated before the buffer's size matches its
+  /// geometry.
+  static std::optional<BloomFilter> TryDeserialize(
+      std::span<const uint8_t> bytes, std::string* error);
 
   /// Resident memory of this filter: the object plus every owned heap
   /// allocation (bit array, probe hashers).

@@ -1,6 +1,7 @@
 #include "sketch/count_min.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -252,41 +253,51 @@ std::vector<uint8_t> CountMinSketch::Serialize() const {
     AppendU64(seed_, &out);
     AppendU64(static_cast<uint64_t>(width_mode_), &out);
   }
-  for (int64_t c : counters_) AppendI64(c, &out);
+  AppendWords(counters_, &out);
   return out;
 }
 
-CountMinSketch CountMinSketch::Deserialize(
-    const std::vector<uint8_t>& bytes) {
+std::optional<CountMinSketch> CountMinSketch::TryDeserialize(
+    std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  const uint64_t magic = reader.ReadU64();
-  SKETCH_CHECK_MSG(magic == kCountMinMagic || magic == kCountMinMagicV2,
-                   "not a CountMinSketch buffer");
-  const uint64_t width = reader.ReadU64();
-  const uint64_t depth = reader.ReadU64();
-  const uint64_t seed = reader.ReadU64();
-  SKETCH_CHECK_MSG(width >= 1 && depth >= 1,
-                   "invalid CountMinSketch geometry");
+  uint64_t header[4] = {};
+  if (!reader.ReadWords(header)) {
+    return FailDecode(error, "truncated sketch buffer");
+  }
+  const auto [magic, width, depth, seed] = header;
+  if (magic != kCountMinMagic && magic != kCountMinMagicV2) {
+    return FailDecode(error, "not a CountMinSketch buffer");
+  }
+  if (width < 1 || depth < 1) {
+    return FailDecode(error, "invalid CountMinSketch geometry");
+  }
   WidthMode mode = WidthMode::kDivision;
-  uint64_t header_words = 4;
   if (magic == kCountMinMagicV2) {
-    const uint64_t mode_word = reader.ReadU64();
+    uint64_t mode_word = 0;
+    if (!reader.ReadU64(&mode_word)) {
+      return FailDecode(error, "truncated sketch buffer");
+    }
     // v2 is only written for non-default modes; a division-mode v2 buffer
     // is malformed, not merely redundant.
-    SKETCH_CHECK_MSG(mode_word == static_cast<uint64_t>(WidthMode::kPow2),
-                     "invalid CountMinSketch width mode");
-    SKETCH_CHECK_MSG((width & (width - 1)) == 0,
-                     "pow2 CountMinSketch width is not a power of two");
+    if (mode_word != static_cast<uint64_t>(WidthMode::kPow2)) {
+      return FailDecode(error, "invalid CountMinSketch width mode");
+    }
+    if (!std::has_single_bit(width)) {
+      return FailDecode(error,
+                        "pow2 CountMinSketch width is not a power of two");
+    }
     mode = WidthMode::kPow2;
-    header_words = 5;
   }
-  CheckSerializedSize(
-      bytes, header_words,
-      CheckedMulU64(width, depth, "CountMinSketch geometry overflows"),
-      "CountMinSketch buffer size does not match geometry");
+  uint64_t cells = 0;
+  if (!CheckedMulU64(width, depth, &cells)) {
+    return FailDecode(error, "CountMinSketch geometry overflows");
+  }
+  if (!CheckSerializedSize(bytes, reader.words_read(), cells)) {
+    return FailDecode(error,
+                      "CountMinSketch buffer size does not match geometry");
+  }
   CountMinSketch sketch(width, depth, seed, mode);
-  for (int64_t& c : sketch.counters_) c = reader.ReadI64();
-  SKETCH_CHECK_MSG(reader.AtEnd(), "trailing bytes in CountMinSketch buffer");
+  reader.ReadWords(sketch.counters_);
   return sketch;
 }
 

@@ -2,6 +2,9 @@
 #define SKETCH_SKETCH_COUNT_MIN_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hash/kwise_hash.h"
@@ -105,9 +108,12 @@ class CountMinSketch {
   /// byte buffer (hash functions are rebuilt from the seed on load).
   std::vector<uint8_t> Serialize() const;
 
-  /// Reconstructs a sketch from Serialize() output; aborts on malformed
-  /// buffers.
-  static CountMinSketch Deserialize(const std::vector<uint8_t>& bytes);
+  /// Reconstructs a sketch from Serialize() output. Malformed or
+  /// untrusted bytes yield std::nullopt and a reason in *error (if
+  /// non-null); nothing is allocated before the buffer's size matches its
+  /// geometry.
+  static std::optional<CountMinSketch> TryDeserialize(
+      std::span<const uint8_t> bytes, std::string* error);
 
   /// Resident memory of this sketch: the object plus every owned heap
   /// allocation (counter table, hashers, scratch).

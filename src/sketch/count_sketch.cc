@@ -1,6 +1,7 @@
 #include "sketch/count_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -262,37 +263,47 @@ std::vector<uint8_t> CountSketch::Serialize() const {
     AppendU64(seed_, &out);
     AppendU64(static_cast<uint64_t>(width_mode_), &out);
   }
-  for (int64_t c : counters_) AppendI64(c, &out);
+  AppendWords(counters_, &out);
   return out;
 }
 
-CountSketch CountSketch::Deserialize(const std::vector<uint8_t>& bytes) {
+std::optional<CountSketch> CountSketch::TryDeserialize(
+    std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  const uint64_t magic = reader.ReadU64();
-  SKETCH_CHECK_MSG(magic == kCountSketchMagic || magic == kCountSketchMagicV2,
-                   "not a CountSketch buffer");
-  const uint64_t width = reader.ReadU64();
-  const uint64_t depth = reader.ReadU64();
-  const uint64_t seed = reader.ReadU64();
-  SKETCH_CHECK_MSG(width >= 1 && depth >= 1, "invalid CountSketch geometry");
-  WidthMode mode = WidthMode::kDivision;
-  uint64_t header_words = 4;
-  if (magic == kCountSketchMagicV2) {
-    const uint64_t mode_word = reader.ReadU64();
-    SKETCH_CHECK_MSG(mode_word == static_cast<uint64_t>(WidthMode::kPow2),
-                     "invalid CountSketch width mode");
-    SKETCH_CHECK_MSG((width & (width - 1)) == 0,
-                     "pow2 CountSketch width is not a power of two");
-    mode = WidthMode::kPow2;
-    header_words = 5;
+  uint64_t header[4] = {};
+  if (!reader.ReadWords(header)) {
+    return FailDecode(error, "truncated sketch buffer");
   }
-  CheckSerializedSize(
-      bytes, header_words,
-      CheckedMulU64(width, depth, "CountSketch geometry overflows"),
-      "CountSketch buffer size does not match geometry");
+  const auto [magic, width, depth, seed] = header;
+  if (magic != kCountSketchMagic && magic != kCountSketchMagicV2) {
+    return FailDecode(error, "not a CountSketch buffer");
+  }
+  if (width < 1 || depth < 1) {
+    return FailDecode(error, "invalid CountSketch geometry");
+  }
+  WidthMode mode = WidthMode::kDivision;
+  if (magic == kCountSketchMagicV2) {
+    uint64_t mode_word = 0;
+    if (!reader.ReadU64(&mode_word)) {
+      return FailDecode(error, "truncated sketch buffer");
+    }
+    if (mode_word != static_cast<uint64_t>(WidthMode::kPow2)) {
+      return FailDecode(error, "invalid CountSketch width mode");
+    }
+    if (!std::has_single_bit(width)) {
+      return FailDecode(error, "pow2 CountSketch width is not a power of two");
+    }
+    mode = WidthMode::kPow2;
+  }
+  uint64_t cells = 0;
+  if (!CheckedMulU64(width, depth, &cells)) {
+    return FailDecode(error, "CountSketch geometry overflows");
+  }
+  if (!CheckSerializedSize(bytes, reader.words_read(), cells)) {
+    return FailDecode(error, "CountSketch buffer size does not match geometry");
+  }
   CountSketch sketch(width, depth, seed, mode);
-  for (int64_t& c : sketch.counters_) c = reader.ReadI64();
-  SKETCH_CHECK_MSG(reader.AtEnd(), "trailing bytes in CountSketch buffer");
+  reader.ReadWords(sketch.counters_);
   return sketch;
 }
 

@@ -12,6 +12,11 @@ namespace sketch {
 
 namespace {
 constexpr uint64_t kDyadicMagic = 0x534b4459434d3031ULL;  // "SKDYCM01"
+
+/// Seed of level `level` (1-based), derived from the sketch's seed.
+uint64_t LevelSeed(uint64_t seed, uint64_t level) {
+  return SplitMix64Once(seed + 1000 * level);
+}
 }  // namespace
 
 DyadicCountMin::DyadicCountMin(int log_universe, uint64_t width,
@@ -20,7 +25,7 @@ DyadicCountMin::DyadicCountMin(int log_universe, uint64_t width,
   SKETCH_CHECK(log_universe >= 1 && log_universe <= 40);
   levels_.reserve(log_universe);
   for (int l = 1; l <= log_universe; ++l) {
-    levels_.emplace_back(width, depth, SplitMix64Once(seed + 1000 * l));
+    levels_.emplace_back(width, depth, LevelSeed(seed, l));
   }
 }
 
@@ -188,42 +193,62 @@ std::vector<uint8_t> DyadicCountMin::Serialize() const {
   return out;
 }
 
-DyadicCountMin DyadicCountMin::Deserialize(const std::vector<uint8_t>& bytes) {
+std::optional<DyadicCountMin> DyadicCountMin::TryDeserialize(
+    std::span<const uint8_t> bytes, std::string* error,
+    std::optional<uint64_t> seed) {
   ByteReader reader(bytes);
-  SKETCH_CHECK_MSG(reader.ReadU64() == kDyadicMagic,
-                   "not a DyadicCountMin buffer");
-  const uint64_t log_universe = reader.ReadU64();
-  const int64_t total = reader.ReadI64();
-  const uint64_t width = reader.ReadU64();
-  const uint64_t depth = reader.ReadU64();
-  SKETCH_CHECK_MSG(log_universe >= 1 && log_universe <= 40,
-                   "invalid DyadicCountMin universe");
-  SKETCH_CHECK_MSG(width >= 1 && depth >= 1,
-                   "invalid DyadicCountMin geometry");
-  const uint64_t level_words =
-      4 + CheckedMulU64(width, depth, "DyadicCountMin geometry overflows");
-  CheckSerializedSize(
-      bytes, /*header_words=*/5,
-      CheckedMulU64(log_universe, level_words,
-                    "DyadicCountMin level table overflows"),
-      "DyadicCountMin buffer size does not match geometry");
+  uint64_t header[5] = {};
+  if (!reader.ReadWords(header)) {
+    return FailDecode(error, "truncated sketch buffer");
+  }
+  const auto [magic, log_universe, total, width, depth] = header;
+  if (magic != kDyadicMagic) {
+    return FailDecode(error, "not a DyadicCountMin buffer");
+  }
+  if (log_universe < 1 || log_universe > 40) {
+    return FailDecode(error, "invalid DyadicCountMin universe");
+  }
+  if (width < 1 || depth < 1) {
+    return FailDecode(error, "invalid DyadicCountMin geometry");
+  }
+  uint64_t cells = 0;
+  uint64_t table_words = 0;
+  if (!CheckedMulU64(width, depth, &cells) || cells > UINT64_MAX - 4 ||
+      !CheckedMulU64(log_universe, 4 + cells, &table_words)) {
+    return FailDecode(error, "DyadicCountMin geometry overflows");
+  }
+  if (!CheckSerializedSize(bytes, reader.words_read(), table_words)) {
+    return FailDecode(error,
+                      "DyadicCountMin buffer size does not match geometry");
+  }
+  // Each level is a whole CountMin buffer, {magic, width, depth, seed}
+  // then its counters. Its own geometry fields determine only its size, so
+  // pin them to the header first: a crafted buffer cannot smuggle in
+  // levels whose (width, depth) factorization differs from it.
+  ByteReader levels = reader;
+  for (uint64_t l = 1; l <= log_universe; ++l) {
+    std::span<const uint8_t> level;
+    uint64_t level_header[4] = {};
+    reader.ReadSpan(4 + cells, &level);
+    ByteReader(level).ReadWords(level_header);
+    if (level_header[1] != width || level_header[2] != depth) {
+      return FailDecode(error, "DyadicCountMin level geometry mismatch");
+    }
+    if (seed && level_header[3] != LevelSeed(*seed, l)) {
+      return FailDecode(error, "DyadicCountMin level seed mismatch");
+    }
+  }
   DyadicCountMin sketch;
   sketch.log_universe_ = static_cast<int>(log_universe);
-  sketch.total_ = total;
+  sketch.total_ = static_cast<int64_t>(total);
   sketch.levels_.reserve(log_universe);
-  const uint64_t level_bytes = level_words * 8;
-  for (uint64_t l = 0; l < log_universe; ++l) {
-    const auto begin =
-        bytes.begin() + static_cast<std::ptrdiff_t>(40 + l * level_bytes);
-    const std::vector<uint8_t> blob(
-        begin, begin + static_cast<std::ptrdiff_t>(level_bytes));
-    sketch.levels_.push_back(CountMinSketch::Deserialize(blob));
-    // The per-level blob's own geometry fields determine only its size;
-    // pin them to the header so a crafted buffer cannot smuggle in levels
-    // whose (width, depth) factorization differs from the dyadic header.
-    SKETCH_CHECK_MSG(sketch.levels_.back().width() == width &&
-                         sketch.levels_.back().depth() == depth,
-                     "DyadicCountMin level geometry mismatch");
+  for (uint64_t l = 1; l <= log_universe; ++l) {
+    std::span<const uint8_t> level;
+    levels.ReadSpan(4 + cells, &level);
+    std::optional<CountMinSketch> decoded =
+        CountMinSketch::TryDeserialize(level, error);
+    if (!decoded) return std::nullopt;
+    sketch.levels_.push_back(std::move(*decoded));
   }
   return sketch;
 }

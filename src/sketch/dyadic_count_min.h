@@ -2,6 +2,9 @@
 #define SKETCH_SKETCH_DYADIC_COUNT_MIN_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "sketch/count_min.h"
@@ -70,9 +73,15 @@ class DyadicCountMin {
   /// the layout is fixed once the header is read).
   std::vector<uint8_t> Serialize() const;
 
-  /// Reconstructs a dyadic sketch from Serialize() output; aborts on
-  /// malformed buffers.
-  static DyadicCountMin Deserialize(const std::vector<uint8_t>& bytes);
+  /// Reconstructs a dyadic sketch from Serialize() output, or returns
+  /// std::nullopt with a reason in *error (if non-null). Every level must
+  /// carry the header's geometry; when `seed` is given (a StreamSummary
+  /// restoring its component), each level must also carry the seed the
+  /// seeding constructor derives from it. All of that is checked before
+  /// any level is built.
+  static std::optional<DyadicCountMin> TryDeserialize(
+      std::span<const uint8_t> bytes, std::string* error,
+      std::optional<uint64_t> seed = std::nullopt);
 
   /// Space in counters across all levels.
   uint64_t SizeInCounters() const;
@@ -88,7 +97,7 @@ class DyadicCountMin {
   std::string DebugString() const { return Introspect().DebugString(); }
 
  private:
-  // Deserialize() rebuilds the levels directly from their serialized
+  // TryDeserialize() rebuilds the levels directly from their serialized
   // blobs (each carries its own derived seed), so it starts from an empty
   // shell instead of the seeding constructor.
   DyadicCountMin() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "common/byte_buffer.h"
 #include "common/check.h"
@@ -11,16 +12,28 @@ namespace sketch {
 
 namespace {
 constexpr uint64_t kSummaryMagic = 0x534b53554d4d3031ULL;  // "SKSUMM01"
+
+// Seeds of the verifier and AMS components, derived from Options::seed.
+uint64_t VerifierSeed(uint64_t seed) { return ~seed; }
+uint64_t AmsSeed(uint64_t seed) { return seed + 0x5eedULL; }
 }  // namespace
 
 StreamSummary::StreamSummary(const Options& options)
     : options_(options),
       dyadic_(options.log_universe, options.width, options.depth,
               options.seed),
-      verifier_(options.verify_width, options.depth | 1, ~options.seed),
-      ams_(options.width, options.depth | 1, options.seed + 0x5eedULL) {
+      verifier_(options.verify_width, options.depth | 1,
+                VerifierSeed(options.seed)),
+      ams_(options.width, options.depth | 1, AmsSeed(options.seed)) {
   SKETCH_CHECK(options.log_universe >= 1 && options.log_universe <= 40);
 }
+
+StreamSummary::StreamSummary(const Options& options, DyadicCountMin dyadic,
+                             CountSketch verifier, AmsSketch ams)
+    : options_(options),
+      dyadic_(std::move(dyadic)),
+      verifier_(std::move(verifier)),
+      ams_(std::move(ams)) {}
 
 void StreamSummary::Update(const StreamUpdate& update) {
   dyadic_.Update(update);
@@ -117,50 +130,90 @@ std::vector<uint8_t> StreamSummary::Serialize() const {
   return out;
 }
 
-StreamSummary StreamSummary::Deserialize(const std::vector<uint8_t>& bytes) {
+std::optional<StreamSummary> StreamSummary::TryDeserialize(
+    std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  SKETCH_CHECK_MSG(reader.ReadU64() == kSummaryMagic,
-                   "not a StreamSummary buffer");
-  Options options;
-  const uint64_t log_universe = reader.ReadU64();
-  SKETCH_CHECK_MSG(log_universe >= 1 && log_universe <= 40,
-                   "invalid StreamSummary universe");
-  options.log_universe = static_cast<int>(log_universe);
-  options.width = reader.ReadU64();
-  options.depth = reader.ReadU64();
-  options.verify_width = reader.ReadU64();
-  options.seed = reader.ReadU64();
-  SKETCH_CHECK_MSG(
-      options.width >= 1 && options.depth >= 1 && options.verify_width >= 1,
-      "invalid StreamSummary geometry");
-  const uint64_t max_words = bytes.size() / 8;
-  const uint64_t dyadic_words = reader.ReadU64();
-  const uint64_t verifier_words = reader.ReadU64();
-  const uint64_t ams_words = reader.ReadU64();
-  SKETCH_CHECK_MSG(dyadic_words <= max_words && verifier_words <= max_words &&
-                       ams_words <= max_words,
-                   "StreamSummary component length exceeds buffer");
-  CheckSerializedSize(bytes, /*header_words=*/9,
-                      dyadic_words + verifier_words + ams_words,
+  uint64_t header[9] = {};
+  if (!reader.ReadWords(header)) {
+    return FailDecode(error, "truncated sketch buffer");
+  }
+  const auto [magic, log_universe, width, depth, verify_width, seed,
+              dyadic_words, verifier_words, ams_words] = header;
+  if (magic != kSummaryMagic) {
+    return FailDecode(error, "not a StreamSummary buffer");
+  }
+  if (log_universe < 1 || log_universe > 40) {
+    return FailDecode(error, "invalid StreamSummary universe");
+  }
+  if (width < 1 || depth < 1 || verify_width < 1) {
+    return FailDecode(error, "invalid StreamSummary geometry");
+  }
+  // Lengths past the buffer are rejected first so their sum cannot wrap.
+  const uint64_t words = bytes.size() / 8;
+  if (dyadic_words > words || verifier_words > words || ams_words > words ||
+      !CheckSerializedSize(bytes, reader.words_read(),
+                           dyadic_words + verifier_words + ams_words)) {
+    return FailDecode(error,
                       "StreamSummary buffer size does not match components");
-  auto slice = [&bytes](uint64_t offset_words, uint64_t count_words) {
-    const auto begin =
-        bytes.begin() + static_cast<std::ptrdiff_t>(offset_words * 8);
-    return std::vector<uint8_t>(
-        begin, begin + static_cast<std::ptrdiff_t>(count_words * 8));
-  };
-  // Rebuild an empty summary from the Options, then merge in the component
-  // blobs: Merge() re-checks that each component's geometry and
-  // seed-derived hash functions agree with what the Options would
-  // construct, so inconsistent crafted buffers are rejected rather than
-  // silently yielding a summary whose parts disagree.
-  StreamSummary summary(options);
-  summary.dyadic_.Merge(DyadicCountMin::Deserialize(slice(9, dyadic_words)));
-  summary.verifier_.Merge(
-      CountSketch::Deserialize(slice(9 + dyadic_words, verifier_words)));
-  summary.ams_.Merge(AmsSketch::Deserialize(
-      slice(9 + dyadic_words + verifier_words, ams_words)));
-  return summary;
+  }
+  std::span<const uint8_t> dyadic_bytes;
+  std::span<const uint8_t> verifier_bytes;
+  std::span<const uint8_t> ams_bytes;
+  reader.ReadSpan(dyadic_words, &dyadic_bytes);
+  reader.ReadSpan(verifier_words, &verifier_bytes);
+  reader.ReadSpan(ams_words, &ams_bytes);
+
+  // StreamSummary(options) would build exactly these components, so their
+  // headers must carry its geometry and derived seeds. They are compared
+  // before anything is built, so no allocation is ever sized from the
+  // Options alone.
+  uint64_t dyadic_header[5] = {};
+  uint64_t verifier_header[4] = {};
+  uint64_t ams_header[4] = {};
+  if (!ByteReader(dyadic_bytes).ReadWords(dyadic_header) ||
+      !ByteReader(verifier_bytes).ReadWords(verifier_header) ||
+      !ByteReader(ams_bytes).ReadWords(ams_header)) {
+    return FailDecode(error, "truncated sketch buffer");
+  }
+  if (dyadic_header[1] != log_universe || dyadic_header[3] != width ||
+      dyadic_header[4] != depth) {
+    return FailDecode(error, "StreamSummary dyadic geometry mismatch");
+  }
+  // The verifier is division-mode, whose (v1) layout is exactly
+  // 4 + width * depth words.
+  uint64_t verifier_cells = 0;
+  if (verifier_header[1] != verify_width ||
+      verifier_header[2] != (depth | 1) ||
+      !CheckedMulU64(verify_width, depth | 1, &verifier_cells) ||
+      verifier_words - 4 != verifier_cells) {
+    return FailDecode(error, "StreamSummary verifier geometry mismatch");
+  }
+  if (verifier_header[3] != VerifierSeed(seed)) {
+    return FailDecode(error, "StreamSummary verifier seed mismatch");
+  }
+  if (ams_header[1] != width || ams_header[2] != (depth | 1)) {
+    return FailDecode(error, "StreamSummary AMS geometry mismatch");
+  }
+  if (ams_header[3] != AmsSeed(seed)) {
+    return FailDecode(error, "StreamSummary AMS seed mismatch");
+  }
+
+  std::optional<DyadicCountMin> dyadic =
+      DyadicCountMin::TryDeserialize(dyadic_bytes, error, seed);
+  if (!dyadic) return std::nullopt;
+  std::optional<CountSketch> verifier =
+      CountSketch::TryDeserialize(verifier_bytes, error);
+  if (!verifier) return std::nullopt;
+  std::optional<AmsSketch> ams = AmsSketch::TryDeserialize(ams_bytes, error);
+  if (!ams) return std::nullopt;
+  Options options;
+  options.log_universe = static_cast<int>(log_universe);
+  options.width = width;
+  options.depth = depth;
+  options.verify_width = verify_width;
+  options.seed = seed;
+  return StreamSummary(options, std::move(*dyadic), std::move(*verifier),
+                       std::move(*ams));
 }
 
 StatsSnapshot StreamSummary::Introspect() const {

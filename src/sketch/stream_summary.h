@@ -2,6 +2,9 @@
 #define SKETCH_SKETCH_STREAM_SUMMARY_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "sketch/ams_sketch.h"
@@ -76,10 +79,13 @@ class StreamSummary {
   /// Count-Sketch verifier, AMS) to a portable little-endian byte buffer.
   std::vector<uint8_t> Serialize() const;
 
-  /// Reconstructs a summary from Serialize() output; aborts on malformed
-  /// buffers (including component blobs whose geometry or derived seeds
-  /// disagree with the serialized Options).
-  static StreamSummary Deserialize(const std::vector<uint8_t>& bytes);
+  /// Reconstructs a summary from Serialize() output, or returns
+  /// std::nullopt with a reason in *error (if non-null). Each component
+  /// blob must carry exactly the geometry and derived seed that
+  /// construction from the serialized Options would give it; that is
+  /// checked before any component is built.
+  static std::optional<StreamSummary> TryDeserialize(
+      std::span<const uint8_t> bytes, std::string* error);
 
   /// Resident memory: the object plus each component sketch's footprint.
   uint64_t MemoryFootprintBytes() const;
@@ -94,6 +100,10 @@ class StreamSummary {
   const Options& options() const { return options_; }
 
  private:
+  // TryDeserialize() assembles a summary from its decoded components.
+  StreamSummary(const Options& options, DyadicCountMin dyadic,
+                CountSketch verifier, AmsSketch ams);
+
   Options options_;
   DyadicCountMin dyadic_;
   CountSketch verifier_;

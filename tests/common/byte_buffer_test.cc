@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace sketch {
 namespace {
 
@@ -13,10 +16,15 @@ TEST(ByteBufferTest, U64RoundTrip) {
   AppendU64(~0ULL, &buffer);
   EXPECT_EQ(buffer.size(), 32u);
   ByteReader reader(buffer);
-  EXPECT_EQ(reader.ReadU64(), 0u);
-  EXPECT_EQ(reader.ReadU64(), 1u);
-  EXPECT_EQ(reader.ReadU64(), 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(reader.ReadU64(), ~0ULL);
+  uint64_t value = 0;
+  ASSERT_TRUE(reader.ReadU64(&value));
+  EXPECT_EQ(value, 0u);
+  ASSERT_TRUE(reader.ReadU64(&value));
+  EXPECT_EQ(value, 1u);
+  ASSERT_TRUE(reader.ReadU64(&value));
+  EXPECT_EQ(value, 0xdeadbeefcafef00dULL);
+  ASSERT_TRUE(reader.ReadU64(&value));
+  EXPECT_EQ(value, ~0ULL);
   EXPECT_TRUE(reader.AtEnd());
 }
 
@@ -26,9 +34,25 @@ TEST(ByteBufferTest, I64RoundTripNegative) {
   AppendI64(-123456789012345LL, &buffer);
   AppendI64(42, &buffer);
   ByteReader reader(buffer);
-  EXPECT_EQ(reader.ReadI64(), -1);
-  EXPECT_EQ(reader.ReadI64(), -123456789012345LL);
-  EXPECT_EQ(reader.ReadI64(), 42);
+  int64_t value = 0;
+  ASSERT_TRUE(reader.ReadI64(&value));
+  EXPECT_EQ(value, -1);
+  ASSERT_TRUE(reader.ReadI64(&value));
+  EXPECT_EQ(value, -123456789012345LL);
+  ASSERT_TRUE(reader.ReadI64(&value));
+  EXPECT_EQ(value, 42);
+}
+
+TEST(ByteBufferTest, CounterTablesRoundTrip) {
+  const std::vector<int64_t> counters = {-3, 0, 7, INT64_MIN, INT64_MAX};
+  std::vector<uint8_t> buffer;
+  AppendWords(counters, &buffer);
+  EXPECT_EQ(buffer.size(), counters.size() * 8);
+  std::vector<int64_t> decoded(counters.size());
+  ByteReader reader(buffer);
+  ASSERT_TRUE(reader.ReadWords(decoded));
+  EXPECT_EQ(decoded, counters);
+  EXPECT_TRUE(reader.AtEnd());
 }
 
 TEST(ByteBufferTest, LittleEndianLayout) {
@@ -43,14 +67,33 @@ TEST(ByteBufferTest, AtEndTracksPosition) {
   AppendU64(5, &buffer);
   ByteReader reader(buffer);
   EXPECT_FALSE(reader.AtEnd());
-  reader.ReadU64();
+  uint64_t value = 0;
+  EXPECT_TRUE(reader.ReadU64(&value));
   EXPECT_TRUE(reader.AtEnd());
 }
 
-TEST(ByteBufferDeathTest, TruncatedReadAborts) {
+TEST(ByteBufferTest, TruncatedReadFails) {
   std::vector<uint8_t> buffer = {1, 2, 3};  // < 8 bytes
   ByteReader reader(buffer);
-  EXPECT_DEATH(reader.ReadU64(), "truncated");
+  uint64_t value = 0;
+  EXPECT_FALSE(reader.ReadU64(&value));
+  // A table longer than what remains is refused whole: nothing consumed.
+  std::vector<uint8_t> two_words(16, 0);
+  ByteReader short_reader(two_words);
+  std::vector<uint64_t> three(3);
+  EXPECT_FALSE(short_reader.ReadWords(three));
+  EXPECT_EQ(short_reader.words_read(), 0u);
+}
+
+TEST(ByteBufferTest, SizeChecksRejectOverflow) {
+  uint64_t product = 0;
+  EXPECT_TRUE(CheckedMulU64(1ULL << 32, (1ULL << 32) - 1, &product));
+  EXPECT_EQ(product, (1ULL << 32) * ((1ULL << 32) - 1));
+  EXPECT_FALSE(CheckedMulU64(1ULL << 32, 1ULL << 32, &product));
+  const std::vector<uint8_t> five_words(40, 0);
+  EXPECT_TRUE(CheckSerializedSize(five_words, 4, 1));
+  EXPECT_FALSE(CheckSerializedSize(five_words, 4, 2));
+  EXPECT_FALSE(CheckSerializedSize(five_words, 4, UINT64_MAX / 8));
 }
 
 }  // namespace

@@ -21,7 +21,8 @@ namespace sketch::server {
 /// over rows of each row's sum of squared counters, summed in row order
 /// in double precision.
 inline double FreshCountSketchBound(const std::vector<uint8_t>& blob) {
-  const CountSketch sketch = CountSketch::Deserialize(blob);
+  const CountSketch sketch =
+      CountSketch::TryDeserialize(blob, nullptr).value();
   std::vector<double> rows;
   for (uint64_t j = 0; j < sketch.depth(); ++j) {
     double sum = 0.0;
@@ -38,14 +39,16 @@ inline double FreshCountSketchBound(const std::vector<uint8_t>& blob) {
 
 /// FillRatio^num_hashes for a Bloom blob.
 inline double FreshBloomBound(const std::vector<uint8_t>& blob) {
-  const BloomFilter filter = BloomFilter::Deserialize(blob);
+  const BloomFilter filter =
+      BloomFilter::TryDeserialize(blob, nullptr).value();
   return std::pow(filter.FillRatio(), filter.num_hashes());
 }
 
 /// sqrt(3 * F2 / verify_width) for a StreamSummary blob, F2 from its AMS
 /// sketch.
 inline double FreshSummaryBound(const std::vector<uint8_t>& blob) {
-  const StreamSummary summary = StreamSummary::Deserialize(blob);
+  const StreamSummary summary =
+      StreamSummary::TryDeserialize(blob, nullptr).value();
   const auto width = static_cast<double>(summary.options().verify_width);
   return std::sqrt(3.0 * summary.EstimateF2() / width);
 }

@@ -1,14 +1,17 @@
 // HTTP exposition listener: the request handler's routing/status/content
-// types (unit, no sockets), then a real TCP round trip against the
-// background accept loop.
+// types (unit, no sockets), then real TCP round trips against the
+// background accept loop, including a client that never sends a request.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "server/http_exposition.h"
+#include "server/server.h"
 #include "server/transport.h"
 
 namespace sketch::server {
@@ -90,6 +93,26 @@ TEST(HttpExpositionHandlerTest, ResponsesCarryExactContentLength) {
   EXPECT_EQ(response.substr(split + 4), body);
 }
 
+/// One HTTP/1.0 GET over a fresh connection; the whole response.
+std::string Get(uint16_t port, const std::string& path) {
+  std::unique_ptr<ByteStream> stream = ConnectTcp("127.0.0.1", port);
+  if (stream == nullptr) return "";
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  if (!WriteAll(stream.get(), reinterpret_cast<const uint8_t*>(request.data()),
+                request.size())) {
+    return "";
+  }
+  std::string response;
+  uint8_t buffer[1024];
+  for (;;) {
+    const std::ptrdiff_t n = stream->Read(buffer, sizeof(buffer));
+    if (n <= 0) break;
+    response.append(reinterpret_cast<const char*>(buffer),
+                    static_cast<std::size_t>(n));
+  }
+  return response;
+}
+
 TEST(HttpExpositionSocketTest, ServesOverRealTcp) {
   HttpExposition http(TestHandlers());
   ASSERT_TRUE(http.Start(0));  // 0 = pick any free port
@@ -97,26 +120,43 @@ TEST(HttpExpositionSocketTest, ServesOverRealTcp) {
 
   // One request per connection, HTTP/1.0 style.
   for (int i = 0; i < 2; ++i) {
-    std::unique_ptr<ByteStream> stream = ConnectTcp("127.0.0.1", http.port());
-    ASSERT_NE(stream, nullptr);
-    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-    ASSERT_TRUE(WriteAll(stream.get(),
-                         reinterpret_cast<const uint8_t*>(request.data()),
-                         request.size()));
-    std::string response;
-    uint8_t buffer[1024];
-    for (;;) {
-      const std::ptrdiff_t n = stream->Read(buffer, sizeof(buffer));
-      if (n <= 0) break;
-      response.append(reinterpret_cast<const char*>(buffer),
-                      static_cast<std::size_t>(n));
-    }
+    const std::string response = Get(http.port(), "/metrics");
     EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
     EXPECT_NE(response.find("metric_total 1\n"), std::string::npos);
   }
 
   http.Stop();
   http.Stop();  // idempotent
+}
+
+TEST(HttpExpositionSocketTest, SilentClientStallsNeitherScrapesNorStop) {
+  using Clock = std::chrono::steady_clock;
+  SketchServer::Options options;
+  options.enable_http = true;
+  options.io_threads = 1;
+  SketchServer server(options);
+  ASSERT_TRUE(server.Start());
+
+  // A client that connects to the /metrics port and never sends a byte.
+  // Connections are served in turn, so the scrape waits behind it, but
+  // only for the bounded request-read time (two seconds).
+  const std::unique_ptr<ByteStream> silent =
+      ConnectTcp("127.0.0.1", server.http_port());
+  ASSERT_NE(silent, nullptr);
+  const Clock::time_point scrape_start = Clock::now();
+  EXPECT_NE(Get(server.http_port(), "/metrics").find("HTTP/1.0 200 OK"),
+            std::string::npos);
+  EXPECT_LT(Clock::now() - scrape_start, std::chrono::seconds(5));
+
+  // Stop() interrupts the connection being served instead of waiting out
+  // its read bound.
+  const std::unique_ptr<ByteStream> another =
+      ConnectTcp("127.0.0.1", server.http_port());
+  ASSERT_NE(another, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const Clock::time_point stop_start = Clock::now();
+  server.Stop();
+  EXPECT_LT(Clock::now() - stop_start, std::chrono::milliseconds(1500));
 }
 
 }  // namespace

@@ -12,10 +12,13 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "server/blob_check.h"
 #include "server/protocol.h"
 #include "server/sketch_service.h"
+#include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
+#include "sketch/count_sketch.h"
+#include "sketch/stream_summary.h"
+#include "sketch/width_mode.h"
 
 namespace sketch::server {
 namespace {
@@ -284,25 +287,203 @@ TEST(ServiceRejectionTest, HeavyHittersPhiOutOfRange) {
   EXPECT_EQ(error.code, ErrorCode::kMalformedPayload);
 }
 
-// --- Blob validation directly ---------------------------------------------
+// --- Restore of malformed blobs ------------------------------------------
 
-TEST(BlobCheckTest, AcceptsEveryFamilyRoundTrip) {
-  EXPECT_TRUE(CheckSketchBlob(SketchType::kCountMin,
-                              CountMinSketch(32, 3, 9).Serialize(), 1 << 20)
-                  .ok);
+uint64_t WordAt(const std::vector<uint8_t>& blob, std::size_t word) {
+  uint64_t value = 0;
+  for (int i = 7; i >= 0; --i) value = value << 8 | blob[word * 8 + i];
+  return value;
 }
 
-TEST(BlobCheckTest, RejectsCounterBudgetOverrun) {
-  const BlobCheckResult result = CheckSketchBlob(
-      SketchType::kCountMin, CountMinSketch(1024, 4, 9).Serialize(),
-      /*max_counters=*/1024);
-  EXPECT_FALSE(result.ok);
+std::vector<uint8_t> WithWord(std::vector<uint8_t> blob, std::size_t word,
+                              uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    blob[word * 8 + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+  return blob;
 }
 
-TEST(BlobCheckTest, RejectsNonWordLength) {
-  EXPECT_FALSE(
-      CheckSketchBlob(SketchType::kCountMin, {1, 2, 3}, 1 << 20).ok);
-  EXPECT_FALSE(CheckSketchBlob(SketchType::kCountMin, {}, 1 << 20).ok);
+std::vector<uint8_t> Resized(std::vector<uint8_t> blob, std::size_t size) {
+  blob.resize(size, 0xa5);
+  return blob;
+}
+
+std::vector<uint8_t> BitFlipped(std::vector<uint8_t> blob, std::size_t bit) {
+  blob[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  return blob;
+}
+
+StreamSummary::Options SummaryOptions() {
+  StreamSummary::Options options;
+  options.log_universe = 4;
+  options.width = 8;
+  options.depth = 4;
+  options.verify_width = 16;
+  options.seed = 5;
+  return options;
+}
+
+/// First word of each StreamSummary component: the 9-word header is
+/// followed by the dyadic, verifier and AMS blobs, whose word lengths sit
+/// in header words 6-8.
+std::size_t SummaryVerifierWord(const std::vector<uint8_t>& blob) {
+  return 9 + WordAt(blob, 6);
+}
+std::size_t SummaryAmsWord(const std::vector<uint8_t>& blob) {
+  return SummaryVerifierWord(blob) + WordAt(blob, 7);
+}
+
+struct MalformedBlob {
+  std::string label;
+  SketchType type;
+  std::vector<uint8_t> blob;
+};
+
+/// The blob every family serves as its snapshot (a sharded CountMin
+/// snapshots its collapsed CountMin state).
+std::vector<uint8_t> ValidBlob(SketchType type) {
+  switch (type) {
+    case SketchType::kCountMin:
+    case SketchType::kShardedCountMin:
+      return CountMinSketch(64, 3, 5).Serialize();
+    case SketchType::kCountSketch:
+      return CountSketch(64, 3, 5).Serialize();
+    case SketchType::kBloom:
+      return BloomFilter(256, 4, 5).Serialize();
+    case SketchType::kStreamSummary:
+      return StreamSummary(SummaryOptions()).Serialize();
+  }
+  return {};
+}
+
+/// A well-formed blob one counter past kMaxSketchCounters (and still
+/// inside one frame).
+std::vector<uint8_t> OverBudgetBlob(SketchType type) {
+  switch (type) {
+    case SketchType::kCountMin:
+    case SketchType::kShardedCountMin:
+      return CountMinSketch(1024, 513, 5).Serialize();
+    case SketchType::kCountSketch:
+      return CountSketch(1024, 513, 5).Serialize();
+    case SketchType::kBloom:
+      return BloomFilter(64 * (kMaxSketchCounters + 1), 1, 5).Serialize();
+    case SketchType::kStreamSummary: {
+      // 2 * 2^17 dyadic + 2^17 AMS + (2^17 + 1) verifier counters.
+      StreamSummary::Options options;
+      options.log_universe = 2;
+      options.width = 1 << 17;
+      options.depth = 1;
+      options.verify_width = (1 << 17) + 1;
+      return StreamSummary(options).Serialize();
+    }
+  }
+  return {};
+}
+
+std::vector<MalformedBlob> MalformedBlobs() {
+  const SketchType kTypes[] = {
+      SketchType::kCountMin, SketchType::kCountSketch, SketchType::kBloom,
+      SketchType::kStreamSummary, SketchType::kShardedCountMin};
+  std::vector<MalformedBlob> cases;
+  for (SketchType type : kTypes) {
+    const std::string name = SketchTypeName(type);
+    const std::vector<uint8_t> good = ValidBlob(type);
+    cases.push_back({name + " empty", type, {}});
+    cases.push_back({name + " non-word length", type,
+                     Resized(good, good.size() - 3)});
+    cases.push_back({name + " truncated", type,
+                     Resized(good, good.size() - 8)});
+    cases.push_back({name + " magic bit flip", type, BitFlipped(good, 3)});
+    // Bit 64 is the low bit of the first geometry word.
+    cases.push_back({name + " geometry bit flip", type,
+                     BitFlipped(good, 64)});
+    cases.push_back({name + " inflated", type,
+                     Resized(good, good.size() + 8)});
+    cases.push_back({name + " over the counter budget", type,
+                     OverBudgetBlob(type)});
+  }
+  // A CountMin blob presented as another family fails on the magic.
+  cases.push_back({"CountMin blob as CountSketch", SketchType::kCountSketch,
+                   ValidBlob(SketchType::kCountMin)});
+
+  // v2 (pow2) layouts: header word 4 is the width-mode word, and the
+  // width must be a power of two. 48 * 4 == 64 * 3 keeps the size exact,
+  // and 250 bits still fill four words, so only the pow2 rule rejects.
+  const std::vector<uint8_t> cm_pow2 =
+      CountMinSketch(64, 3, 5, WidthMode::kPow2).Serialize();
+  const std::vector<uint8_t> cs_pow2 =
+      CountSketch(64, 3, 5, WidthMode::kPow2).Serialize();
+  const std::vector<uint8_t> bloom_pow2 =
+      BloomFilter(256, 4, 5, WidthMode::kPow2).Serialize();
+  for (SketchType type :
+       {SketchType::kCountMin, SketchType::kShardedCountMin}) {
+    const std::string name = SketchTypeName(type);
+    cases.push_back({name + " bad v2 mode word", type,
+                     WithWord(cm_pow2, 4, 2)});
+    cases.push_back({name + " pow2 width not a power of two", type,
+                     WithWord(WithWord(cm_pow2, 1, 48), 2, 4)});
+  }
+  cases.push_back({"CountSketch bad v2 mode word", SketchType::kCountSketch,
+                   WithWord(cs_pow2, 4, 0)});
+  cases.push_back({"CountSketch pow2 width not a power of two",
+                   SketchType::kCountSketch,
+                   WithWord(WithWord(cs_pow2, 1, 48), 2, 4)});
+  cases.push_back({"Bloom bad v2 mode word", SketchType::kBloom,
+                   WithWord(bloom_pow2, 4, 2)});
+  cases.push_back({"Bloom pow2 bit count not a power of two",
+                   SketchType::kBloom, WithWord(bloom_pow2, 1, 250)});
+
+  // StreamSummary components must match the serialized Options: the
+  // dyadic level geometry (word 9 starts the dyadic blob, whose first
+  // level's width and depth are words 15 and 16), and the verifier and
+  // AMS seeds the Options derive (word 3 of each component).
+  const std::vector<uint8_t> summary =
+      ValidBlob(SketchType::kStreamSummary);
+  cases.push_back({"StreamSummary dyadic level geometry differs from header",
+                   SketchType::kStreamSummary,
+                   WithWord(WithWord(summary, 15, 4), 16, 8)});
+  const std::size_t verifier = SummaryVerifierWord(summary);
+  const std::size_t ams = SummaryAmsWord(summary);
+  cases.push_back({"StreamSummary verifier seed differs from Options",
+                   SketchType::kStreamSummary,
+                   WithWord(summary, verifier + 3,
+                            WordAt(summary, verifier + 3) ^ 1)});
+  cases.push_back({"StreamSummary AMS seed differs from Options",
+                   SketchType::kStreamSummary,
+                   WithWord(summary, ams + 3, WordAt(summary, ams + 3) ^ 1)});
+  // Options word 4 is verify_width: 2^33 claims a ~192 GiB verifier.
+  cases.push_back({"StreamSummary verify_width inflated",
+                   SketchType::kStreamSummary,
+                   WithWord(summary, 4, uint64_t{1} << 33)});
+  return cases;
+}
+
+TEST(ServiceRejectionTest, RestoreRejectsEveryMalformedBlob) {
+  SketchService service({});
+  RestoreRequest existing;
+  existing.name = "existing";
+  existing.type = SketchType::kCountMin;
+  existing.blob = ValidBlob(SketchType::kCountMin);
+  FrameDecoder decoder;
+  const std::vector<uint8_t> restore = EncodeRestore(existing);
+  decoder.Feed(restore.data(), restore.size());
+  Frame frame;
+  ASSERT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
+  ASSERT_EQ(service.HandleFrame(frame), EncodeOk());
+  ASSERT_EQ(service.sketch_count(), 1u);
+
+  int index = 0;
+  for (const MalformedBlob& c : MalformedBlobs()) {
+    SCOPED_TRACE(c.label);
+    RestoreRequest request;
+    request.name = "malformed-" + std::to_string(index++);
+    request.type = c.type;
+    request.blob = c.blob;
+    const ErrorResponse error =
+        HandleExpectingError(&service, EncodeRestore(request));
+    EXPECT_EQ(error.code, ErrorCode::kBadBlob) << error.message;
+    EXPECT_EQ(service.sketch_count(), 1u);
+  }
 }
 
 // --- Encode-side contract (death) -----------------------------------------

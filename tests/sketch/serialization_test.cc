@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sketch/ams_sketch.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
@@ -17,7 +20,7 @@ TEST(SerializationTest, CountMinRoundTripPreservesEstimates) {
   CountMinSketch original(256, 5, 42);
   original.UpdateAll(MakeZipfStream(1 << 12, 1.1, 10000, 1));
   const CountMinSketch restored =
-      CountMinSketch::Deserialize(original.Serialize());
+      CountMinSketch::TryDeserialize(original.Serialize(), nullptr).value();
   EXPECT_EQ(restored.width(), original.width());
   EXPECT_EQ(restored.depth(), original.depth());
   EXPECT_EQ(restored.seed(), original.seed());
@@ -29,7 +32,8 @@ TEST(SerializationTest, CountMinRoundTripPreservesEstimates) {
 TEST(SerializationTest, CountMinRestoredSketchIsStillUpdatable) {
   CountMinSketch original(64, 3, 7);
   original.Update({5, 10});
-  CountMinSketch restored = CountMinSketch::Deserialize(original.Serialize());
+  CountMinSketch restored =
+      CountMinSketch::TryDeserialize(original.Serialize(), nullptr).value();
   restored.Update({5, 5});
   EXPECT_EQ(restored.Estimate(5), 15);
 }
@@ -39,7 +43,8 @@ TEST(SerializationTest, CountMinRestoredSketchMergesWithLiveOne) {
   CountMinSketch b(128, 4, 9);
   a.Update({1, 3});
   b.Update({1, 4});
-  CountMinSketch restored = CountMinSketch::Deserialize(a.Serialize());
+  CountMinSketch restored =
+      CountMinSketch::TryDeserialize(a.Serialize(), nullptr).value();
   restored.Merge(b);
   EXPECT_EQ(restored.Estimate(1), 7);
 }
@@ -48,7 +53,7 @@ TEST(SerializationTest, CountSketchRoundTripPreservesEstimates) {
   CountSketch original(256, 5, 43);
   original.UpdateAll(MakeTurnstileStream(1 << 10, 1.0, 5000, 0.5, 2));
   const CountSketch restored =
-      CountSketch::Deserialize(original.Serialize());
+      CountSketch::TryDeserialize(original.Serialize(), nullptr).value();
   for (uint64_t item = 0; item < (1 << 10); ++item) {
     ASSERT_EQ(restored.Estimate(item), original.Estimate(item)) << item;
   }
@@ -57,7 +62,8 @@ TEST(SerializationTest, CountSketchRoundTripPreservesEstimates) {
 TEST(SerializationTest, BloomRoundTripPreservesMembership) {
   BloomFilter original(1 << 12, 5, 44);
   for (uint64_t k = 0; k < 500; ++k) original.Insert(k * 3);
-  const BloomFilter restored = BloomFilter::Deserialize(original.Serialize());
+  const BloomFilter restored =
+      BloomFilter::TryDeserialize(original.Serialize(), nullptr).value();
   for (uint64_t k = 0; k < 2000; ++k) {
     ASSERT_EQ(restored.MayContain(k), original.MayContain(k)) << k;
   }
@@ -67,7 +73,8 @@ TEST(SerializationTest, BloomRoundTripPreservesMembership) {
 TEST(SerializationTest, AmsRoundTripPreservesEstimateAndMerges) {
   AmsSketch original(128, 5, 45);
   original.UpdateAll(MakeZipfStream(1 << 10, 1.2, 4000, 3));
-  const AmsSketch restored = AmsSketch::Deserialize(original.Serialize());
+  const AmsSketch restored =
+      AmsSketch::TryDeserialize(original.Serialize(), nullptr).value();
   EXPECT_EQ(restored.width(), original.width());
   EXPECT_EQ(restored.depth(), original.depth());
   EXPECT_EQ(restored.seed(), original.seed());
@@ -75,7 +82,8 @@ TEST(SerializationTest, AmsRoundTripPreservesEstimateAndMerges) {
 
   AmsSketch live(128, 5, 45);
   live.Update({1, 2});
-  AmsSketch merged = AmsSketch::Deserialize(original.Serialize());
+  AmsSketch merged =
+      AmsSketch::TryDeserialize(original.Serialize(), nullptr).value();
   merged.Merge(live);
   EXPECT_EQ(merged.Serialize().size(), original.Serialize().size());
 }
@@ -119,25 +127,29 @@ TEST(SerializationTest, BufferSizesAreExact) {
   EXPECT_EQ(bf.Serialize().size(), 32u + 2u * 8u);  // 128 bits = 2 words
 }
 
-TEST(SerializationDeathTest, WrongMagicAborts) {
+TEST(SerializationTest, WrongMagicIsRejected) {
   CountMinSketch cm(8, 2, 1);
   std::vector<uint8_t> bytes = cm.Serialize();
   bytes[0] ^= 0xff;
-  EXPECT_DEATH(CountMinSketch::Deserialize(bytes), "not a CountMinSketch");
+  std::string error;
+  EXPECT_FALSE(CountMinSketch::TryDeserialize(bytes, &error));
+  EXPECT_EQ(error, "not a CountMinSketch buffer");
 }
 
-TEST(SerializationDeathTest, TruncatedBufferAborts) {
+TEST(SerializationTest, TruncatedBufferIsRejected) {
   CountSketch cs(8, 2, 1);
   std::vector<uint8_t> bytes = cs.Serialize();
   bytes.resize(bytes.size() - 4);
-  EXPECT_DEATH(CountSketch::Deserialize(bytes),
-               "buffer size does not match geometry");
+  std::string error;
+  EXPECT_FALSE(CountSketch::TryDeserialize(bytes, &error));
+  EXPECT_EQ(error, "CountSketch buffer size does not match geometry");
 }
 
-TEST(SerializationDeathTest, CrossTypeBufferAborts) {
+TEST(SerializationTest, CrossTypeBufferIsRejected) {
   BloomFilter bf(64, 2, 1);
-  EXPECT_DEATH(CountMinSketch::Deserialize(bf.Serialize()),
-               "not a CountMinSketch");
+  std::string error;
+  EXPECT_FALSE(CountMinSketch::TryDeserialize(bf.Serialize(), &error));
+  EXPECT_EQ(error, "not a CountMinSketch buffer");
 }
 
 }  // namespace

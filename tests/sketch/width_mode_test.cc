@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/prng.h"
@@ -93,20 +94,23 @@ TEST(WidthModeTest, V2SerializationRoundTrips) {
 
   CountMinSketch cm(1000, 4, 31, WidthMode::kPow2);
   cm.ApplyBatch(stream);
-  const CountMinSketch cm2 = CountMinSketch::Deserialize(cm.Serialize());
+  const CountMinSketch cm2 =
+      CountMinSketch::TryDeserialize(cm.Serialize(), nullptr).value();
   EXPECT_EQ(cm2.width(), cm.width());
   EXPECT_EQ(cm2.width_mode(), WidthMode::kPow2);
   EXPECT_EQ(cm2.Serialize(), cm.Serialize());
 
   CountSketch cs(1000, 4, 37, WidthMode::kPow2);
   cs.ApplyBatch(stream);
-  const CountSketch cs2 = CountSketch::Deserialize(cs.Serialize());
+  const CountSketch cs2 =
+      CountSketch::TryDeserialize(cs.Serialize(), nullptr).value();
   EXPECT_EQ(cs2.width_mode(), WidthMode::kPow2);
   EXPECT_EQ(cs2.Serialize(), cs.Serialize());
 
   BloomFilter bf(100000, 5, 41, WidthMode::kPow2);
   for (const StreamUpdate& u : stream) bf.Insert(u.item);
-  const BloomFilter bf2 = BloomFilter::Deserialize(bf.Serialize());
+  const BloomFilter bf2 =
+      BloomFilter::TryDeserialize(bf.Serialize(), nullptr).value();
   EXPECT_EQ(bf2.width_mode(), WidthMode::kPow2);
   EXPECT_EQ(bf2.Serialize(), bf.Serialize());
 }
@@ -120,7 +124,8 @@ TEST(WidthModeTest, DivisionModeKeepsV1Magic) {
   uint64_t magic = 0;
   for (int i = 7; i >= 0; --i) magic = (magic << 8) | bytes[i];
   EXPECT_EQ(magic, 0x534b434d494e3031ULL);  // "SKCMIN01", v1
-  const CountMinSketch cm2 = CountMinSketch::Deserialize(bytes);
+  const CountMinSketch cm2 =
+      CountMinSketch::TryDeserialize(bytes, nullptr).value();
   EXPECT_EQ(cm2.width_mode(), WidthMode::kDivision);
 }
 
@@ -147,32 +152,40 @@ std::vector<uint8_t> WithWord(std::vector<uint8_t> bytes, size_t word,
   return bytes;
 }
 
-TEST(WidthModeDeathTest, MalformedV2BuffersAbort) {
+/// The reason `Sketch::TryDeserialize` gives for rejecting `bytes`, or
+/// "accepted" if it decodes.
+template <typename Sketch>
+std::string Rejection(const std::vector<uint8_t>& bytes) {
+  std::string error;
+  return Sketch::TryDeserialize(bytes, &error) ? "accepted" : error;
+}
+
+TEST(WidthModeTest, MalformedV2BuffersAreRejected) {
   CountMinSketch cm(1024, 3, 7, WidthMode::kPow2);
   const std::vector<uint8_t> good = cm.Serialize();
   // Word 4 is the mode word; anything but kPow2 (=1) is malformed.
-  EXPECT_DEATH(CountMinSketch::Deserialize(WithWord(good, 4, 0)),
-               "invalid CountMinSketch width mode");
-  EXPECT_DEATH(CountMinSketch::Deserialize(WithWord(good, 4, 2)),
-               "invalid CountMinSketch width mode");
+  EXPECT_EQ(Rejection<CountMinSketch>(WithWord(good, 4, 0)),
+            "invalid CountMinSketch width mode");
+  EXPECT_EQ(Rejection<CountMinSketch>(WithWord(good, 4, 2)),
+            "invalid CountMinSketch width mode");
   // Word 1 is the width; a v2 buffer whose width is not a power of two
-  // must die before any counter allocation.
-  EXPECT_DEATH(CountMinSketch::Deserialize(WithWord(good, 1, 1000)),
-               "not a power of two");
+  // is rejected before any counter allocation.
+  EXPECT_EQ(Rejection<CountMinSketch>(WithWord(good, 1, 1000)),
+            "pow2 CountMinSketch width is not a power of two");
 
   CountSketch cs(1024, 3, 7, WidthMode::kPow2);
   const std::vector<uint8_t> cs_good = cs.Serialize();
-  EXPECT_DEATH(CountSketch::Deserialize(WithWord(cs_good, 4, 0)),
-               "invalid CountSketch width mode");
-  EXPECT_DEATH(CountSketch::Deserialize(WithWord(cs_good, 1, 1000)),
-               "not a power of two");
+  EXPECT_EQ(Rejection<CountSketch>(WithWord(cs_good, 4, 0)),
+            "invalid CountSketch width mode");
+  EXPECT_EQ(Rejection<CountSketch>(WithWord(cs_good, 1, 1000)),
+            "pow2 CountSketch width is not a power of two");
 
   BloomFilter bf(1024, 3, 7, WidthMode::kPow2);
   const std::vector<uint8_t> bf_good = bf.Serialize();
-  EXPECT_DEATH(BloomFilter::Deserialize(WithWord(bf_good, 4, 0)),
-               "invalid BloomFilter width mode");
-  EXPECT_DEATH(BloomFilter::Deserialize(WithWord(bf_good, 1, 1000)),
-               "not a power of two");
+  EXPECT_EQ(Rejection<BloomFilter>(WithWord(bf_good, 4, 0)),
+            "invalid BloomFilter width mode");
+  EXPECT_EQ(Rejection<BloomFilter>(WithWord(bf_good, 1, 1000)),
+            "pow2 BloomFilter bit count is not a power of two");
 }
 
 TEST(WidthModeDeathTest, InnerProductAcrossModesAborts) {

@@ -52,6 +52,34 @@ def bloom_buffer(magic, num_bits, num_hashes, seed, words=None):
     return u64(magic, num_bits, num_hashes, seed) + u64(*words)
 
 
+def splitmix64_once(x):
+    """common/prng.h SplitMix64Once: the seed derivation of composites."""
+    mask = 2**64 - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+def summary_buffer(log_universe, width, depth, verify_width, seed):
+    """A StreamSummary buffer whose components carry the geometry and
+    derived seeds StreamSummary(options) gives them (zeroed counters)."""
+    levels = b"".join(
+        counter_sketch_buffer(MAGICS["count_min"], width, depth,
+                              splitmix64_once(seed + 1000 * level),
+                              [0] * (width * depth))
+        for level in range(1, log_universe + 1))
+    dyadic = u64(0x534B4459434D3031, log_universe, 0, width, depth) + levels
+    verifier = counter_sketch_buffer(MAGICS["count_sketch"], verify_width,
+                                     depth | 1, ~seed,
+                                     [0] * (verify_width * (depth | 1)))
+    ams = counter_sketch_buffer(MAGICS["ams_sketch"], width, depth | 1,
+                                seed + 0x5EED, [0] * (width * (depth | 1)))
+    return u64(0x534B53554D4D3031, log_universe, width, depth, verify_width,
+               seed, len(dyadic) // 8, len(verifier) // 8,
+               len(ams) // 8) + dyadic + verifier + ams
+
+
 def hashed_recovery_input(variant, width, depth, dimension, k, seed, y):
     header = bytes(
         [variant, (width - 1) % 256, (depth - 1) % 256, (dimension - 1) % 256,
@@ -149,6 +177,25 @@ def server_frame_seeds(out):
     write(d, "restore_tiny_blob",
           wire_frame(0x09, wire_string("r") + bytes([1]) +
                      struct.pack("<I", 4) + b"\x00\x01\x02\x03"))
+    # A valid snapshot of every served family, restored and then read
+    # back: the sweep's bit flips and truncations reach every header field
+    # each TryDeserialize checks, through the service.
+    restores = {
+        "count_min": (1, counter_sketch_buffer(MAGICS["count_min"], 4, 2, 7)),
+        "count_min_pow2": (1, u64(0x534B434D494E3032, 4, 2, 7, 1) +
+                           i64(*range(8))),
+        "count_sketch": (2, counter_sketch_buffer(MAGICS["count_sketch"], 4,
+                                                  2, 7)),
+        "bloom": (3, bloom_buffer(MAGICS["bloom_filter"], 128, 3, 7)),
+        "stream_summary": (4, summary_buffer(1, 2, 1, 2, 7)),
+        "sharded_count_min": (5, counter_sketch_buffer(MAGICS["count_min"],
+                                                       4, 2, 7)),
+    }
+    for name, (sketch_type, blob) in restores.items():
+        write(d, "restore_" + name,
+              wire_frame(0x09, wire_string("r") + bytes([sketch_type]) +
+                         struct.pack("<I", len(blob)) + blob) +
+              wire_frame(0x08, wire_string("r")))
     # Framing violations the decoder must reject from the header alone.
     write(d, "length_overflow", wire_frame(0x01, declared_len=2**32 - 1))
     write(d, "wrong_version", wire_frame(0x01, version=9))

@@ -11,10 +11,13 @@ rest on:
   SL002  every Merge() definition under src/ contains a SKETCH_CHECK: merging
          sketches with different geometry or seeds silently corrupts every
          subsequent estimate, so the guard is non-negotiable.
-  SL003  every Deserialize() definition under src/ calls CheckSerializedSize
-         (the uniform pre-allocation length validation in
-         common/byte_buffer.h) so untrusted buffers cannot drive allocations
-         from unvalidated geometry fields.
+  SL003  every TryDeserialize() (or other *Deserialize) definition under
+         src/ calls CheckSerializedSize (the uniform pre-allocation length
+         validation in common/byte_buffer.h) before it allocates: no
+         resize/reserve/assign/push_back/emplace_back, std::vector or
+         make_unique/make_shared, nested TryDeserialize, or construction of
+         its own class may precede the check, so untrusted buffers cannot
+         drive allocations from unvalidated geometry fields.
   SL004  no direct rand()/srand()/std::random_device/std::mt19937 outside
          src/common/prng — all randomness must flow through the seeded
          generators or experiments stop being reproducible.
@@ -26,8 +29,8 @@ rest on:
          definitions) length-validate before allocating: any
          resize/reserve/assign must be preceded, within the same function,
          by a comparison against a kMax* cap, a remaining()-bytes check,
-         CheckSketchBlob, or a SKETCH_CHECK — so a hostile length prefix
-         can never drive an allocation.
+         or a SKETCH_CHECK — so a hostile length prefix can never drive an
+         allocation.
   SL008  lock discipline is annotation-visible under src/: no raw
          std::mutex / std::condition_variable members (use the annotated
          sketch::Mutex / sketch::CondVar wrappers from
@@ -237,18 +240,32 @@ def check_merge_guard(clean):
     return violations
 
 
+# SL003: what counts as allocating inside a deserializer, before its size
+# check. Constructing the deserializer's own class is added per definition.
+SL003_ALLOC = (
+    r"\.(?:resize|reserve|assign|push_back|emplace_back)\s*\(|"
+    r"\bstd::vector\b|\bmake_(?:unique|shared)\b|\bTryDeserialize\s*\("
+)
+
+
 def check_deserialize_guard(clean):
     violations = []
-    for start, body in _find_function_definitions(clean, "Deserialize"):
-        if "CheckSerializedSize" not in body:
-            violations.append(
-                (
-                    line_of(clean, start),
-                    "SL003",
-                    "Deserialize() definition does not length-validate via "
-                    "CheckSerializedSize before allocating",
-                )
-            )
+    for start, body in _find_function_definitions(clean, r"\w*Deserialize"):
+        owner = re.search(r"(\w+)\s*::\s*$", clean[:start])
+        alloc = SL003_ALLOC
+        if owner:
+            alloc += rf"|\b{owner.group(1)}\s*(?:\w+\s*)?[({{]"
+        check = body.find("CheckSerializedSize")
+        first_alloc = re.search(alloc, body)
+        if check < 0:
+            message = "does not length-validate via CheckSerializedSize"
+        elif first_alloc and first_alloc.start() < check:
+            message = "allocates before its CheckSerializedSize length check"
+        else:
+            continue
+        violations.append(
+            (line_of(clean, start), "SL003", f"deserializer {message}")
+        )
     return violations
 
 
@@ -296,9 +313,7 @@ def check_naked_new_delete(clean):
 # SL007: allocation calls inside a decode path, and the validation tokens
 # that must appear earlier in the same function body.
 SL007_ALLOC = re.compile(r"\.(?:resize|reserve|assign)\s*\(")
-SL007_GUARD = re.compile(
-    r"kMax\w+|\bremaining\s*\(|SKETCH_CHECK|CheckSketchBlob"
-)
+SL007_GUARD = re.compile(r"kMax\w+|\bremaining\s*\(|SKETCH_CHECK")
 
 
 def check_server_decode_allocation(rel, clean):
@@ -319,8 +334,7 @@ def check_server_decode_allocation(rel, clean):
                         line_of(clean, body_offset + alloc.start()),
                         "SL007",
                         "decode path allocates before length-validating "
-                        "against a cap (kMax*/remaining()/SKETCH_CHECK/"
-                        "CheckSketchBlob)",
+                        "against a cap (kMax*/remaining()/SKETCH_CHECK)",
                     )
                 )
     return violations

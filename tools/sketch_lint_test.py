@@ -113,7 +113,8 @@ namespace sketch {}
     def test_sl003_deserialize_without_size_check(self):
         source = """\
 namespace sketch {
-Widget Widget::Deserialize(const std::vector<uint8_t>& bytes) {
+std::optional<Widget> Widget::TryDeserialize(std::span<const uint8_t> bytes,
+                                             std::string* error) {
   Widget w;
   return w;
 }
@@ -124,12 +125,46 @@ Widget Widget::Deserialize(const std::vector<uint8_t>& bytes) {
         )
         self.assertEqual(rules_found(violations), {"SL003"})
 
+    def test_sl003_allocation_before_size_check(self):
+        # Building the object (or any container) from the untrusted header
+        # before the size check is the pre-allocation defect SL003 exists
+        # for, even though the check follows.
+        constructs_first = """\
+namespace sketch {
+std::optional<Widget> Widget::TryDeserialize(std::span<const uint8_t> bytes,
+                                             std::string* error) {
+  Widget w(width, depth);
+  if (!CheckSerializedSize(bytes, 4, width * depth)) return std::nullopt;
+  return w;
+}
+}  // namespace sketch
+"""
+        reserves_first = """\
+namespace sketch {
+std::optional<Gadget> Gadget::TryDeserialize(std::span<const uint8_t> bytes,
+                                             std::string* error) {
+  std::vector<int64_t> counters;
+  counters.reserve(width);
+  if (!CheckSerializedSize(bytes, 4, width)) return std::nullopt;
+  return Gadget(counters);
+}
+}  // namespace sketch
+"""
+        for source in (constructs_first, reserves_first):
+            violations = self.lint(
+                {"src/widget.h": CLEAN_HEADER, "src/widget.cc": source}
+            )
+            self.assertEqual(rules_found(violations), {"SL003"})
+
     def test_sl003_deserialize_with_size_check_passes(self):
         source = """\
 namespace sketch {
-Widget Widget::Deserialize(const std::vector<uint8_t>& bytes) {
-  CheckSerializedSize(bytes, 4, 0, "Widget");
-  Widget w;
+std::optional<Widget> Widget::TryDeserialize(std::span<const uint8_t> bytes,
+                                             std::string* error) {
+  if (!CheckSerializedSize(bytes, 4, 0)) {
+    return FailDecode(error, "Widget buffer size does not match geometry");
+  }
+  Widget w(width, depth);
   return w;
 }
 }  // namespace sketch
