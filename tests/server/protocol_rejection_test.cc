@@ -486,6 +486,51 @@ TEST(ServiceRejectionTest, RestoreRejectsEveryMalformedBlob) {
   }
 }
 
+// --- Blob validation at the budget and word boundaries --------------------
+
+ErrorResponse RestoreExpectingError(SketchService* service, SketchType type,
+                                    std::vector<uint8_t> blob) {
+  RestoreRequest request;
+  request.name = "blob";
+  request.type = type;
+  request.blob = std::move(blob);
+  return HandleExpectingError(service, EncodeRestore(request));
+}
+
+TEST(BlobCheckTest, RejectsCounterBudgetOverrun) {
+  // 1024 x 512 is exactly kMaxSketchCounters; one more row is refused
+  // after the decode, with the budget named in the message.
+  SketchService service({});
+  RestoreRequest at_budget;
+  at_budget.name = "at-budget";
+  at_budget.type = SketchType::kCountMin;
+  at_budget.blob = CountMinSketch(1024, 512, 9).Serialize();
+  FrameDecoder decoder;
+  const std::vector<uint8_t> restore = EncodeRestore(at_budget);
+  decoder.Feed(restore.data(), restore.size());
+  Frame frame;
+  ASSERT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
+  ASSERT_EQ(service.HandleFrame(frame), EncodeOk());
+
+  const ErrorResponse error = RestoreExpectingError(
+      &service, SketchType::kCountMin,
+      CountMinSketch(1024, 513, 9).Serialize());
+  EXPECT_EQ(error.code, ErrorCode::kBadBlob);
+  EXPECT_NE(error.message.find("counter budget"), std::string::npos)
+      << error.message;
+  EXPECT_EQ(service.sketch_count(), 1u);
+}
+
+TEST(BlobCheckTest, RejectsNonWordLength) {
+  SketchService service({});
+  EXPECT_EQ(
+      RestoreExpectingError(&service, SketchType::kCountMin, {1, 2, 3}).code,
+      ErrorCode::kBadBlob);
+  EXPECT_EQ(RestoreExpectingError(&service, SketchType::kCountMin, {}).code,
+            ErrorCode::kBadBlob);
+  EXPECT_EQ(service.sketch_count(), 0u);
+}
+
 // --- Encode-side contract (death) -----------------------------------------
 
 using ProtocolDeathTest = ::testing::Test;
