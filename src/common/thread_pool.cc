@@ -87,13 +87,9 @@ void ThreadPool::WorkerLoop() {
     }
     {
       SKETCH_TRACE_SPAN("threadpool.task");
-#if SKETCH_TELEMETRY_ENABLED
       const uint64_t t0 = MonotonicNowNs();
       task();
       SKETCH_HISTOGRAM_RECORD("threadpool.task_ns", MonotonicNowNs() - t0);
-#else
-      task();
-#endif
     }
     {
       MutexLock lock(mu_);

@@ -231,9 +231,7 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
   // through HandleFrames so consecutive same-sketch ingest frames share
   // one lookup + one exclusive lock. Frames pipelined after a kShutdown
   // are dropped.
-#if SKETCH_TELEMETRY_ENABLED
   const uint64_t rx_start_ns = MonotonicNowNs();
-#endif
   uint64_t run_trace_id = 0;  // first traced frame tags the rx/tx spans
   std::vector<Frame> frames;
   bool bad_frame = false;
@@ -249,13 +247,11 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
     if (run_trace_id == 0) run_trace_id = frame.trace_id;
     frames.push_back(std::move(frame));
   }
-#if SKETCH_TELEMETRY_ENABLED
   if (run_trace_id != 0) {
     telemetry::TraceRecorder::Instance().RecordSpan(
         "server.rx_decode", rx_start_ns, MonotonicNowNs() - rx_start_ns,
         run_trace_id);
   }
-#endif
 
   if (!frames.empty()) {
     std::vector<std::vector<uint8_t>> responses;

@@ -1,6 +1,7 @@
 #include "server/sketch_service.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
@@ -37,13 +38,35 @@ std::vector<uint8_t> NoSuchSketch(const std::string& name) {
                    "no sketch named '" + name + "'");
 }
 
+/// |v| as an unsigned magnitude, exact for every int64_t (INT64_MIN too).
+uint64_t Magnitude(int64_t v) {
+  return v < 0 ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
+}
+
+/// a + b clamped at UINT64_MAX. L1 masses sum words a client sends, so
+/// they saturate rather than wrap: a clamped mass is still an upper bound.
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return b > UINT64_MAX - a ? UINT64_MAX : a + b;
+}
+
 /// Sum of |delta| over a batch: an upper bound on the L1 mass the batch
 /// adds, tracked so Count-Min point queries can report their eps*||x||_1
 /// error scale.
-int64_t BatchL1(UpdateSpan updates) {
-  int64_t l1 = 0;
+uint64_t BatchL1(UpdateSpan updates) {
+  uint64_t l1 = 0;
   for (const StreamUpdate& u : updates) {
-    l1 += u.delta < 0 ? -u.delta : u.delta;
+    l1 = SaturatingAdd(l1, Magnitude(u.delta));
+  }
+  return l1;
+}
+
+/// L1 mass of a restored Count-Min table, recovered from row 0: every
+/// update adds its delta to exactly one counter per row, so for a
+/// non-negative stream the row sum equals the stream mass.
+uint64_t RowZeroL1(const CountMinSketch& sketch) {
+  uint64_t l1 = 0;
+  for (uint64_t b = 0; b < sketch.width(); ++b) {
+    l1 = SaturatingAdd(l1, Magnitude(sketch.CounterAt(0, b)));
   }
   return l1;
 }
@@ -124,21 +147,14 @@ using internal::SketchEntry;
 
 class CountMinEntry : public SketchEntry {
  public:
-  explicit CountMinEntry(CountMinSketch sketch) : sketch_(std::move(sketch)) {
-    // A restored sketch's L1 mass is recovered from row 0: every update
-    // adds its delta to exactly one counter per row, so for a
-    // non-negative stream the row sum equals the stream mass.
-    for (uint64_t b = 0; b < sketch_.width(); ++b) {
-      const int64_t c = sketch_.CounterAt(0, b);
-      l1_mass_ += c < 0 ? -c : c;
-    }
-  }
+  explicit CountMinEntry(CountMinSketch sketch)
+      : sketch_(std::move(sketch)), l1_mass_(RowZeroL1(sketch_)) {}
 
   SketchType type() const override { return SketchType::kCountMin; }
 
   bool Ingest(UpdateSpan updates, ErrorResponse*) override {
     sketch_.ApplyBatch(updates);
-    l1_mass_ += BatchL1(updates);
+    l1_mass_ = SaturatingAdd(l1_mass_, BatchL1(updates));
     updates_applied_ += updates.size();
     return true;
   }
@@ -206,7 +222,7 @@ class CountMinEntry : public SketchEntry {
 
  private:
   CountMinSketch sketch_;
-  int64_t l1_mass_ = 0;
+  uint64_t l1_mass_;  // saturating, see SaturatingAdd
 };
 
 class CountSketchEntry : public SketchEntry {
@@ -437,20 +453,15 @@ class ShardedCountMinEntry : public SketchEntry {
                        std::size_t num_shards, ThreadPool* pool)
       : sharded_(prototype, num_shards, pool),
         base_(std::move(base)),
-        cache_(prototype) {
-    // Restored state arrives through base_; recover its L1 mass from
-    // row 0 exactly like CountMinEntry (zero for a fresh create).
-    for (uint64_t b = 0; b < base_.width(); ++b) {
-      const int64_t c = base_.CounterAt(0, b);
-      l1_mass_ += c < 0 ? -c : c;
-    }
-  }
+        cache_(prototype),
+        // Restored state arrives through base_ (zero for a fresh create).
+        l1_mass_(RowZeroL1(base_)) {}
 
   SketchType type() const override { return SketchType::kShardedCountMin; }
 
   bool Ingest(UpdateSpan updates, ErrorResponse*) override {
     sharded_.Ingest(updates);
-    l1_mass_ += BatchL1(updates);
+    l1_mass_ = SaturatingAdd(l1_mass_, BatchL1(updates));
     updates_applied_ += updates.size();
     MutexLock lock(cache_mutex_);
     dirty_ = true;
@@ -552,14 +563,39 @@ class ShardedCountMinEntry : public SketchEntry {
   // has left. Annotating it would trip -Wthread-safety-reference on that
   // (correct) return.
   CountMinSketch cache_;
-  int64_t l1_mass_ = 0;
+  uint64_t l1_mass_;  // saturating, see SaturatingAdd
   bool dirty_ SKETCH_GUARDED_BY(cache_mutex_) = true;
 };
 
-/// True iff width * depth is a valid, budgeted counter table.
-bool ValidTable(uint64_t width, uint64_t depth, uint64_t budget) {
-  return width >= 1 && depth >= 1 && width <= UINT64_MAX / depth &&
-         width * depth <= budget;
+/// 8-byte words of state each row of a `Sketch` table carries beyond its
+/// counters (the row's BlockHashers, their coefficients, per-row scratch),
+/// measured once from a one-row, one-counter sketch. A deep, narrow table
+/// is mostly hashers, so the create budget charges them per row.
+template <typename Sketch>
+uint64_t RowOverheadWords() {
+  static const uint64_t kWords = [] {
+    const Sketch one_row(1, 1, 0);
+    const uint64_t extra =
+        one_row.MemoryFootprintBytes() - sizeof(Sketch) - sizeof(int64_t);
+    return (extra + sizeof(uint64_t) - 1) / sizeof(uint64_t);
+  }();
+  return kWords;
+}
+
+/// Charges `tables` width x depth counter tables, each row carrying
+/// `row_words` more words, to the running create cost *words. False when
+/// the geometry is empty or the total passes kMaxSketchCounters; every
+/// product is bounded by a division before it is formed.
+bool ChargeTables(uint64_t width, uint64_t depth, uint64_t tables,
+                  uint64_t row_words, uint64_t* words) {
+  if (width < 1 || depth < 1 || tables < 1 || width > kMaxSketchCounters) {
+    return false;
+  }
+  const uint64_t row = width + row_words;
+  const uint64_t rows_left = (kMaxSketchCounters - *words) / row;
+  if (depth > rows_left || tables > rows_left / depth) return false;
+  *words += tables * depth * row;
+  return true;
 }
 
 /// Parses a width-mode request word (0 = division, 1 = pow2; anything else
@@ -621,7 +657,6 @@ std::string PeekSketchName(const Frame& frame) {
   return name;
 }
 
-#if SKETCH_TELEMETRY_ENABLED
 /// Trace id of the request currently being dispatched on this thread
 /// (0 = untraced). Plumbed thread-locally so the lock/kernel spans deep
 /// inside WithEntry* need no signature changes across every handler.
@@ -678,87 +713,31 @@ bool TracedIngest(internal::SketchEntry& entry, const IngestRequest& request,
   }
   return entry.Ingest(UpdateSpan(request.updates), error);
 }
-#else   // !SKETCH_TELEMETRY_ENABLED
-class ScopedRequestTraceId {
- public:
-  explicit ScopedRequestTraceId(uint64_t) {}
-};
 
-class TracedLockTimer {
- public:
-  TracedLockTimer() = default;
-  explicit TracedLockTimer(uint64_t) {}
-  void Locked() const {}
-};
-
-template <typename Fn, typename Entry>
-std::vector<uint8_t> RunKernel(Fn&& fn, Entry& entry) {
-  return fn(entry);
+/// Per-opcode request-latency histograms (log2 buckets): one registry
+/// reference per opcode byte, resolved once, named by OpcodeLatencyMetric.
+telemetry::Histogram& OpcodeLatency(Opcode opcode) {
+  static const std::array<telemetry::Histogram*, 256> kTable = [] {
+    std::array<telemetry::Histogram*, 256> table{};
+    telemetry::MetricRegistry& registry = telemetry::MetricRegistry::Instance();
+    for (std::size_t byte = 0; byte < table.size(); ++byte) {
+      table[byte] = &registry.GetHistogram(
+          OpcodeLatencyMetric(static_cast<Opcode>(byte)));
+    }
+    return table;
+  }();
+  return *kTable[static_cast<uint8_t>(opcode)];
 }
-
-bool TracedIngest(internal::SketchEntry& entry, const IngestRequest& request,
-                  ErrorResponse* error) {
-  return entry.Ingest(UpdateSpan(request.updates), error);
-}
-#endif  // SKETCH_TELEMETRY_ENABLED
-
-#if SKETCH_TELEMETRY_ENABLED
-/// Per-opcode request-latency histograms (log2 buckets). The histogram
-/// macros demand static-lifetime literal names, hence the switch: one
-/// literal per opcode, resolved to a cached registry reference on first
-/// use.
-void RecordOpcodeLatencyNs(Opcode opcode, uint64_t ns) {
-  switch (opcode) {
-    case Opcode::kPing:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Ping", ns);
-      break;
-    case Opcode::kCreateSketch:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.CreateSketch", ns);
-      break;
-    case Opcode::kDropSketch:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.DropSketch", ns);
-      break;
-    case Opcode::kIngest:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Ingest", ns);
-      break;
-    case Opcode::kPointQuery:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.PointQuery", ns);
-      break;
-    case Opcode::kHeavyHitters:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.HeavyHitters", ns);
-      break;
-    case Opcode::kInnerProduct:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.InnerProduct", ns);
-      break;
-    case Opcode::kSnapshot:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Snapshot", ns);
-      break;
-    case Opcode::kRestore:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Restore", ns);
-      break;
-    case Opcode::kListSketches:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.ListSketches", ns);
-      break;
-    case Opcode::kStatsz:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Statsz", ns);
-      break;
-    case Opcode::kTraceDump:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.TraceDump", ns);
-      break;
-    case Opcode::kShutdown:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Shutdown", ns);
-      break;
-    case Opcode::kPointQueryBatch:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.PointQueryBatch", ns);
-      break;
-    default:
-      SKETCH_HISTOGRAM_RECORD("server.latency_ns.Unknown", ns);
-      break;
-  }
-}
-#endif  // SKETCH_TELEMETRY_ENABLED
 
 }  // namespace
+
+std::string OpcodeLatencyMetric(Opcode opcode) {
+  // Requests occupy 0x01-0x7f; OpcodeName says "Unknown" for the
+  // unassigned ones.
+  const bool request = static_cast<uint8_t>(opcode) < 0x80;
+  return std::string("server.latency_ns.") +
+         (request ? OpcodeName(opcode) : "Unknown");
+}
 
 std::vector<uint8_t> SketchService::HandleFrame(const Frame& frame) {
   // The dispatch span of a traced request's life (decode and write live
@@ -766,20 +745,10 @@ std::vector<uint8_t> SketchService::HandleFrame(const Frame& frame) {
   SKETCH_TRACE_SPAN_ID("server.handle_frame", frame.trace_id);
   SKETCH_COUNTER_INC("server.frames_handled");
   const ScopedRequestTraceId scoped_id(frame.trace_id);
-#if SKETCH_TELEMETRY_ENABLED
-  const bool timed = true;
-#else
-  // The slow-query log is the only latency consumer in telemetry-off
-  // builds; skip both clock reads entirely when it is disabled.
-  const bool timed = slow_log_.enabled();
-#endif
-  if (!timed) return DispatchFrame(frame);
   const uint64_t start_ns = MonotonicNowNs();
   std::vector<uint8_t> response = DispatchFrame(frame);
   const uint64_t latency_ns = MonotonicNowNs() - start_ns;
-#if SKETCH_TELEMETRY_ENABLED
-  RecordOpcodeLatencyNs(frame.opcode, latency_ns);
-#endif
+  OpcodeLatency(frame.opcode).Record(latency_ns);
   if (slow_log_.enabled() && slow_log_.WouldRecord(frame.opcode, latency_ns)) {
     slow_log_.Record(frame.opcode, latency_ns, PeekSketchName(frame),
                      frame.payload.size(), frame.trace_id);
@@ -892,13 +861,9 @@ void SketchService::ApplyIngestRun(
   WriterMutexLock lock(handle->mutex);
   timer.Locked();
   const bool slow_log_on = slow_log_.enabled();
+  telemetry::Histogram& latency = OpcodeLatency(Opcode::kIngest);
   for (const IngestRequest& request : run) {
-#if SKETCH_TELEMETRY_ENABLED
-    const bool timed = true;
-#else
-    const bool timed = slow_log_on;
-#endif
-    const uint64_t start_ns = timed ? MonotonicNowNs() : 0;
+    const uint64_t start_ns = MonotonicNowNs();
     ErrorResponse error;
     const bool ok = TracedIngest(*handle->entry, request, &error);
     if (!ok) {
@@ -909,20 +874,15 @@ void SketchService::ApplyIngestRun(
       ack.accepted = request.updates.size();
       responses->push_back(EncodeIngestAck(ack));
     }
-    if (timed) {
-      const uint64_t latency_ns = MonotonicNowNs() - start_ns;
-#if SKETCH_TELEMETRY_ENABLED
-      RecordOpcodeLatencyNs(Opcode::kIngest, latency_ns);
-#endif
-      if (slow_log_on &&
-          slow_log_.WouldRecord(Opcode::kIngest, latency_ns)) {
-        // Reconstruct the wire payload size the coalescing path no longer
-        // has: u16 name length + name + u32 count + 16 bytes per update.
-        const std::size_t payload_bytes =
-            2 + request.name.size() + 4 + 16 * request.updates.size();
-        slow_log_.Record(Opcode::kIngest, latency_ns, request.name,
-                         payload_bytes, request.trace_id);
-      }
+    const uint64_t latency_ns = MonotonicNowNs() - start_ns;
+    latency.Record(latency_ns);
+    if (slow_log_on && slow_log_.WouldRecord(Opcode::kIngest, latency_ns)) {
+      // Reconstruct the wire payload size the coalescing path no longer
+      // has: u16 name length + name + u32 count + 16 bytes per update.
+      const std::size_t payload_bytes =
+          2 + request.name.size() + 4 + 16 * request.updates.size();
+      slow_log_.Record(Opcode::kIngest, latency_ns, request.name,
+                       payload_bytes, request.trace_id);
     }
   }
 }
@@ -994,12 +954,14 @@ bool SketchService::InsertEntry(const std::string& name,
 std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
     const CreateSketchRequest& request, ErrorResponse* error) {
   const auto& p = request.params;
+  uint64_t words = 0;  // create cost, charged against kMaxSketchCounters
   switch (request.type) {
     case SketchType::kCountMin: {
       uint64_t width = p[0];
       WidthMode mode = WidthMode::kDivision;
       if (!ParseWidthMode(p[3], &width, &mode) ||
-          !ValidTable(width, p[1], kMaxSketchCounters)) {
+          !ChargeTables(width, p[1], 1, RowOverheadWords<CountMinSketch>(),
+                        &words)) {
         break;
       }
       return std::make_unique<CountMinEntry>(
@@ -1009,7 +971,8 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
       uint64_t width = p[0];
       WidthMode mode = WidthMode::kDivision;
       if (!ParseWidthMode(p[3], &width, &mode) ||
-          !ValidTable(width, p[1], kMaxSketchCounters)) {
+          !ChargeTables(width, p[1], 1, RowOverheadWords<CountSketch>(),
+                        &words)) {
         break;
       }
       return std::make_unique<CountSketchEntry>(
@@ -1038,29 +1001,26 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
       options.seed = p[4];
       // Budget the whole composite: log_universe dyadic levels plus the
       // verifier and AMS tables (both at depth | 1).
-      if (!ValidTable(options.width, options.depth, kMaxSketchCounters)) {
+      if (!ChargeTables(options.width, options.depth, log_universe,
+                        RowOverheadWords<CountMinSketch>(), &words) ||
+          !ChargeTables(options.verify_width, options.depth | 1, 1,
+                        RowOverheadWords<CountSketch>(), &words) ||
+          !ChargeTables(options.width, options.depth | 1, 1,
+                        RowOverheadWords<AmsSketch>(), &words)) {
         break;
       }
-      const uint64_t dyadic = options.width * options.depth * log_universe;
-      if (options.width * options.depth > kMaxSketchCounters / log_universe ||
-          !ValidTable(options.verify_width, options.depth | 1,
-                      kMaxSketchCounters) ||
-          !ValidTable(options.width, options.depth | 1, kMaxSketchCounters)) {
-        break;
-      }
-      const uint64_t total = dyadic +
-                             options.verify_width * (options.depth | 1) +
-                             options.width * (options.depth | 1);
-      if (total > kMaxSketchCounters) break;
       return std::make_unique<SummaryEntry>(StreamSummary(options));
     }
     case SketchType::kShardedCountMin: {
       const uint64_t num_shards = p[3];
       uint64_t width = p[0];
       WidthMode mode = WidthMode::kDivision;
-      if (!ParseWidthMode(p[4], &width, &mode) ||
-          !ValidTable(width, p[1], kMaxSketchCounters) || num_shards < 1 ||
-          num_shards > 256) {
+      // Budget the whole composite: the shard replicas plus the restored
+      // base and the materialized view.
+      if (!ParseWidthMode(p[4], &width, &mode) || num_shards < 1 ||
+          num_shards > 256 ||
+          !ChargeTables(width, p[1], num_shards + 2,
+                        RowOverheadWords<CountMinSketch>(), &words)) {
         break;
       }
       const CountMinSketch prototype(p[0], p[1], p[2], mode);

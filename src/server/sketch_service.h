@@ -140,8 +140,7 @@ class SketchService {
     ThreadPool* pool = nullptr;
     std::size_t default_shards = 4;
     /// Slowest requests retained per opcode in the slow-query log
-    /// (surfaced in /statsz and /tracez); 0 disables the log and its
-    /// per-request clock reads in telemetry-off builds.
+    /// (surfaced in /statsz and /tracez); 0 disables the log.
     std::size_t slow_query_log_size = 8;
   };
 
@@ -266,6 +265,11 @@ class SketchService {
   std::vector<std::pair<std::string, std::function<uint64_t()>>> gauges_
       SKETCH_GUARDED_BY(gauges_mutex_);
 };
+
+/// Name of the latency histogram that SketchService records a frame with
+/// `opcode` under: "server.latency_ns.<OpcodeName>" for request opcodes,
+/// "server.latency_ns.Unknown" for every other byte.
+std::string OpcodeLatencyMetric(Opcode opcode);
 
 }  // namespace sketch::server
 

@@ -79,7 +79,7 @@ class AmsSketch {
                                           // bound); hits the unrolled k=4
                                           // kernel path
   std::vector<int64_t> counters_;
-  SketchOpCounters ops_;  // lifetime update/merge counts (stub when off)
+  SketchOpCounters ops_;  // lifetime update/merge counts
 };
 
 }  // namespace sketch

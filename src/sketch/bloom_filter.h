@@ -96,7 +96,7 @@ class BloomFilter {
                                      // the mask for pow2 bit counts
   std::vector<BlockHasher> probes_;  // one 2-wise hash per probe
   std::vector<uint64_t> bits_;       // packed, 64 bits per word
-  SketchOpCounters ops_;  // lifetime insert/merge counts (stub when off)
+  SketchOpCounters ops_;  // lifetime insert/merge counts
 };
 
 }  // namespace sketch

@@ -121,8 +121,7 @@ class CountMinSketch {
 
   /// Structured self-description: geometry, memory, bucket-occupancy
   /// histogram, balls-in-bins distinct-key/collision estimates, and
-  /// lifetime operation counters (the latter nonzero only in
-  /// SKETCH_TELEMETRY=ON builds). Read-only and available in every build.
+  /// lifetime operation counters. Read-only.
   StatsSnapshot Introspect() const;
 
   /// Human-readable Introspect() dump.
@@ -142,7 +141,6 @@ class CountMinSketch {
   std::vector<uint64_t> bucket_scratch_;  // per-row buckets of one item
                                           // (UpdateConservative)
   SketchOpCounters ops_;            // lifetime update/merge counts
-                                    // (empty stub when telemetry is off)
 };
 
 }  // namespace sketch

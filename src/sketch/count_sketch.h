@@ -124,7 +124,7 @@ class CountSketch {
   std::vector<BlockHasher> bucket_rows_;  // one 2-wise bucket hash per row
   std::vector<BlockHasher> sign_rows_;    // one 2-wise sign hash per row
   std::vector<int64_t> counters_;
-  SketchOpCounters ops_;  // lifetime update/merge counts (stub when off)
+  SketchOpCounters ops_;  // lifetime update/merge counts
 };
 
 }  // namespace sketch

@@ -30,9 +30,7 @@
 /// The registry itself is only locked at registration time. Call sites go
 /// through the `SKETCH_COUNTER_*` / `SKETCH_HISTOGRAM_RECORD` macros in
 /// `telemetry/telemetry.h`, which cache the metric reference in a function
-/// -local static, so the name lookup happens once per call site. These
-/// classes are always compiled; the macros compile away when telemetry is
-/// off, making the library free unless explicitly enabled.
+/// -local static, so the name lookup happens once per call site.
 
 namespace sketch::telemetry {
 

@@ -7,8 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/telemetry.h"
-
 /// \file
 /// Sketch introspection: `StatsSnapshot`, the structured self-description
 /// every sketch returns from `Introspect()`, plus the small helpers the
@@ -21,7 +19,7 @@
 /// the Bloom false-positive rate, and memory footprint is the space side
 /// of every space/accuracy trade-off. Snapshots are computed on demand by
 /// reading the sketch's state — no background work, no effect on the
-/// sketch — so `Introspect()` is available in every build configuration.
+/// sketch.
 
 namespace sketch {
 
@@ -89,14 +87,11 @@ double EstimateCollisionRate(double distinct_keys, double width);
 
 }  // namespace telemetry
 
-/// Per-instance lifetime operation counters for StatsSnapshot. Compiled
-/// to an empty, zero-size-overhead stub when telemetry is off so sketch
-/// objects and hot paths are unchanged in the default build; when on, the
-/// counts are plain (non-atomic) members — sketches are single-writer by
+/// Per-instance lifetime operation counters for StatsSnapshot. The counts
+/// are plain (non-atomic) members — sketches are single-writer by
 /// contract (see ShardedSketch), so bumping them is one add.
 class SketchOpCounters {
  public:
-#if SKETCH_TELEMETRY_ENABLED
   void AddUpdates(uint64_t n) { updates_ += n; }
   void AddBatch(uint64_t n) {
     ++batches_;
@@ -116,14 +111,6 @@ class SketchOpCounters {
   uint64_t updates_ = 0;  ///< items applied (including via batches/merges)
   uint64_t batches_ = 0;  ///< ApplyBatch calls
   uint64_t merges_ = 0;   ///< Merge calls (transitively)
-#else
-  void AddUpdates(uint64_t) {}
-  void AddBatch(uint64_t) {}
-  void AddMerge(const SketchOpCounters&) {}
-  uint64_t updates() const { return 0; }
-  uint64_t batches() const { return 0; }
-  uint64_t merges() const { return 0; }
-#endif
 };
 
 }  // namespace sketch

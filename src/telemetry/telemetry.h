@@ -6,30 +6,21 @@
 
 /// \file
 /// Telemetry macro surface. Instrumentation sites use these macros, never
-/// the registry/recorder classes directly, so the entire subsystem can be
-/// compiled out.
+/// the registry/recorder classes directly, so every site caches its
+/// registry lookup the same way.
 ///
-/// Build with `-DSKETCH_TELEMETRY=ON` (CMake option; defines the
-/// `SKETCH_TELEMETRY` preprocessor symbol) to enable. In the default OFF
-/// build every macro expands to a true no-op — no atomics, no clock
-/// reads, no registry lookups, and crucially no evaluation of the value
-/// arguments — so the PR 3 kernel hot paths compile to the same code as
-/// before this subsystem existed. The E23 overhead bench
-/// (`bench_observability_overhead`) pins down both directions: OFF is
-/// bit-identical to the pre-telemetry baseline, ON stays within 5% on
-/// batched ingest.
+/// Telemetry is compiled into every build. Counters and histograms are
+/// always live: a counter bump is one relaxed atomic add on the calling
+/// thread's stripe. Spans are gated at run time by
+/// `TraceRecorder::SetEnabled`; a disabled recorder costs each span one
+/// relaxed load and no clock reads. The E23 overhead bench
+/// (`bench_observability_overhead`) pins the instrumented kernels to the
+/// golden serialized digests, so instrumentation never alters sketch
+/// contents.
 ///
 /// Metric / span names must be string literals (or other static-lifetime
 /// strings): registry lookups are cached per call site and the trace
 /// recorder stores the pointer.
-
-#if defined(SKETCH_TELEMETRY) && SKETCH_TELEMETRY
-#define SKETCH_TELEMETRY_ENABLED 1
-#else
-#define SKETCH_TELEMETRY_ENABLED 0
-#endif
-
-#if SKETCH_TELEMETRY_ENABLED
 
 #define SKETCH_TELEMETRY_CONCAT_INNER(a, b) a##b
 #define SKETCH_TELEMETRY_CONCAT(a, b) SKETCH_TELEMETRY_CONCAT_INNER(a, b)
@@ -71,30 +62,5 @@
 #define SKETCH_TRACE_COUNTER(name, value)                     \
   ::sketch::telemetry::TraceRecorder::Instance().RecordCounter( \
       name, static_cast<double>(value))
-
-#else  // !SKETCH_TELEMETRY_ENABLED
-
-// No-op expansions. Value arguments sit under sizeof so they are parsed
-// (and count as "used" for -Wunused) but never evaluated.
-#define SKETCH_COUNTER_ADD(name, delta) \
-  do {                                  \
-    (void)sizeof(delta);                \
-  } while (0)
-#define SKETCH_COUNTER_INC(name) static_cast<void>(0)
-#define SKETCH_HISTOGRAM_RECORD(name, value) \
-  do {                                       \
-    (void)sizeof(value);                     \
-  } while (0)
-#define SKETCH_TRACE_SPAN(name) static_cast<void>(0)
-#define SKETCH_TRACE_SPAN_ID(name, id) \
-  do {                                 \
-    (void)sizeof(id);                  \
-  } while (0)
-#define SKETCH_TRACE_COUNTER(name, value) \
-  do {                                    \
-    (void)sizeof(value);                  \
-  } while (0)
-
-#endif  // SKETCH_TELEMETRY_ENABLED
 
 #endif  // SKETCH_TELEMETRY_TELEMETRY_H_

@@ -24,8 +24,8 @@
 ///
 /// Span names must have static storage duration (string literals): only
 /// the pointer is stored. Instrumentation sites use `SKETCH_TRACE_SPAN`
-/// from `telemetry/telemetry.h`, which compiles away when telemetry is
-/// off; this class is always available for explicit use and tests.
+/// from `telemetry/telemetry.h`; `SetEnabled(false)` turns every span
+/// into one relaxed load at run time.
 
 namespace sketch::telemetry {
 

@@ -6,6 +6,7 @@
 // or kError — never an abort and never an allocation driven by the
 // declared length.
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -248,15 +249,100 @@ TEST(ServiceRejectionTest, CreateWithOverflowingGeometry) {
   EXPECT_EQ(error.code, ErrorCode::kBadGeometry);
 }
 
+/// Words of per-row state a create charges beyond the counters: what a
+/// one-row, one-counter `Sketch` holds past its object and its counter.
+template <typename Sketch>
+uint64_t RowWords() {
+  const Sketch one_row(1, 1, 0);
+  const uint64_t extra =
+      one_row.MemoryFootprintBytes() - sizeof(Sketch) - sizeof(int64_t);
+  return (extra + 7) / 8;
+}
+
+/// kNone when the create succeeds, else the error code it got.
+ErrorCode CreateCode(SketchService* service, const std::string& name,
+                     SketchType type, const std::array<uint64_t, 5>& params) {
+  CreateSketchRequest request;
+  request.name = name;
+  request.type = type;
+  request.params = params;
+  const std::vector<uint8_t> bytes = EncodeCreateSketch(request);
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  Frame frame;
+  EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
+  const std::vector<uint8_t> response = service->HandleFrame(frame);
+  if (response == EncodeOk()) return ErrorCode::kNone;
+  FrameDecoder response_decoder;
+  response_decoder.Feed(response.data(), response.size());
+  Frame response_frame;
+  EXPECT_EQ(response_decoder.Next(&response_frame), DecodeStatus::kFrame);
+  ErrorResponse error;
+  EXPECT_TRUE(DecodeError(response_frame, &error));
+  return error.code;
+}
+
+TEST(ServiceRejectionTest, DeepNarrowCreateIsChargedForItsHashers) {
+  // Width 1 at a depth that fits the counter budget alone allocates one
+  // hasher per row, dozens of times the counters' size, so the create
+  // budget charges (width + per-row words) per row.
+  SketchService service({});
+  const uint64_t cm_depth = kMaxSketchCounters / (1 + RowWords<CountMinSketch>());
+  EXPECT_EQ(CreateCode(&service, "cm", SketchType::kCountMin,
+                       {1, kMaxSketchCounters, 1, 0, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "cm", SketchType::kCountMin,
+                       {1, cm_depth + 1, 1, 0, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "cm", SketchType::kCountMin,
+                       {1, cm_depth, 1, 0, 0}),
+            ErrorCode::kNone);
+
+  // Count-Sketch rows carry a bucket hasher and a sign hasher.
+  const uint64_t cs_depth = kMaxSketchCounters / (1 + RowWords<CountSketch>());
+  EXPECT_LT(cs_depth, cm_depth);
+  EXPECT_EQ(CreateCode(&service, "cs", SketchType::kCountSketch,
+                       {1, cs_depth + 1, 1, 0, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "cs", SketchType::kCountSketch,
+                       {1, cs_depth, 1, 0, 0}),
+            ErrorCode::kNone);
+
+  // A StreamSummary's 40 dyadic levels of 12000 one-counter rows fit the
+  // counter budget (504002 counters in all) but not their hashers.
+  EXPECT_EQ(CreateCode(&service, "summary", SketchType::kStreamSummary,
+                       {40, 1, 12000, 1, 1}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(service.sketch_count(), 2u);
+}
+
+TEST(ServiceRejectionTest, ShardedCreateIsChargedForEveryTable) {
+  // A sharded create allocates num_shards replicas plus the restored base
+  // and the materialized view, each width x depth.
+  SketchService service({});
+  const uint64_t table = 4 * (1024 + RowWords<CountMinSketch>());
+  const uint64_t max_shards = kMaxSketchCounters / table - 2;
+  EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
+                       {1024, 4, 1, 256, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
+                       {1024, 4, 1, max_shards + 1, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
+                       {1024, 4, 1, max_shards, 0}),
+            ErrorCode::kNone);
+  EXPECT_EQ(service.sketch_count(), 1u);
+}
+
 TEST(ServiceRejectionTest, RestoreRejectsTruncatedBlob) {
   SketchService service({});
   CountMinSketch sketch(64, 3, 5);
-  std::vector<uint8_t> blob = sketch.Serialize();
-  blob.resize(blob.size() - 8);  // drop the last counter word
+  const std::vector<uint8_t> full = sketch.Serialize();
   RestoreRequest request;
   request.name = "truncated";
   request.type = SketchType::kCountMin;
-  request.blob = blob;
+  // Everything but the last counter word.
+  request.blob.assign(full.begin(), full.end() - 8);
   const ErrorResponse error =
       HandleExpectingError(&service, EncodeRestore(request));
   EXPECT_EQ(error.code, ErrorCode::kBadBlob);

@@ -7,7 +7,9 @@
 #include "server/sketch_service.h"
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -267,6 +269,43 @@ TEST(SketchServiceTest, SnapshotRestoreRoundTripPreservesQueries) {
             Query(&service, "origin", 11).estimate + 1);
 }
 
+TEST(SketchServiceTest, HostileL1MassSaturatesInsteadOfOverflowing) {
+  // |INT64_MIN| does not fit an int64_t, and two of them overflow a
+  // uint64_t. A restored row-0 counter of INT64_MIN plus an ingested
+  // INT64_MIN delta must still serve a finite, non-negative L1 bound.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  CountMinSketch hostile(1024, 1, 3);
+  hostile.Update({1, kMin});
+  // A key in another bucket, so the ingest adds to a zero counter: the
+  // sketch's own counter arithmetic is not what this test is about.
+  uint64_t other = 2;
+  while (hostile.Estimate(other) != 0) ++other;
+
+  ThreadPool pool(2);
+  SketchService service({&pool, 2});
+  for (const SketchType type :
+       {SketchType::kCountMin, SketchType::kShardedCountMin}) {
+    const std::string name = SketchTypeName(type);
+    RestoreRequest restore;
+    restore.name = name;
+    restore.type = type;
+    restore.blob = hostile.Serialize();
+    ExpectOk(&service, EncodeRestore(restore));
+    const double restored = Query(&service, name, 1).error_bound;
+    EXPECT_TRUE(std::isfinite(restored)) << name;
+    EXPECT_GT(restored, 0.0) << name;
+
+    Ingest(&service, name, {{other, kMin}});
+    const double ingested = Query(&service, name, 1).error_bound;
+    EXPECT_TRUE(std::isfinite(ingested)) << name;
+    EXPECT_GE(ingested, restored) << name;
+    for (const PointValueResponse& value :
+         QueryBatch(&service, name, {1, other})) {
+      EXPECT_EQ(value.error_bound, ingested) << name;
+    }
+  }
+}
+
 TEST(SketchServiceTest, InnerProductBetweenIdenticalGeometry) {
   SketchService service({});
   Create(&service, "x", SketchType::kCountMin, {4096, 4, 5, 0, 0});
@@ -316,8 +355,7 @@ TEST(SketchServiceTest, StatszAndTraceEndpointsReturnJson) {
 
   TextResponse trace;
   ASSERT_TRUE(DecodeText(Handle(&service, EncodeTraceDump()), &trace));
-  // Chrome trace JSON: an object with a traceEvents array (possibly
-  // empty when telemetry is compiled out).
+  // Chrome trace JSON: an object with a traceEvents array.
   EXPECT_NE(trace.text.find("traceEvents"), std::string::npos);
 }
 

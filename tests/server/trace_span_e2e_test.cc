@@ -15,22 +15,18 @@
 #include "loop_harness.h"
 #include "server/client.h"
 #include "stream/update.h"
-#include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace sketch::server {
 namespace {
 
-[[maybe_unused]] std::string HexId(uint64_t id) {
+std::string HexId(uint64_t id) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, id);
   return std::string(buffer);
 }
 
 TEST(TraceSpanE2eTest, SampledRequestSpansCarryWireTraceId) {
-#if !SKETCH_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (SKETCH_TELEMETRY=OFF)";
-#else
   telemetry::TraceRecorder::Instance().Clear();
   telemetry::TraceRecorder::Instance().SetEnabled(true);
 
@@ -87,13 +83,9 @@ TEST(TraceSpanE2eTest, SampledRequestSpansCarryWireTraceId) {
             std::string::npos);
   EXPECT_NE(json.find("\"trace_id\":\"" + HexId(ingest_id) + "\""),
             std::string::npos);
-#endif
 }
 
 TEST(TraceSpanE2eTest, UnsampledRequestsProduceNoTaggedSpans) {
-#if !SKETCH_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (SKETCH_TELEMETRY=OFF)";
-#else
   telemetry::TraceRecorder::Instance().Clear();
   telemetry::TraceRecorder::Instance().SetEnabled(true);
 
@@ -118,7 +110,6 @@ TEST(TraceSpanE2eTest, UnsampledRequestsProduceNoTaggedSpans) {
     EXPECT_EQ(event.correlation_id, 0u)
         << (event.name == nullptr ? "<null>" : event.name);
   }
-#endif
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "sketch/stream_summary.h"
 #include "stream/generators.h"
 #include "telemetry/stats.h"
-#include "telemetry/telemetry.h"
 
 namespace sketch {
 namespace {
@@ -67,15 +66,10 @@ TEST(IntrospectTest, OpCountersTrackLifetimeWhenEnabled) {
   sketch.Merge(other);
 
   const StatsSnapshot snapshot = sketch.Introspect();
-#if SKETCH_TELEMETRY_ENABLED
   // Merge folds the other sketch's absorbed updates in.
   EXPECT_DOUBLE_EQ(snapshot.FieldOr("updates", -1), 1002.0);
   EXPECT_DOUBLE_EQ(snapshot.FieldOr("batches", -1), 1.0);
   EXPECT_DOUBLE_EQ(snapshot.FieldOr("merges", -1), 1.0);
-#else
-  EXPECT_DOUBLE_EQ(snapshot.FieldOr("updates", -1), 0.0);
-  EXPECT_DOUBLE_EQ(snapshot.FieldOr("merges", -1), 0.0);
-#endif
 }
 
 TEST(IntrospectTest, CountSketchAndAmsSnapshots) {
