@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/timer.h"
@@ -145,6 +146,56 @@ std::string EscapeJson(const std::string& raw) {
 
 using internal::SketchEntry;
 
+/// Count-Min's eps * ||x||_1 error scale, with eps = e / width.
+double L1Bound(const CountMinSketch& sketch, uint64_t l1_mass) {
+  return kEuler / static_cast<double>(sketch.width()) *
+         static_cast<double>(l1_mass);
+}
+
+/// Batched point query over a Count-Min or Count-Sketch table: the
+/// estimates come from the EstimateBatch kernel (SIMD-tier bucket and
+/// sign computation), and one bound is shared by every key in the batch.
+template <typename Sketch>
+void EstimateBatchWithBound(const Sketch& sketch,
+                            const std::vector<uint64_t>& items, double bound,
+                            BoundKind kind,
+                            std::vector<PointValueResponse>* out) {
+  std::vector<int64_t> estimates(items.size());
+  sketch.EstimateBatch(items.data(), items.size(), estimates.data());
+  PointValueResponse value;
+  value.error_bound = bound;
+  value.bound_kind = kind;
+  out->reserve(items.size());
+  for (int64_t estimate : estimates) {
+    value.estimate = estimate;
+    out->push_back(value);
+  }
+}
+
+/// Inner product of two tables of one family: kUnsupported when the right
+/// operand is of another family (`rhs` null), kGeometryMismatch unless
+/// width, depth, seed and width mode all agree.
+template <typename Sketch>
+bool CheckedInnerProduct(const Sketch& lhs, const Sketch* rhs,
+                         int64_t* result, ErrorResponse* error) {
+  if (rhs == nullptr) {
+    error->code = ErrorCode::kUnsupported;
+    error->message = std::string("inner product requires two ") +
+                     (std::is_same_v<Sketch, CountMinSketch> ? "CountMin"
+                                                             : "CountSketch") +
+                     " sketches";
+    return false;
+  }
+  if (rhs->width() != lhs.width() || rhs->depth() != lhs.depth() ||
+      rhs->seed() != lhs.seed() || rhs->width_mode() != lhs.width_mode()) {
+    error->code = ErrorCode::kGeometryMismatch;
+    error->message = "inner product requires identical geometry and seed";
+    return false;
+  }
+  *result = lhs.EstimateInnerProduct(*rhs);
+  return true;
+}
+
 class CountMinEntry : public SketchEntry {
  public:
   explicit CountMinEntry(CountMinSketch sketch)
@@ -162,54 +213,20 @@ class CountMinEntry : public SketchEntry {
   PointValueResponse PointQuery(uint64_t item) override {
     PointValueResponse response;
     response.estimate = sketch_.Estimate(item);
-    response.error_bound = kEuler / static_cast<double>(sketch_.width()) *
-                           static_cast<double>(l1_mass_);
+    response.error_bound = L1Bound(sketch_, l1_mass_);
     response.bound_kind = BoundKind::kL1;
     return response;
   }
 
   void PointQueryBatch(const std::vector<uint64_t>& items,
                        std::vector<PointValueResponse>* out) override {
-    // Batched read path: buckets come from the EstimateBatch kernel
-    // (SIMD-tier), and the L1 bound is shared by every key in the batch.
-    std::vector<int64_t> estimates(items.size());
-    sketch_.EstimateBatch(items.data(), items.size(), estimates.data());
-    PointValueResponse value;
-    value.error_bound = kEuler / static_cast<double>(sketch_.width()) *
-                        static_cast<double>(l1_mass_);
-    value.bound_kind = BoundKind::kL1;
-    out->reserve(items.size());
-    for (int64_t estimate : estimates) {
-      value.estimate = estimate;
-      out->push_back(value);
-    }
-  }
-
-  bool HeavyHitters(double, std::vector<uint64_t>*,
-                    ErrorResponse* error) override {
-    error->code = ErrorCode::kUnsupported;
-    error->message = "flat CountMin cannot enumerate items; use a "
-                     "StreamSummary sketch";
-    return false;
+    EstimateBatchWithBound(sketch_, items, L1Bound(sketch_, l1_mass_),
+                           BoundKind::kL1, out);
   }
 
   bool InnerProduct(SketchEntry& other, int64_t* result,
                     ErrorResponse* error) override {
-    const CountMinSketch* rhs = other.AsCountMin();
-    if (rhs == nullptr) {
-      error->code = ErrorCode::kUnsupported;
-      error->message = "inner product requires two CountMin sketches";
-      return false;
-    }
-    if (rhs->width() != sketch_.width() || rhs->depth() != sketch_.depth() ||
-        rhs->seed() != sketch_.seed() ||
-        rhs->width_mode() != sketch_.width_mode()) {
-      error->code = ErrorCode::kGeometryMismatch;
-      error->message = "inner product requires identical geometry and seed";
-      return false;
-    }
-    *result = sketch_.EstimateInnerProduct(*rhs);
-    return true;
+    return CheckedInnerProduct(sketch_, other.AsCountMin(), result, error);
   }
 
   std::vector<uint8_t> Snapshot() override { return sketch_.Serialize(); }
@@ -248,45 +265,12 @@ class CountSketchEntry : public SketchEntry {
 
   void PointQueryBatch(const std::vector<uint64_t>& items,
                        std::vector<PointValueResponse>* out) override {
-    // Buckets and signs come from the EstimateBatch kernel (SIMD-tier);
-    // the L2 bound is read once and shared by every key in the batch.
-    std::vector<int64_t> estimates(items.size());
-    sketch_.EstimateBatch(items.data(), items.size(), estimates.data());
-    PointValueResponse value;
-    value.error_bound = L2Bound();
-    value.bound_kind = BoundKind::kL2;
-    out->reserve(items.size());
-    for (int64_t estimate : estimates) {
-      value.estimate = estimate;
-      out->push_back(value);
-    }
-  }
-
-  bool HeavyHitters(double, std::vector<uint64_t>*,
-                    ErrorResponse* error) override {
-    error->code = ErrorCode::kUnsupported;
-    error->message = "flat CountSketch cannot enumerate items; use a "
-                     "StreamSummary sketch";
-    return false;
+    EstimateBatchWithBound(sketch_, items, L2Bound(), BoundKind::kL2, out);
   }
 
   bool InnerProduct(SketchEntry& other, int64_t* result,
                     ErrorResponse* error) override {
-    const CountSketch* rhs = other.AsCountSketch();
-    if (rhs == nullptr) {
-      error->code = ErrorCode::kUnsupported;
-      error->message = "inner product requires two CountSketch sketches";
-      return false;
-    }
-    if (rhs->width() != sketch_.width() || rhs->depth() != sketch_.depth() ||
-        rhs->seed() != sketch_.seed() ||
-        rhs->width_mode() != sketch_.width_mode()) {
-      error->code = ErrorCode::kGeometryMismatch;
-      error->message = "inner product requires identical geometry and seed";
-      return false;
-    }
-    *result = sketch_.EstimateInnerProduct(*rhs);
-    return true;
+    return CheckedInnerProduct(sketch_, other.AsCountSketch(), result, error);
   }
 
   std::vector<uint8_t> Snapshot() override { return sketch_.Serialize(); }
@@ -332,19 +316,6 @@ class BloomEntry : public SketchEntry {
     response.error_bound = std::pow(fill, filter_.num_hashes());
     response.bound_kind = BoundKind::kFpr;
     return response;
-  }
-
-  bool HeavyHitters(double, std::vector<uint64_t>*,
-                    ErrorResponse* error) override {
-    error->code = ErrorCode::kUnsupported;
-    error->message = "Bloom filters answer membership, not frequencies";
-    return false;
-  }
-
-  bool InnerProduct(SketchEntry&, int64_t*, ErrorResponse* error) override {
-    error->code = ErrorCode::kUnsupported;
-    error->message = "Bloom filters do not support inner products";
-    return false;
   }
 
   std::vector<uint8_t> Snapshot() override { return filter_.Serialize(); }
@@ -410,12 +381,6 @@ class SummaryEntry : public SketchEntry {
     return true;
   }
 
-  bool InnerProduct(SketchEntry&, int64_t*, ErrorResponse* error) override {
-    error->code = ErrorCode::kUnsupported;
-    error->message = "StreamSummary does not support inner products";
-    return false;
-  }
-
   std::vector<uint8_t> Snapshot() override { return summary_.Serialize(); }
   uint64_t SizeInCounters() const override {
     return summary_.SizeInCounters();
@@ -472,8 +437,7 @@ class ShardedCountMinEntry : public SketchEntry {
     const CountMinSketch& view = Materialize();
     PointValueResponse response;
     response.estimate = view.Estimate(item);
-    response.error_bound = kEuler / static_cast<double>(view.width()) *
-                           static_cast<double>(l1_mass_);
+    response.error_bound = L1Bound(view, l1_mass_);
     response.bound_kind = BoundKind::kL1;
     return response;
   }
@@ -481,45 +445,14 @@ class ShardedCountMinEntry : public SketchEntry {
   void PointQueryBatch(const std::vector<uint64_t>& items,
                        std::vector<PointValueResponse>* out) override {
     const CountMinSketch& view = Materialize();
-    std::vector<int64_t> estimates(items.size());
-    view.EstimateBatch(items.data(), items.size(), estimates.data());
-    PointValueResponse value;
-    value.error_bound = kEuler / static_cast<double>(view.width()) *
-                        static_cast<double>(l1_mass_);
-    value.bound_kind = BoundKind::kL1;
-    out->reserve(items.size());
-    for (int64_t estimate : estimates) {
-      value.estimate = estimate;
-      out->push_back(value);
-    }
-  }
-
-  bool HeavyHitters(double, std::vector<uint64_t>*,
-                    ErrorResponse* error) override {
-    error->code = ErrorCode::kUnsupported;
-    error->message = "flat CountMin cannot enumerate items; use a "
-                     "StreamSummary sketch";
-    return false;
+    EstimateBatchWithBound(view, items, L1Bound(view, l1_mass_),
+                           BoundKind::kL1, out);
   }
 
   bool InnerProduct(SketchEntry& other, int64_t* result,
                     ErrorResponse* error) override {
-    const CountMinSketch& lhs = Materialize();
-    const CountMinSketch* rhs = other.AsCountMin();
-    if (rhs == nullptr) {
-      error->code = ErrorCode::kUnsupported;
-      error->message = "inner product requires two CountMin sketches";
-      return false;
-    }
-    if (rhs->width() != lhs.width() || rhs->depth() != lhs.depth() ||
-        rhs->seed() != lhs.seed() ||
-        rhs->width_mode() != lhs.width_mode()) {
-      error->code = ErrorCode::kGeometryMismatch;
-      error->message = "inner product requires identical geometry and seed";
-      return false;
-    }
-    *result = lhs.EstimateInnerProduct(*rhs);
-    return true;
+    return CheckedInnerProduct(Materialize(), other.AsCountMin(), result,
+                               error);
   }
 
   std::vector<uint8_t> Snapshot() override { return Materialize().Serialize(); }
@@ -598,6 +531,36 @@ bool ChargeTables(uint64_t width, uint64_t depth, uint64_t tables,
   return true;
 }
 
+/// The served-sketch budget, one rule for a create's requested geometry
+/// and a restore's decoded one: `tables` width x depth tables of `Sketch`
+/// rows, hashers included, within kMaxSketchCounters words.
+template <typename Sketch>
+bool TablesFit(uint64_t width, uint64_t depth, uint64_t tables) {
+  uint64_t words = 0;
+  return ChargeTables(width, depth, tables, RowOverheadWords<Sketch>(),
+                      &words);
+}
+
+/// The budget of a whole StreamSummary: log_universe dyadic levels plus
+/// the verifier and AMS tables (both at depth | 1).
+bool SummaryFits(const StreamSummary::Options& options) {
+  uint64_t words = 0;
+  const auto levels = static_cast<uint64_t>(options.log_universe);
+  return ChargeTables(options.width, options.depth, levels,
+                      RowOverheadWords<CountMinSketch>(), &words) &&
+         ChargeTables(options.verify_width, options.depth | 1, 1,
+                      RowOverheadWords<CountSketch>(), &words) &&
+         ChargeTables(options.width, options.depth | 1, 1,
+                      RowOverheadWords<AmsSketch>(), &words);
+}
+
+/// The budget of a Bloom filter: its bit array within kMaxSketchCounters
+/// words, and 1 to 1024 hash functions.
+bool BloomFits(uint64_t num_bits, uint64_t num_hashes) {
+  return num_bits >= 1 && num_bits <= kMaxSketchCounters * 64 &&
+         num_hashes >= 1 && num_hashes <= 1024;
+}
+
 /// Parses a width-mode request word (0 = division, 1 = pow2; anything else
 /// is bad geometry). On success, *width is replaced by the width the
 /// sketch will actually have — rounded up for pow2 — so the table-budget
@@ -659,7 +622,7 @@ std::string PeekSketchName(const Frame& frame) {
 
 /// Trace id of the request currently being dispatched on this thread
 /// (0 = untraced). Plumbed thread-locally so the lock/kernel spans deep
-/// inside WithEntry* need no signature changes across every handler.
+/// inside WithEntryShared need no signature changes across every handler.
 thread_local uint64_t tls_trace_id = 0;
 
 /// Sets tls_trace_id for the scope of one request dispatch.
@@ -672,12 +635,10 @@ class ScopedRequestTraceId {
 };
 
 /// Times an entry-lock acquisition for traced requests: construct before
-/// the lock, call Locked() immediately after. Untraced requests pay one
-/// thread-local load and no clock reads.
+/// the lock, call Locked() immediately after. Untraced requests (id 0)
+/// read no clock.
 class TracedLockTimer {
  public:
-  TracedLockTimer()
-      : id_(tls_trace_id), start_ns_(id_ != 0 ? MonotonicNowNs() : 0) {}
   explicit TracedLockTimer(uint64_t id)
       : id_(id), start_ns_(id != 0 ? MonotonicNowNs() : 0) {}
 
@@ -693,25 +654,13 @@ class TracedLockTimer {
   const uint64_t start_ns_;
 };
 
-/// Runs a handler body, bracketing it with a server.kernel span when the
-/// current request is traced.
-template <typename Fn, typename Entry>
-std::vector<uint8_t> RunKernel(Fn&& fn, Entry& entry) {
-  const uint64_t id = tls_trace_id;
-  if (id == 0) return fn(entry);
+/// Runs `fn()`, bracketed with a server.kernel span when request `id` is
+/// traced.
+template <typename Fn>
+auto RunKernel(uint64_t id, Fn&& fn) {
+  if (id == 0) return fn();
   SKETCH_TRACE_SPAN_ID("server.kernel", id);
-  return fn(entry);
-}
-
-/// Ingest bracketed with a server.kernel span when the request is traced
-/// (the coalesced-run path, where the id rides on the request, not tls).
-bool TracedIngest(internal::SketchEntry& entry, const IngestRequest& request,
-                  ErrorResponse* error) {
-  if (request.trace_id != 0) {
-    SKETCH_TRACE_SPAN_ID("server.kernel", request.trace_id);
-    return entry.Ingest(UpdateSpan(request.updates), error);
-  }
-  return entry.Ingest(UpdateSpan(request.updates), error);
+  return fn();
 }
 
 /// Per-opcode request-latency histograms (log2 buckets): one registry
@@ -739,7 +688,60 @@ std::string OpcodeLatencyMetric(Opcode opcode) {
          (request ? OpcodeName(opcode) : "Unknown");
 }
 
+namespace internal {
+
+bool SketchEntry::HeavyHitters(double, std::vector<uint64_t>*,
+                               ErrorResponse* error) {
+  error->code = ErrorCode::kUnsupported;
+  error->message = std::string(SketchTypeName(type())) +
+                   " cannot enumerate items; use a StreamSummary sketch";
+  return false;
+}
+
+bool SketchEntry::InnerProduct(SketchEntry&, int64_t*, ErrorResponse* error) {
+  error->code = ErrorCode::kUnsupported;
+  error->message = std::string(SketchTypeName(type())) +
+                   " does not support inner products";
+  return false;
+}
+
+}  // namespace internal
+
 std::vector<uint8_t> SketchService::HandleFrame(const Frame& frame) {
+  std::vector<std::vector<uint8_t>> responses;
+  HandleFrames(std::span<const Frame>(&frame, 1), &responses);
+  return std::move(responses.front());
+}
+
+void SketchService::HandleFrames(std::span<const Frame> frames,
+                                 std::vector<std::vector<uint8_t>>* responses) {
+  responses->reserve(responses->size() + frames.size());
+  std::size_t i = 0;
+  while (i < frames.size()) {
+    // Collect the longest run of consecutive, well-formed ingest frames
+    // addressing the same sketch; the run shares one registry lookup and
+    // one exclusive entry lock.
+    const std::size_t begin = i;
+    std::vector<IngestRequest> run;
+    while (i < frames.size() && frames[i].opcode == Opcode::kIngest) {
+      IngestRequest request;
+      if (!DecodeIngest(frames[i], &request) ||
+          (!run.empty() && request.name != run.front().name)) {
+        break;
+      }
+      run.push_back(std::move(request));
+      ++i;
+    }
+    if (run.empty()) {
+      responses->push_back(ServeFrame(frames[i]));
+      ++i;
+    } else {
+      ApplyIngestRun(frames.subspan(begin, run.size()), run, responses);
+    }
+  }
+}
+
+std::vector<uint8_t> SketchService::ServeFrame(const Frame& frame) {
   // The dispatch span of a traced request's life (decode and write live
   // in the transport layers); tagged with the wire trace id when present.
   SKETCH_TRACE_SPAN_ID("server.handle_frame", frame.trace_id);
@@ -747,13 +749,16 @@ std::vector<uint8_t> SketchService::HandleFrame(const Frame& frame) {
   const ScopedRequestTraceId scoped_id(frame.trace_id);
   const uint64_t start_ns = MonotonicNowNs();
   std::vector<uint8_t> response = DispatchFrame(frame);
-  const uint64_t latency_ns = MonotonicNowNs() - start_ns;
+  RecordRequest(frame, MonotonicNowNs() - start_ns);
+  return response;
+}
+
+void SketchService::RecordRequest(const Frame& frame, uint64_t latency_ns) {
   OpcodeLatency(frame.opcode).Record(latency_ns);
-  if (slow_log_.enabled() && slow_log_.WouldRecord(frame.opcode, latency_ns)) {
+  if (slow_log_.WouldRecord(frame.opcode, latency_ns)) {
     slow_log_.Record(frame.opcode, latency_ns, PeekSketchName(frame),
                      frame.payload.size(), frame.trace_id);
   }
-  return response;
 }
 
 std::vector<uint8_t> SketchService::DispatchFrame(const Frame& frame) {
@@ -772,8 +777,6 @@ std::vector<uint8_t> SketchService::DispatchFrame(const Frame& frame) {
       return frame.opcode == Opcode::kDropSketch ? HandleDrop(request)
                                                  : HandleSnapshot(request);
     }
-    case Opcode::kIngest:
-      return HandleIngest(frame);
     case Opcode::kPointQuery:
       return HandlePointQuery(frame);
     case Opcode::kPointQueryBatch:
@@ -799,44 +802,16 @@ std::vector<uint8_t> SketchService::DispatchFrame(const Frame& frame) {
     default:
       break;
   }
+  // An ingest frame reaches here only when HandleFrames could not decode
+  // it; well-formed ones run in ApplyIngestRun.
+  if (frame.opcode == Opcode::kIngest) return MalformedPayload(frame.opcode);
   return MakeError(ErrorCode::kUnknownOpcode,
                    std::string("unknown or non-request opcode ") +
                        OpcodeName(frame.opcode));
 }
 
-void SketchService::HandleFrames(const std::vector<Frame>& frames,
-                                 std::vector<std::vector<uint8_t>>* responses) {
-  responses->reserve(responses->size() + frames.size());
-  std::size_t i = 0;
-  while (i < frames.size()) {
-    if (frames[i].opcode != Opcode::kIngest) {
-      responses->push_back(HandleFrame(frames[i]));
-      ++i;
-      continue;
-    }
-    // Collect the longest run of consecutive, well-formed ingest frames
-    // addressing the same sketch; the run shares one registry lookup and
-    // one exclusive entry lock.
-    std::vector<IngestRequest> run;
-    while (i < frames.size() && frames[i].opcode == Opcode::kIngest) {
-      IngestRequest request;
-      if (!DecodeIngest(frames[i], &request)) {
-        if (run.empty()) {
-          responses->push_back(MalformedPayload(frames[i].opcode));
-          ++i;
-        }
-        break;
-      }
-      if (!run.empty() && request.name != run.front().name) break;
-      run.push_back(std::move(request));
-      ++i;
-    }
-    if (!run.empty()) ApplyIngestRun(run, responses);
-  }
-}
-
 void SketchService::ApplyIngestRun(
-    const std::vector<IngestRequest>& run,
+    std::span<const Frame> frames, const std::vector<IngestRequest>& run,
     std::vector<std::vector<uint8_t>>* responses) {
   // The run span carries the first traced request's id so a sampled
   // ingest's Perfetto view shows the coalesced batch it rode in.
@@ -860,12 +835,14 @@ void SketchService::ApplyIngestRun(
   const TracedLockTimer timer(run_trace_id);
   WriterMutexLock lock(handle->mutex);
   timer.Locked();
-  const bool slow_log_on = slow_log_.enabled();
-  telemetry::Histogram& latency = OpcodeLatency(Opcode::kIngest);
-  for (const IngestRequest& request : run) {
+  internal::SketchEntry& entry = *handle->entry;
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const IngestRequest& request = run[i];
     const uint64_t start_ns = MonotonicNowNs();
     ErrorResponse error;
-    const bool ok = TracedIngest(*handle->entry, request, &error);
+    const bool ok = RunKernel(request.trace_id, [&] {
+      return entry.Ingest(UpdateSpan(request.updates), &error);
+    });
     if (!ok) {
       responses->push_back(EncodeError(error));
     } else {
@@ -874,16 +851,7 @@ void SketchService::ApplyIngestRun(
       ack.accepted = request.updates.size();
       responses->push_back(EncodeIngestAck(ack));
     }
-    const uint64_t latency_ns = MonotonicNowNs() - start_ns;
-    latency.Record(latency_ns);
-    if (slow_log_on && slow_log_.WouldRecord(Opcode::kIngest, latency_ns)) {
-      // Reconstruct the wire payload size the coalescing path no longer
-      // has: u16 name length + name + u32 count + 16 bytes per update.
-      const std::size_t payload_bytes =
-          2 + request.name.size() + 4 + 16 * request.updates.size();
-      slow_log_.Record(Opcode::kIngest, latency_ns, request.name,
-                       payload_bytes, request.trace_id);
-    }
+    RecordRequest(frames[i], MonotonicNowNs() - start_ns);
   }
 }
 
@@ -925,21 +893,11 @@ std::vector<uint8_t> SketchService::WithEntryShared(const std::string& name,
                                                     Fn&& fn) {
   const std::shared_ptr<internal::EntryHandle> handle = FindHandle(name);
   if (handle == nullptr) return NoSuchSketch(name);
-  const TracedLockTimer timer;
+  const TracedLockTimer timer(tls_trace_id);
   ReaderMutexLock lock(handle->mutex);
   timer.Locked();
-  return RunKernel(fn, *handle->entry);
-}
-
-template <typename Fn>
-std::vector<uint8_t> SketchService::WithEntryExclusive(const std::string& name,
-                                                       Fn&& fn) {
-  const std::shared_ptr<internal::EntryHandle> handle = FindHandle(name);
-  if (handle == nullptr) return NoSuchSketch(name);
-  const TracedLockTimer timer;
-  WriterMutexLock lock(handle->mutex);
-  timer.Locked();
-  return RunKernel(fn, *handle->entry);
+  internal::SketchEntry& entry = *handle->entry;
+  return RunKernel(tls_trace_id, [&] { return fn(entry); });
 }
 
 bool SketchService::InsertEntry(const std::string& name,
@@ -954,14 +912,12 @@ bool SketchService::InsertEntry(const std::string& name,
 std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
     const CreateSketchRequest& request, ErrorResponse* error) {
   const auto& p = request.params;
-  uint64_t words = 0;  // create cost, charged against kMaxSketchCounters
   switch (request.type) {
     case SketchType::kCountMin: {
       uint64_t width = p[0];
       WidthMode mode = WidthMode::kDivision;
       if (!ParseWidthMode(p[3], &width, &mode) ||
-          !ChargeTables(width, p[1], 1, RowOverheadWords<CountMinSketch>(),
-                        &words)) {
+          !TablesFit<CountMinSketch>(width, p[1], 1)) {
         break;
       }
       return std::make_unique<CountMinEntry>(
@@ -971,8 +927,7 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
       uint64_t width = p[0];
       WidthMode mode = WidthMode::kDivision;
       if (!ParseWidthMode(p[3], &width, &mode) ||
-          !ChargeTables(width, p[1], 1, RowOverheadWords<CountSketch>(),
-                        &words)) {
+          !TablesFit<CountSketch>(width, p[1], 1)) {
         break;
       }
       return std::make_unique<CountSketchEntry>(
@@ -980,35 +935,23 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
     }
     case SketchType::kBloom: {
       uint64_t num_bits = p[0];
-      const uint64_t num_hashes = p[1];
       WidthMode mode = WidthMode::kDivision;
-      if (!ParseWidthMode(p[3], &num_bits, &mode) || num_bits < 1 ||
-          num_bits > kMaxSketchCounters * 64 || num_hashes < 1 ||
-          num_hashes > 1024) {
+      if (!ParseWidthMode(p[3], &num_bits, &mode) ||
+          !BloomFits(num_bits, p[1])) {
         break;
       }
       return std::make_unique<BloomEntry>(
-          BloomFilter(p[0], static_cast<int>(num_hashes), p[2], mode));
+          BloomFilter(p[0], static_cast<int>(p[1]), p[2], mode));
     }
     case SketchType::kStreamSummary: {
+      if (p[0] < 1 || p[0] > 40) break;
       StreamSummary::Options options;
-      const uint64_t log_universe = p[0];
-      if (log_universe < 1 || log_universe > 40) break;
-      options.log_universe = static_cast<int>(log_universe);
+      options.log_universe = static_cast<int>(p[0]);
       options.width = p[1];
       options.depth = p[2];
       options.verify_width = p[3];
       options.seed = p[4];
-      // Budget the whole composite: log_universe dyadic levels plus the
-      // verifier and AMS tables (both at depth | 1).
-      if (!ChargeTables(options.width, options.depth, log_universe,
-                        RowOverheadWords<CountMinSketch>(), &words) ||
-          !ChargeTables(options.verify_width, options.depth | 1, 1,
-                        RowOverheadWords<CountSketch>(), &words) ||
-          !ChargeTables(options.width, options.depth | 1, 1,
-                        RowOverheadWords<AmsSketch>(), &words)) {
-        break;
-      }
+      if (!SummaryFits(options)) break;
       return std::make_unique<SummaryEntry>(StreamSummary(options));
     }
     case SketchType::kShardedCountMin: {
@@ -1019,8 +962,7 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
       // base and the materialized view.
       if (!ParseWidthMode(p[4], &width, &mode) || num_shards < 1 ||
           num_shards > 256 ||
-          !ChargeTables(width, p[1], num_shards + 2,
-                        RowOverheadWords<CountMinSketch>(), &words)) {
+          !TablesFit<CountMinSketch>(width, p[1], num_shards + 2)) {
         break;
       }
       const CountMinSketch prototype(p[0], p[1], p[2], mode);
@@ -1038,44 +980,53 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
 std::unique_ptr<internal::SketchEntry> SketchService::BuildEntryFromBlob(
     SketchType type, std::span<const uint8_t> blob, std::string* error) {
   // The decode allocates no more counters than the blob carries (and
-  // kMaxFramePayloadBytes bounds the blob); the served-sketch budget is
-  // then checked on what was decoded.
-  const auto within_budget = [error](uint64_t counters) {
-    if (counters <= kMaxSketchCounters) return true;
-    *error = "geometry exceeds counter budget";
-    return false;
-  };
+  // kMaxFramePayloadBytes bounds the blob); the decoded geometry is then
+  // charged as a create of it would be, before the entry is built.
   switch (type) {
     case SketchType::kCountMin: {
       std::optional<CountMinSketch> sketch =
           CountMinSketch::TryDeserialize(blob, error);
-      if (!sketch || !within_budget(sketch->SizeInCounters())) break;
+      if (!sketch) return nullptr;
+      if (!TablesFit<CountMinSketch>(sketch->width(), sketch->depth(), 1)) {
+        break;
+      }
       return std::make_unique<CountMinEntry>(std::move(*sketch));
     }
     case SketchType::kCountSketch: {
       std::optional<CountSketch> sketch =
           CountSketch::TryDeserialize(blob, error);
-      if (!sketch || !within_budget(sketch->SizeInCounters())) break;
+      if (!sketch) return nullptr;
+      if (!TablesFit<CountSketch>(sketch->width(), sketch->depth(), 1)) break;
       return std::make_unique<CountSketchEntry>(std::move(*sketch));
     }
     case SketchType::kBloom: {
       std::optional<BloomFilter> filter =
           BloomFilter::TryDeserialize(blob, error);
-      if (!filter || !within_budget((filter->num_bits() + 63) / 64)) break;
+      if (!filter) return nullptr;
+      if (!BloomFits(filter->num_bits(),
+                     static_cast<uint64_t>(filter->num_hashes()))) {
+        break;
+      }
       return std::make_unique<BloomEntry>(std::move(*filter));
     }
     case SketchType::kStreamSummary: {
       std::optional<StreamSummary> summary =
           StreamSummary::TryDeserialize(blob, error);
-      if (!summary || !within_budget(summary->SizeInCounters())) break;
+      if (!summary) return nullptr;
+      if (!SummaryFits(summary->options())) break;
       return std::make_unique<SummaryEntry>(std::move(*summary));
     }
     case SketchType::kShardedCountMin: {
-      // A sharded snapshot is the collapsed CountMin state; the budget
-      // applies to it, as to a create's geometry.
+      // A sharded snapshot is the collapsed CountMin state; the entry
+      // built from it holds default_shards replicas of that geometry plus
+      // the restored base and the materialized view.
       std::optional<CountMinSketch> base =
           CountMinSketch::TryDeserialize(blob, error);
-      if (!base || !within_budget(base->SizeInCounters())) break;
+      if (!base) return nullptr;
+      if (!TablesFit<CountMinSketch>(base->width(), base->depth(),
+                                     options_.default_shards + 2)) {
+        break;
+      }
       // base->width() is already rounded when the blob is pow2, so the
       // prototype's own rounding is the identity — shards and the restored
       // base stay merge-compatible.
@@ -1087,7 +1038,9 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntryFromBlob(
     }
     default:
       *error = "unknown sketch type";
+      return nullptr;
   }
+  *error = "geometry exceeds counter budget";
   return nullptr;
 }
 
@@ -1124,22 +1077,6 @@ std::vector<uint8_t> SketchService::HandleDrop(const NamedRequest& request) {
     return NoSuchSketch(request.name);
   }
   return EncodeOk();
-}
-
-std::vector<uint8_t> SketchService::HandleIngest(const Frame& frame) {
-  SKETCH_TRACE_SPAN("server.ingest");
-  IngestRequest request;
-  if (!DecodeIngest(frame, &request)) return MalformedPayload(frame.opcode);
-  return WithEntryExclusive(request.name, [&](internal::SketchEntry& entry) {
-    ErrorResponse error;
-    if (!entry.Ingest(UpdateSpan(request.updates), &error)) {
-      return EncodeError(error);
-    }
-    SKETCH_COUNTER_ADD("server.updates_ingested", request.updates.size());
-    IngestAckResponse ack;
-    ack.accepted = request.updates.size();
-    return EncodeIngestAck(ack);
-  });
 }
 
 std::vector<uint8_t> SketchService::HandlePointQuery(const Frame& frame) {
@@ -1255,38 +1192,19 @@ std::vector<uint8_t> SketchService::HandleRestore(const Frame& frame) {
   return EncodeOk();
 }
 
-namespace {
-
-/// Snapshot of the registry in name order (a std::map per stripe keeps
-/// each stripe sorted; merging into one map restores the global order the
-/// pre-striping server reported). Only one stripe mutex is held at a
-/// time, and no entry lock is held while gathering.
-using HandleMap =
-    std::map<std::string, std::shared_ptr<internal::EntryHandle>>;
-
-}  // namespace
-
 std::vector<uint8_t> SketchService::HandleList() {
-  HandleMap handles;
-  for (const RegistryStripe& stripe : stripes_) {
-    MutexLock lock(stripe.mutex);
-    handles.insert(stripe.entries.begin(), stripe.entries.end());
-  }
   std::ostringstream out;
   out << "[";
   bool first = true;
-  for (const auto& [name, handle] : handles) {
+  ForEachSketch([&](const std::string& name,
+                    const internal::SketchEntry& entry) {
     if (!first) out << ",";
     first = false;
-    const auto describe = [&out, &name](internal::SketchEntry& entry) {
-      out << "{\"name\":\"" << EscapeJson(name) << "\",\"type\":\""
-          << SketchTypeName(entry.type()) << "\",\"counters\":"
-          << entry.SizeInCounters() << ",\"updates\":"
-          << entry.updates_applied() << "}";
-    };
-    ReaderMutexLock lock(handle->mutex);
-    describe(*handle->entry);
-  }
+    out << "{\"name\":\"" << EscapeJson(name) << "\",\"type\":\""
+        << SketchTypeName(entry.type()) << "\",\"counters\":"
+        << entry.SizeInCounters() << ",\"updates\":"
+        << entry.updates_applied() << "}";
+  });
   out << "]";
   TextResponse response;
   response.text = out.str();
@@ -1302,27 +1220,19 @@ std::vector<uint8_t> SketchService::HandleStatsz() {
 std::string SketchService::StatszJson() {
   // /statsz: registry summary, registered pull-gauges, the slow-query
   // log, and the process-wide metric registry, one JSON object.
-  HandleMap handles;
-  for (const RegistryStripe& stripe : stripes_) {
-    MutexLock lock(stripe.mutex);
-    handles.insert(stripe.entries.begin(), stripe.entries.end());
-  }
   std::ostringstream out;
   out << "{\"sketches\":[";
   bool first = true;
-  for (const auto& [name, handle] : handles) {
+  ForEachSketch([&](const std::string& name,
+                    const internal::SketchEntry& entry) {
     if (!first) out << ",";
     first = false;
-    const auto describe = [&out, &name](internal::SketchEntry& entry) {
-      out << "{\"name\":\"" << EscapeJson(name) << "\",\"type\":\""
-          << SketchTypeName(entry.type()) << "\",\"counters\":"
-          << entry.SizeInCounters() << ",\"memory_bytes\":"
-          << entry.MemoryFootprintBytes() << ",\"updates\":"
-          << entry.updates_applied() << "}";
-    };
-    ReaderMutexLock lock(handle->mutex);
-    describe(*handle->entry);
-  }
+    out << "{\"name\":\"" << EscapeJson(name) << "\",\"type\":\""
+        << SketchTypeName(entry.type()) << "\",\"counters\":"
+        << entry.SizeInCounters() << ",\"memory_bytes\":"
+        << entry.MemoryFootprintBytes() << ",\"updates\":"
+        << entry.updates_applied() << "}";
+  });
   out << "],\"gauges\":{";
   {
     MutexLock lock(gauges_mutex_);
@@ -1341,11 +1251,12 @@ std::string SketchService::StatszJson() {
 void SketchService::ForEachSketch(
     const std::function<void(const std::string&,
                              const internal::SketchEntry&)>& fn) const {
-  // Gather handles stripe by stripe (stripe mutex only), then visit each
-  // entry under its own shared lock — never a stripe mutex and an entry
-  // lock together, and only one entry lock at a time, so this walk can
-  // never participate in a lock cycle with request handling.
-  HandleMap handles;
+  // Gather handles stripe by stripe (stripe mutex only) into one map, so
+  // the walk is in global name order, then visit each entry under its own
+  // shared lock — never a stripe mutex and an entry lock together, and
+  // only one entry lock at a time, so this walk can never participate in
+  // a lock cycle with request handling.
+  std::map<std::string, std::shared_ptr<internal::EntryHandle>> handles;
   for (const RegistryStripe& stripe : stripes_) {
     MutexLock lock(stripe.mutex);
     handles.insert(stripe.entries.begin(), stripe.entries.end());

@@ -27,9 +27,12 @@
 /// The sketch-as-a-service registry: named sketches, batched ingest,
 /// point / heavy-hitter / inner-product queries, snapshot/restore, and
 /// introspection — everything the daemon does between a decoded request
-/// frame and an encoded response frame. Transport-free by design: the
-/// epoll event loop, the in-process service tests, and the fuzz harness
-/// all drive the same HandleFrame/HandleFrames entry points.
+/// frame and an encoded response frame. Transport-free by design, with
+/// one dispatch path: the epoll event loop hands every run of queued
+/// frames to HandleFrames, and the in-process tests and the fuzz harness
+/// reach the same path through HandleFrame, a run of one frame. An ingest
+/// frame is always applied as part of an ingest run, alone or coalesced
+/// with its same-sketch neighbours.
 ///
 /// Concurrency model (see DESIGN.md "Server"): the registry is striped by
 /// name hash — create/drop take only their stripe's mutex — and every
@@ -48,8 +51,9 @@ namespace internal {
 /// One named sketch in the registry. Subclasses adapt each sketch family
 /// to the uniform request surface; operations a family cannot support
 /// (heavy hitters on a flat Count-Min, inner product on a Bloom filter)
-/// return an error response instead of being absent from the vtable, so
-/// the protocol surface is total.
+/// return a kUnsupported error instead of being absent from the vtable,
+/// so the protocol surface is total. The base answers HeavyHitters and
+/// InnerProduct that way; a family overrides only what it supports.
 ///
 /// Locking contract: Ingest is only called under the owning handle's
 /// exclusive lock; every other method may be called under a shared lock
@@ -84,10 +88,10 @@ class SketchEntry {
   }
 
   virtual bool HeavyHitters(double phi, std::vector<uint64_t>* out,
-                            ErrorResponse* error) = 0;
+                            ErrorResponse* error);
 
   virtual bool InnerProduct(SketchEntry& other, int64_t* result,
-                            ErrorResponse* error) = 0;
+                            ErrorResponse* error);
 
   virtual std::vector<uint8_t> Snapshot() = 0;
 
@@ -125,13 +129,13 @@ struct EntryHandle {
 
 }  // namespace internal
 
-/// The registry + request dispatcher. Thread-safe: HandleFrame and
-/// HandleFrames may be called concurrently from any number of connection
-/// or event-loop threads. Queries serialize only against ingest on the
-/// same entry, never against each other (ShardedSketch still requires
-/// externally serialized *Ingest* calls, which the per-entry exclusive
-/// lock provides; parallelism lives inside an ingest, across the shard
-/// replicas, and across entries/queries).
+/// The registry + request dispatcher. Thread-safe: HandleFrames may be
+/// called concurrently from any number of event-loop threads. Queries
+/// serialize only against ingest on the same entry, never against each
+/// other (ShardedSketch still requires externally serialized *Ingest*
+/// calls, which the per-entry exclusive lock provides; parallelism lives
+/// inside an ingest, across the shard replicas, and across
+/// entries/queries).
 class SketchService {
  public:
   struct Options {
@@ -147,18 +151,19 @@ class SketchService {
   explicit SketchService(const Options& options)
       : options_(options), slow_log_(options.slow_query_log_size) {}
 
-  /// Dispatches one decoded request frame and returns the encoded
-  /// response frame. Never aborts on malformed payloads: every validation
-  /// failure becomes a kError response.
-  std::vector<uint8_t> HandleFrame(const Frame& frame);
-
   /// Dispatches a run of frames that were already queued on one
-  /// connection, appending one response per frame, in order. Consecutive
-  /// kIngest frames for the same sketch are applied under a single
-  /// registry lookup + exclusive entry lock (the per-connection dispatch
-  /// batching of E26); every other frame goes through HandleFrame.
-  void HandleFrames(const std::vector<Frame>& frames,
+  /// connection, appending one response per frame, in order. This is the
+  /// service's one dispatcher. Consecutive well-formed kIngest frames for
+  /// the same sketch form an ingest run, applied under a single registry
+  /// lookup + exclusive entry lock (the per-connection dispatch batching
+  /// of E26); a lone ingest frame is a run of one. Never aborts on
+  /// malformed payloads: every validation failure becomes a kError
+  /// response.
+  void HandleFrames(std::span<const Frame> frames,
                     std::vector<std::vector<uint8_t>>* responses);
+
+  /// HandleFrames over the one frame `frame`; returns its response.
+  std::vector<uint8_t> HandleFrame(const Frame& frame);
 
   /// True once a kShutdown request has been handled.
   bool shutdown_requested() const {
@@ -200,11 +205,17 @@ class SketchService {
         SKETCH_GUARDED_BY(mutex);
   };
 
+  /// Serves one frame that is not part of an ingest run (every opcode but
+  /// a well-formed kIngest), timed and recorded by RecordRequest.
+  std::vector<uint8_t> ServeFrame(const Frame& frame);
   std::vector<uint8_t> DispatchFrame(const Frame& frame);
+
+  /// Records one served request: its opcode latency histogram sample and,
+  /// if it is among the slowest, its slow-query log entry.
+  void RecordRequest(const Frame& frame, uint64_t latency_ns);
 
   std::vector<uint8_t> HandleCreate(const Frame& frame);
   std::vector<uint8_t> HandleDrop(const NamedRequest& request);
-  std::vector<uint8_t> HandleIngest(const Frame& frame);
   std::vector<uint8_t> HandlePointQuery(const Frame& frame);
   std::vector<uint8_t> HandlePointQueryBatch(const Frame& frame);
   std::vector<uint8_t> HandleHeavyHitters(const Frame& frame);
@@ -215,10 +226,11 @@ class SketchService {
   std::vector<uint8_t> HandleStatsz();
   std::vector<uint8_t> HandleTraceDump();
 
-  /// Applies a run of already-decoded ingest requests for one sketch
-  /// under a single exclusive entry lock, appending one ack/error per
-  /// request.
-  void ApplyIngestRun(const std::vector<IngestRequest>& run,
+  /// Applies a run of ingest requests for one sketch under a single
+  /// exclusive entry lock, appending one ack/error per request. `run[i]`
+  /// is the decoded payload of `frames[i]`.
+  void ApplyIngestRun(std::span<const Frame> frames,
+                      const std::vector<IngestRequest>& run,
                       std::vector<std::vector<uint8_t>>* responses);
 
   const RegistryStripe& StripeFor(const std::string& name) const;
@@ -234,11 +246,6 @@ class SketchService {
   template <typename Fn>
   std::vector<uint8_t> WithEntryShared(const std::string& name, Fn&& fn);
 
-  /// Runs `fn(entry)` under the entry's exclusive lock; NoSuchSketch if
-  /// absent.
-  template <typename Fn>
-  std::vector<uint8_t> WithEntryExclusive(const std::string& name, Fn&& fn);
-
   /// Inserts `entry` under `name`; false if the name is already taken
   /// (entry is destroyed in that case).
   bool InsertEntry(const std::string& name,
@@ -250,7 +257,8 @@ class SketchService {
       const CreateSketchRequest& request, ErrorResponse* error);
 
   /// Builds an entry from an untrusted snapshot blob; nullptr + *error if
-  /// the blob does not decode as `type` or exceeds kMaxSketchCounters.
+  /// the blob does not decode as `type` or its geometry fails the budget
+  /// BuildEntry charges a create with.
   std::unique_ptr<internal::SketchEntry> BuildEntryFromBlob(
       SketchType type, std::span<const uint8_t> blob, std::string* error);
 

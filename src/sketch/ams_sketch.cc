@@ -6,6 +6,7 @@
 #include "common/byte_buffer.h"
 #include "common/check.h"
 #include "common/prng.h"
+#include "common/wrapping.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
@@ -33,8 +34,9 @@ void AmsSketch::Update(const StreamUpdate& update) {
   ops_.AddUpdates(1);
   for (uint64_t j = 0; j < depth_; ++j) {
     const uint64_t b = bucket_rows_[j].BucketOne(update.item, width_div_);
-    counters_[j * width_ + b] +=
-        sign_rows_[j].SignOne(update.item) * update.delta;
+    counters_[j * width_ + b] =
+        WrapAdd(counters_[j * width_ + b],
+                WrapMul(sign_rows_[j].SignOne(update.item), update.delta));
   }
 }
 
@@ -70,7 +72,8 @@ void AmsSketch::ApplyBatch(UpdateSpan updates) {
         if (i + kPrefetchAhead < n) {
           __builtin_prefetch(row + buckets[i + kPrefetchAhead], 1, 1);
         }
-        row[buckets[i]] += signs[i] * block[i].delta;
+        row[buckets[i]] =
+            WrapAdd(row[buckets[i]], WrapMul(signs[i], block[i].delta));
       }
     }
   }
@@ -98,7 +101,7 @@ void AmsSketch::Merge(const AmsSketch& other) {
   SKETCH_COUNTER_INC("sketch.ams.merges");
   ops_.AddMerge(other.ops_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "common/byte_buffer.h"
 #include "common/check.h"
 #include "common/prng.h"
+#include "common/wrapping.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
@@ -54,8 +55,9 @@ CountMinSketch CountMinSketch::FromErrorBounds(double eps, double delta,
 void CountMinSketch::Update(const StreamUpdate& update) {
   ops_.AddUpdates(1);
   for (uint64_t j = 0; j < depth_; ++j) {
-    counters_[j * width_ + rows_[j].BucketOne(update.item, width_div_)] +=
-        update.delta;
+    int64_t& counter =
+        counters_[j * width_ + rows_[j].BucketOne(update.item, width_div_)];
+    counter = WrapAdd(counter, update.delta);
   }
 }
 
@@ -96,7 +98,7 @@ void CountMinSketch::ApplyBatch(UpdateSpan updates) {
         if (i + kPrefetchAhead < n) {
           __builtin_prefetch(row + buckets[i + kPrefetchAhead], 1, 1);
         }
-        row[buckets[i]] += block[i].delta;
+        row[buckets[i]] = WrapAdd(row[buckets[i]], block[i].delta);
       }
     }
   }
@@ -175,8 +177,9 @@ int64_t CountMinSketch::EstimateInnerProduct(
   for (uint64_t j = 0; j < depth_; ++j) {
     int64_t row_product = 0;
     for (uint64_t b = 0; b < width_; ++b) {
-      row_product += counters_[j * width_ + b] *
-                     other.counters_[j * width_ + b];
+      row_product =
+          WrapAdd(row_product, WrapMul(counters_[j * width_ + b],
+                                       other.counters_[j * width_ + b]));
     }
     best = (j == 0) ? row_product : std::min(best, row_product);
   }
@@ -191,7 +194,7 @@ void CountMinSketch::Merge(const CountMinSketch& other) {
   SKETCH_COUNTER_INC("sketch.count_min.merges");
   ops_.AddMerge(other.ops_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "common/byte_buffer.h"
 #include "common/check.h"
 #include "common/prng.h"
+#include "common/wrapping.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
@@ -56,8 +57,9 @@ void CountSketch::Update(const StreamUpdate& update) {
   ops_.AddUpdates(1);
   for (uint64_t j = 0; j < depth_; ++j) {
     const uint64_t b = bucket_rows_[j].BucketOne(update.item, width_div_);
-    counters_[j * width_ + b] +=
-        sign_rows_[j].SignOne(update.item) * update.delta;
+    counters_[j * width_ + b] =
+        WrapAdd(counters_[j * width_ + b],
+                WrapMul(sign_rows_[j].SignOne(update.item), update.delta));
   }
 }
 
@@ -98,7 +100,8 @@ void CountSketch::ApplyBatch(UpdateSpan updates) {
         if (i + kPrefetchAhead < n) {
           __builtin_prefetch(row + buckets[i + kPrefetchAhead], 1, 1);
         }
-        row[buckets[i]] += signs[i] * block[i].delta;
+        row[buckets[i]] =
+            WrapAdd(row[buckets[i]], WrapMul(signs[i], block[i].delta));
       }
     }
   }
@@ -106,7 +109,7 @@ void CountSketch::ApplyBatch(UpdateSpan updates) {
 
 int64_t CountSketch::EstimateRow(uint64_t row, uint64_t item) const {
   const uint64_t b = bucket_rows_[row].BucketOne(item, width_div_);
-  return sign_rows_[row].SignOne(item) * counters_[row * width_ + b];
+  return WrapMul(sign_rows_[row].SignOne(item), counters_[row * width_ + b]);
 }
 
 namespace {
@@ -164,7 +167,7 @@ void CountSketch::EstimateBatch(const uint64_t* items, std::size_t n,
       const int64_t* row = counters_.data() + j * width_;
       int64_t* pane_row = pane.data() + j * kBlock;
       for (std::size_t i = 0; i < block_n; ++i) {
-        pane_row[i] = signs[i] * row[buckets[i]];
+        pane_row[i] = WrapMul(signs[i], row[buckets[i]]);
       }
     }
     for (std::size_t i = 0; i < block_n; ++i) {
@@ -185,7 +188,8 @@ int64_t CountSketch::EstimateInnerProduct(const CountSketch& other) const {
   for (uint64_t j = 0; j < depth_; ++j) {
     int64_t acc = 0;
     for (uint64_t b = 0; b < width_; ++b) {
-      acc += counters_[j * width_ + b] * other.counters_[j * width_ + b];
+      acc = WrapAdd(acc, WrapMul(counters_[j * width_ + b],
+                                 other.counters_[j * width_ + b]));
     }
     row_products[j] = acc;
   }
@@ -202,7 +206,7 @@ void CountSketch::Merge(const CountSketch& other) {
   SKETCH_COUNTER_INC("sketch.count_sketch.merges");
   ops_.AddMerge(other.ops_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 

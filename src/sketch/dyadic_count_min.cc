@@ -6,6 +6,7 @@
 #include "common/byte_buffer.h"
 #include "common/check.h"
 #include "common/prng.h"
+#include "common/wrapping.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
@@ -31,7 +32,7 @@ DyadicCountMin::DyadicCountMin(int log_universe, uint64_t width,
 
 void DyadicCountMin::Update(const StreamUpdate& update) {
   SKETCH_DCHECK(update.item < (1ULL << log_universe_));
-  total_ += update.delta;
+  total_ = WrapAdd(total_, update.delta);
   for (int l = 1; l <= log_universe_; ++l) {
     const uint64_t prefix = update.item >> (log_universe_ - l);
     levels_[l - 1].Update({prefix, update.delta});
@@ -58,7 +59,7 @@ void DyadicCountMin::ApplyBatch(UpdateSpan updates) {
     const StreamUpdate* block = updates.data() + start;
     for (std::size_t i = 0; i < n; ++i) {
       SKETCH_DCHECK(block[i].item < (1ULL << log_universe_));
-      total_ += block[i].delta;
+      total_ = WrapAdd(total_, block[i].delta);
     }
     for (int l = 1; l <= log_universe_; ++l) {
       const int shift = log_universe_ - l;
@@ -155,7 +156,7 @@ void DyadicCountMin::Merge(const DyadicCountMin& other) {
   for (size_t l = 0; l < levels_.size(); ++l) {
     levels_[l].Merge(other.levels_[l]);  // checks width/depth/seed
   }
-  total_ += other.total_;
+  total_ = WrapAdd(total_, other.total_);
 }
 
 uint64_t DyadicCountMin::SizeInCounters() const {

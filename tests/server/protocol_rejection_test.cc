@@ -583,28 +583,78 @@ ErrorResponse RestoreExpectingError(SketchService* service, SketchType type,
   return HandleExpectingError(service, EncodeRestore(request));
 }
 
-TEST(BlobCheckTest, RejectsCounterBudgetOverrun) {
-  // 1024 x 512 is exactly kMaxSketchCounters; one more row is refused
-  // after the decode, with the budget named in the message.
-  SketchService service({});
-  RestoreRequest at_budget;
-  at_budget.name = "at-budget";
-  at_budget.type = SketchType::kCountMin;
-  at_budget.blob = CountMinSketch(1024, 512, 9).Serialize();
+/// True when restoring `blob` as `type` under `name` succeeds.
+bool Restores(SketchService* service, const std::string& name,
+              SketchType type, std::vector<uint8_t> blob) {
+  RestoreRequest request;
+  request.name = name;
+  request.type = type;
+  request.blob = std::move(blob);
+  const std::vector<uint8_t> bytes = EncodeRestore(request);
   FrameDecoder decoder;
-  const std::vector<uint8_t> restore = EncodeRestore(at_budget);
-  decoder.Feed(restore.data(), restore.size());
+  decoder.Feed(bytes.data(), bytes.size());
   Frame frame;
-  ASSERT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
-  ASSERT_EQ(service.HandleFrame(frame), EncodeOk());
+  EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
+  return service->HandleFrame(frame) == EncodeOk();
+}
 
-  const ErrorResponse error = RestoreExpectingError(
-      &service, SketchType::kCountMin,
-      CountMinSketch(1024, 513, 9).Serialize());
+/// Expects restoring `blob` as `type` to be refused for the budget.
+void ExpectOverBudget(SketchService* service, SketchType type,
+                      std::vector<uint8_t> blob) {
+  const ErrorResponse error =
+      RestoreExpectingError(service, type, std::move(blob));
   EXPECT_EQ(error.code, ErrorCode::kBadBlob);
   EXPECT_NE(error.message.find("counter budget"), std::string::npos)
       << error.message;
+}
+
+TEST(BlobCheckTest, RejectsCounterBudgetOverrun) {
+  // A restore is charged by the create rule: the deepest width-1024
+  // CountMin a create accepts restores; one more row is refused after the
+  // decode, with the budget named in the message.
+  SketchService service({});
+  const uint64_t depth =
+      kMaxSketchCounters / (1024 + RowWords<CountMinSketch>());
+  ASSERT_EQ(CreateCode(&service, "created", SketchType::kCountMin,
+                       {1024, depth, 9, 0, 0}),
+            ErrorCode::kNone);
+  ASSERT_EQ(CreateCode(&service, "deeper", SketchType::kCountMin,
+                       {1024, depth + 1, 9, 0, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_TRUE(Restores(&service, "at-budget", SketchType::kCountMin,
+                       CountMinSketch(1024, depth, 9).Serialize()));
+  ExpectOverBudget(&service, SketchType::kCountMin,
+                   CountMinSketch(1024, depth + 1, 9).Serialize());
+  EXPECT_EQ(service.sketch_count(), 2u);
+}
+
+TEST(BlobCheckTest, RejectsDeepNarrowBlob) {
+  // One more width-1 row than a create accepts: its counters fit the
+  // budget many times over, its per-row hashers do not.
+  SketchService service({});
+  const uint64_t depth = kMaxSketchCounters / (1 + RowWords<CountMinSketch>());
+  EXPECT_TRUE(Restores(&service, "at-budget", SketchType::kCountMin,
+                       CountMinSketch(1, depth, 9).Serialize()));
+  ExpectOverBudget(&service, SketchType::kCountMin,
+                   CountMinSketch(1, depth + 1, 9).Serialize());
   EXPECT_EQ(service.sketch_count(), 1u);
+}
+
+TEST(BlobCheckTest, ChargesShardedRestoreForEveryTable) {
+  // A kShardedCountMin restore holds default_shards replicas plus the
+  // restored base and the materialized view, each of the blob's geometry.
+  SketchService service({});
+  const uint64_t tables = SketchService::Options{}.default_shards + 2;
+  const uint64_t depth =
+      kMaxSketchCounters / (tables * (1024 + RowWords<CountMinSketch>()));
+  const std::vector<uint8_t> deeper =
+      CountMinSketch(1024, depth + 1, 9).Serialize();
+  EXPECT_TRUE(Restores(&service, "sharded", SketchType::kShardedCountMin,
+                       CountMinSketch(1024, depth, 9).Serialize()));
+  ExpectOverBudget(&service, SketchType::kShardedCountMin, deeper);
+  // The same blob is one table as a flat CountMin.
+  EXPECT_TRUE(Restores(&service, "flat", SketchType::kCountMin, deeper));
+  EXPECT_EQ(service.sketch_count(), 2u);
 }
 
 TEST(BlobCheckTest, RejectsNonWordLength) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,18 +20,24 @@
 #include "server/protocol.h"
 #include "sketch/count_min.h"
 #include "stream/update.h"
+#include "telemetry/metric_registry.h"
 
 namespace sketch::server {
 namespace {
 
-/// Round-trips `request_bytes` through the service and returns the
-/// decoded response frame.
-Frame Handle(SketchService* service, const std::vector<uint8_t>& bytes) {
+/// Decodes one encoded frame.
+Frame DecodeOne(const std::vector<uint8_t>& bytes) {
   FrameDecoder decoder;
   decoder.Feed(bytes.data(), bytes.size());
   Frame frame;
   EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
-  const std::vector<uint8_t> response = service->HandleFrame(frame);
+  return frame;
+}
+
+/// Round-trips `request_bytes` through the service and returns the
+/// decoded response frame.
+Frame Handle(SketchService* service, const std::vector<uint8_t>& bytes) {
+  const std::vector<uint8_t> response = service->HandleFrame(DecodeOne(bytes));
   FrameDecoder response_decoder;
   response_decoder.Feed(response.data(), response.size());
   Frame response_frame;
@@ -374,6 +381,203 @@ TEST(SketchServiceTest, PingAndShutdown) {
   EXPECT_FALSE(service.shutdown_requested());
   ExpectOk(&service, EncodeShutdown());
   EXPECT_TRUE(service.shutdown_requested());
+}
+
+TEST(SketchServiceTest, ShardedRestoreWrapsCountersLikeReplay) {
+  // A client-restored base with a counter at INT64_MAX is merged into the
+  // collapsed shards on every query; +1 and INT64_MIN deltas push counters
+  // past the int64_t range. Counter arithmetic wraps mod 2^64, so the
+  // served answers and snapshot equal a sequential replay.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  CountMinSketch replay(1024, 2, 3);
+  replay.Update({1, kMax});
+  const std::vector<uint8_t> blob = replay.Serialize();
+  const std::vector<StreamUpdate> updates = {{1, 1}, {2, kMin}, {1, kMin}};
+  replay.ApplyBatch(updates);
+
+  ThreadPool pool(2);
+  SketchService service({&pool, 2});
+  for (const SketchType type :
+       {SketchType::kCountMin, SketchType::kShardedCountMin}) {
+    const std::string name = SketchTypeName(type);
+    RestoreRequest restore;
+    restore.name = name;
+    restore.type = type;
+    restore.blob = blob;
+    ExpectOk(&service, EncodeRestore(restore));
+    EXPECT_EQ(Ingest(&service, name, updates), updates.size());
+    for (const uint64_t item : {1, 2, 3}) {
+      EXPECT_EQ(Query(&service, name, item).estimate, replay.Estimate(item))
+          << name << " item " << item;
+    }
+    const std::vector<PointValueResponse> batch =
+        QueryBatch(&service, name, {1, 2});
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(batch[0].estimate, replay.Estimate(1)) << name;
+    EXPECT_EQ(batch[1].estimate, replay.Estimate(2)) << name;
+    EXPECT_EQ(Snapshot(&service, name), replay.Serialize()) << name;
+  }
+}
+
+TEST(SketchServiceTest, LoneIngestIsARunOfOne) {
+  // A lone ingest frame served by HandleFrame and the same frame inside a
+  // HandleFrames run take one path: equal acks, equal state, one latency
+  // sample each, and a slow-log entry with the frame's payload size.
+  telemetry::MetricRegistry::Instance().ResetForTest();
+  const telemetry::Histogram& latency =
+      telemetry::MetricRegistry::Instance().GetHistogram(
+          OpcodeLatencyMetric(Opcode::kIngest));
+  const std::vector<StreamUpdate> updates = {{1, 3}, {2, -1}, {1, 4}};
+  const Frame ingest = DecodeOne(EncodeIngestSpan("s", UpdateSpan(updates)));
+
+  SketchService lone({});
+  SketchService in_run({});
+  for (SketchService* service : {&lone, &in_run}) {
+    Create(service, "s", SketchType::kCountMin, {256, 3, 5, 0, 0});
+  }
+  const std::vector<uint8_t> lone_ack = lone.HandleFrame(ingest);
+  EXPECT_EQ(latency.GetSnapshot().count, 1u);
+
+  const std::vector<Frame> run = {DecodeOne(EncodePing()), ingest,
+                                  DecodeOne(EncodePing())};
+  std::vector<std::vector<uint8_t>> responses;
+  in_run.HandleFrames(run, &responses);
+  ASSERT_EQ(responses.size(), run.size());
+  EXPECT_EQ(latency.GetSnapshot().count, 2u);
+  EXPECT_EQ(responses[1], lone_ack);
+  IngestAckResponse ack;
+  ASSERT_TRUE(DecodeIngestAck(DecodeOne(lone_ack), &ack));
+  EXPECT_EQ(ack.accepted, updates.size());
+  EXPECT_EQ(Snapshot(&lone, "s"), Snapshot(&in_run, "s"));
+
+  for (const SketchService* service : {&lone, &in_run}) {
+    std::vector<SlowQueryLog::Entry> ingests;
+    for (const SlowQueryLog::Entry& entry :
+         service->slow_query_log().SnapshotSorted()) {
+      if (entry.opcode == Opcode::kIngest) ingests.push_back(entry);
+    }
+    ASSERT_EQ(ingests.size(), 1u);
+    EXPECT_EQ(ingests[0].sketch_name, "s");
+    EXPECT_EQ(ingests[0].payload_bytes, ingest.payload.size());
+  }
+}
+
+// --- The entry surface: what each family answers or refuses ---------------
+
+struct FamilyCase {
+  SketchType type;
+  std::array<uint64_t, 5> params;
+  bool heavy_hitters;  // answers HeavyHitters
+  bool inner_product;  // answers an InnerProduct with itself
+};
+
+/// One case per SketchType.
+const FamilyCase kFamilies[] = {
+    {SketchType::kCountMin, {256, 3, 5, 0, 0}, false, true},
+    {SketchType::kCountSketch, {256, 3, 5, 0, 0}, false, true},
+    {SketchType::kBloom, {4096, 3, 5, 0, 0}, false, false},
+    {SketchType::kStreamSummary, {12, 256, 3, 512, 5}, true, false},
+    {SketchType::kShardedCountMin, {256, 3, 5, 2, 0}, false, true},
+};
+
+/// The error code of an error response; nullopt for any other response.
+std::optional<ErrorCode> ErrorOf(const Frame& response) {
+  ErrorResponse error;
+  if (!DecodeError(response, &error)) return std::nullopt;
+  return error.code;
+}
+
+std::optional<ErrorCode> InnerProductError(SketchService* service,
+                                           const std::string& left,
+                                           const std::string& right) {
+  InnerProductRequest request;
+  request.left = left;
+  request.right = right;
+  return ErrorOf(Handle(service, EncodeInnerProduct(request)));
+}
+
+TEST(ServiceEntrySurfaceTest, UnsupportedQueriesAreRefusedPerFamily) {
+  ThreadPool pool(2);
+  SketchService service({&pool, 2});
+  for (const FamilyCase& family : kFamilies) {
+    const std::string name = SketchTypeName(family.type);
+    SCOPED_TRACE(name);
+    Create(&service, name, family.type, family.params);
+    Ingest(&service, name, {{1, 5}, {2, 1}});
+
+    HeavyHittersRequest heavy;
+    heavy.name = name;
+    heavy.phi = 0.5;
+    const Frame hh = Handle(&service, EncodeHeavyHitters(heavy));
+    if (family.heavy_hitters) {
+      ItemsResponse items;
+      EXPECT_TRUE(DecodeItems(hh, &items));
+    } else {
+      EXPECT_EQ(ErrorOf(hh), ErrorCode::kUnsupported);
+    }
+
+    const std::optional<ErrorCode> ip = InnerProductError(&service, name, name);
+    if (family.inner_product) {
+      EXPECT_EQ(ip, std::nullopt);
+    } else {
+      EXPECT_EQ(ip, ErrorCode::kUnsupported);
+    }
+  }
+}
+
+TEST(ServiceEntrySurfaceTest, CrossFamilyInnerProductIsUnsupported) {
+  SketchService service({});
+  Create(&service, "cm", SketchType::kCountMin, {256, 3, 5, 0, 0});
+  Create(&service, "cs", SketchType::kCountSketch, {256, 3, 5, 0, 0});
+  EXPECT_EQ(InnerProductError(&service, "cm", "cs"), ErrorCode::kUnsupported);
+  EXPECT_EQ(InnerProductError(&service, "cs", "cm"), ErrorCode::kUnsupported);
+}
+
+TEST(ServiceEntrySurfaceTest, MismatchedGeometryIsRefusedForEveryCountMin) {
+  // Width, seed and width mode must each match: for flat and sharded
+  // CountMin alike, whichever side is sharded, and for CountSketch.
+  struct Table {
+    SketchType type;
+    std::array<uint64_t, 5> params;
+  };
+  using Make = Table (*)(uint64_t width, uint64_t seed, uint64_t mode);
+  const Make flat = [](uint64_t width, uint64_t seed, uint64_t mode) {
+    return Table{SketchType::kCountMin, {width, 3, seed, mode, 0}};
+  };
+  const Make sharded = [](uint64_t width, uint64_t seed, uint64_t mode) {
+    return Table{SketchType::kShardedCountMin, {width, 3, seed, 2, mode}};
+  };
+  const Make count_sketch = [](uint64_t width, uint64_t seed, uint64_t mode) {
+    return Table{SketchType::kCountSketch, {width, 3, seed, mode, 0}};
+  };
+  const std::vector<std::vector<Make>> families = {{flat, sharded},
+                                                   {count_sketch}};
+  for (const std::vector<Make>& family : families) {
+    for (const Make left : family) {
+      for (const Make right : family) {
+        SketchService service({});
+        const Table base = left(256, 5, 0);
+        Create(&service, "base", base.type, base.params);
+        const Table same = right(256, 5, 0);
+        Create(&service, "same", same.type, same.params);
+        EXPECT_EQ(InnerProductError(&service, "base", "same"), std::nullopt);
+        const Table mismatched[] = {right(512, 5, 0), right(256, 6, 0),
+                                    right(256, 5, 1)};
+        int index = 0;
+        for (const Table& table : mismatched) {
+          const std::string name = "mismatch-" + std::to_string(index++);
+          SCOPED_TRACE(std::string(SketchTypeName(base.type)) + " vs " +
+                       SketchTypeName(table.type) + " " + name);
+          Create(&service, name, table.type, table.params);
+          EXPECT_EQ(InnerProductError(&service, "base", name),
+                    ErrorCode::kGeometryMismatch);
+          EXPECT_EQ(InnerProductError(&service, name, "base"),
+                    ErrorCode::kGeometryMismatch);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

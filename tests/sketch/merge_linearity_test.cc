@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/prng.h"
@@ -160,6 +161,91 @@ TEST_P(MergeLinearityTest, StreamSummaryIdenticalAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeLinearityTest,
                          ::testing::Values(1, 7, 42, 1234567));
+
+// --- Counters past the int64_t range ---------------------------------------
+//
+// Counter values can come from a client (a restored snapshot, an ingested
+// delta), so counter arithmetic is modular: a merge or an update that
+// leaves the int64_t range wraps mod 2^64 instead of being undefined
+// behaviour, and the merged state still equals sequential replay.
+
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+
+// Item 7 reaches 2 * kMax + 1, which wraps to -1; item 9 carries kMin,
+// which a -1 sign maps to -kMin, which wraps to kMin.
+const std::vector<StreamUpdate> kLeftWrap = {{7, kMax}};
+const std::vector<StreamUpdate> kRightWrap = {{7, 1}, {7, kMax}, {9, kMin}};
+
+template <typename Sketch>
+void ExpectMergeWrapsLikeReplay(const Sketch& prototype) {
+  Sketch left = prototype;
+  Sketch right = prototype;
+  Sketch replay = prototype;
+  for (const StreamUpdate& u : kLeftWrap) left.Update(u);
+  right.ApplyBatch(kRightWrap);
+  for (const StreamUpdate& u : kLeftWrap) replay.Update(u);
+  for (const StreamUpdate& u : kRightWrap) replay.Update(u);
+  left.Merge(right);
+  EXPECT_EQ(left.Serialize(), replay.Serialize());
+  left.Merge(left);  // every counter doubled, most past the range
+  replay.Merge(replay);
+  EXPECT_EQ(left.Serialize(), replay.Serialize());
+}
+
+/// Each row's sum of squared counters, mod 2^64, computed in uint64_t and
+/// sorted: the self inner product's per-row terms.
+template <typename Sketch>
+std::vector<int64_t> SortedRowSelfProducts(const Sketch& sketch) {
+  std::vector<int64_t> rows;
+  for (uint64_t j = 0; j < sketch.depth(); ++j) {
+    uint64_t sum = 0;
+    for (uint64_t b = 0; b < sketch.width(); ++b) {
+      const auto c = static_cast<uint64_t>(sketch.CounterAt(j, b));
+      sum += c * c;
+    }
+    rows.push_back(static_cast<int64_t>(sum));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(MergeWrapTest, CountMinCountersWrapLikeReplay) {
+  CountMinSketch sketch(64, 4, 11);
+  ExpectMergeWrapsLikeReplay(sketch);
+  for (const StreamUpdate& u : kLeftWrap) sketch.Update(u);
+  sketch.ApplyBatch(kRightWrap);
+  EXPECT_LE(sketch.Estimate(7), -1);  // 2 * kMax + 1 wrapped
+  EXPECT_EQ(sketch.EstimateInnerProduct(sketch),
+            SortedRowSelfProducts(sketch).front());  // min over rows
+}
+
+TEST(MergeWrapTest, CountSketchCountersWrapLikeReplay) {
+  CountSketch sketch(64, 5, 11);
+  ExpectMergeWrapsLikeReplay(sketch);
+  for (const StreamUpdate& u : kLeftWrap) sketch.Update(u);
+  sketch.ApplyBatch(kRightWrap);
+  const std::vector<uint64_t> items = {7, 9};
+  std::vector<int64_t> batch(items.size());
+  sketch.EstimateBatch(items.data(), items.size(), batch.data());
+  EXPECT_EQ(batch[0], sketch.Estimate(7));
+  EXPECT_EQ(batch[1], sketch.Estimate(9));
+  EXPECT_EQ(sketch.EstimateInnerProduct(sketch),
+            SortedRowSelfProducts(sketch)[2]);  // median of 5 rows
+}
+
+TEST(MergeWrapTest, AmsCountersWrapLikeReplay) {
+  ExpectMergeWrapsLikeReplay(AmsSketch(64, 5, 11));
+}
+
+TEST(MergeWrapTest, DyadicTotalWrapsLikeReplay) {
+  DyadicCountMin sketch(10, 64, 4, 11);
+  ExpectMergeWrapsLikeReplay(sketch);
+  for (const StreamUpdate& u : kLeftWrap) sketch.Update(u);
+  sketch.ApplyBatch(kRightWrap);
+  // kMax + 1 + kMax + kMin, mod 2^64.
+  EXPECT_EQ(sketch.TotalCount(), kMax);
+}
 
 }  // namespace
 }  // namespace sketch
