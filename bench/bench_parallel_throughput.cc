@@ -8,7 +8,15 @@
 // with a single worker, so the speedup column isolates parallelism from
 // batching effects; a separate baseline row reports plain sequential
 // ApplyBatch on the calling thread.
+//
+// E29: the same fan-out at served frame sizes. One flat depth-4 Count-Min
+// against 4 shards on a 4-thread pool, fed the stream in frames of 4096,
+// 65536 and 262144 updates (one Ingest request each): ingest only, ingest
+// plus one point query per frame (the sharded table collapses and merges
+// its restored base before answering), and two writers with a table each
+// sharing the pool.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +29,7 @@
 #include "common/bench_reporter.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "common/wrapping.h"
 #include "parallel/sharded_sketch.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
@@ -107,6 +116,164 @@ void Sweep(const char* name, const std::vector<StreamUpdate>& stream,
   }
 }
 
+// --- E29: served frames -----------------------------------------------------
+
+constexpr uint64_t kServedUpdates = 1 << 20;  // per writer per run
+constexpr uint64_t kServedDepth = 4;
+constexpr std::size_t kServedShards = 4;
+constexpr int kServedPairs = 9;  // alternating flat/sharded runs
+
+/// A served kCountMin table: ingest and answer in place.
+struct FlatTable {
+  explicit FlatTable(const CountMinSketch& prototype) : sketch(prototype) {}
+  void Ingest(UpdateSpan frame) { sketch.ApplyBatch(frame); }
+  int64_t Query(uint64_t item) const { return sketch.Estimate(item); }
+  std::vector<uint8_t> Bytes() const { return sketch.Serialize(); }
+
+  CountMinSketch sketch;
+};
+
+/// A served sharded table: ingest fans out across the shards; a query
+/// answers from the shards collapsed with the (here empty) restored base.
+struct ShardedTable {
+  ShardedTable(const CountMinSketch& prototype, ThreadPool* pool)
+      : sharded(prototype, kServedShards, pool), base(prototype) {}
+  void Ingest(UpdateSpan frame) { sharded.Ingest(frame); }
+  int64_t Query(uint64_t item) const { return View().Estimate(item); }
+  std::vector<uint8_t> Bytes() const { return View().Serialize(); }
+  CountMinSketch View() const {
+    CountMinSketch view = sharded.Collapse();
+    view.Merge(base);
+    return view;
+  }
+
+  ShardedSketch<CountMinSketch> sharded;
+  CountMinSketch base;
+};
+
+struct ServedResult {
+  double seconds = 0;          // wall time of the run
+  std::vector<uint8_t> bytes;  // the first writer's final table
+  int64_t answers = 0;         // sum of every query answer, wrapping
+};
+
+/// Serves the first kServedUpdates of `stream` in frames of `frame_len`
+/// to `writers` fresh tables made by `make`, one writer thread each (the
+/// calling thread when there is one), with a point query after every
+/// frame when `query` is set.
+template <typename MakeFn>
+ServedResult Serve(const std::vector<StreamUpdate>& stream,
+                   std::size_t frame_len, int writers, bool query,
+                   MakeFn make) {
+  const UpdateSpan all(stream.data(), kServedUpdates);
+  std::vector<decltype(make())> tables;
+  for (int w = 0; w < writers; ++w) tables.push_back(make());
+  std::vector<int64_t> answers(static_cast<std::size_t>(writers), 0);
+  const auto write = [&](int w) {
+    auto& table = tables[static_cast<std::size_t>(w)];
+    for (std::size_t at = 0; at < all.size(); at += frame_len) {
+      const UpdateSpan frame = all.subspan(at, frame_len);
+      table.Ingest(frame);
+      if (query) {
+        int64_t& sum = answers[static_cast<std::size_t>(w)];
+        sum = WrapAdd(sum, table.Query(frame[0].item));
+      }
+    }
+  };
+  Timer timer;
+  if (writers == 1) {
+    write(0);
+  } else {
+    std::vector<std::thread> threads;
+    for (int w = 0; w < writers; ++w) threads.emplace_back(write, w);
+    for (std::thread& t : threads) t.join();
+  }
+  ServedResult result;
+  result.seconds = timer.ElapsedSeconds();
+  result.bytes = tables[0].Bytes();
+  for (const int64_t sum : answers) {
+    result.answers = WrapAdd(result.answers, sum);
+  }
+  return result;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+void ServedFrames(const std::vector<StreamUpdate>& stream,
+                  bench::BenchReporter* reporter) {
+  ThreadPool pool(kServedShards);
+  struct Shape {
+    const char* name;
+    int writers;
+    bool query;
+  };
+  const Shape shapes[] = {{"ingest", 1, false},
+                          {"ingest+query", 1, true},
+                          {"2-writers", 2, false}};
+  bench::Row("%-13s %7s %7s %12s %12s %10s %6s", "shape", "width", "frame",
+             "flat", "4-shard", "shard/flat", "exact");
+  for (const Shape& shape : shapes) {
+    for (const int log_width : {14, 16}) {
+      const CountMinSketch prototype(uint64_t{1} << log_width, kServedDepth,
+                                     kSeed);
+      for (const std::size_t frame_len : {4096, 65536, 262144}) {
+        // Flat and sharded runs alternate, the side that goes first
+        // switching each pair, so host drift lands on both; each side
+        // reports its median run.
+        const auto serve_flat = [&] {
+          return Serve(stream, frame_len, shape.writers, shape.query,
+                       [&] { return FlatTable(prototype); });
+        };
+        const auto serve_sharded = [&] {
+          return Serve(stream, frame_len, shape.writers, shape.query,
+                       [&] { return ShardedTable(prototype, &pool); });
+        };
+        std::vector<double> flat_s;
+        std::vector<double> sharded_s;
+        bool exact = true;
+        for (int pair = 0; pair < kServedPairs; ++pair) {
+          ServedResult flat;
+          ServedResult sharded;
+          if (pair % 2 == 0) {
+            flat = serve_flat();
+            sharded = serve_sharded();
+          } else {
+            sharded = serve_sharded();
+            flat = serve_flat();
+          }
+          flat_s.push_back(flat.seconds);
+          sharded_s.push_back(sharded.seconds);
+          exact = exact && flat.bytes == sharded.bytes &&
+                  flat.answers == sharded.answers;
+        }
+        const double flat_seconds = Median(flat_s);
+        const double sharded_seconds = Median(sharded_s);
+        // ns per update for ingest (wall time over every writer's
+        // updates); us per frame when each frame carries a query.
+        const double frames =
+            static_cast<double>(kServedUpdates / frame_len);
+        const double updates =
+            static_cast<double>(kServedUpdates) * shape.writers;
+        const double scale = shape.query ? 1e6 / frames : 1e9 / updates;
+        bench::Row("%-13s %5s%d %7zu %12.1f %12.1f %9.2fx %6s", shape.name,
+                   "2^", log_width, frame_len, flat_seconds * scale,
+                   sharded_seconds * scale, sharded_seconds / flat_seconds,
+                   exact ? "yes" : "NO");
+        const std::string key = "E29/" + std::string(shape.name) + "/w" +
+                                std::to_string(log_width) + "/f" +
+                                std::to_string(frame_len) + "/";
+        reporter->Add(key + "flat", updates / flat_seconds,
+                      flat_seconds * 1e9 / updates);
+        reporter->Add(key + "sharded", updates / sharded_seconds,
+                      sharded_seconds * 1e9 / updates);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sketch
 
@@ -142,6 +309,18 @@ int main(int argc, char** argv) {
   Sweep<BloomFilter>(
       "bloom", stream, [] { return BloomFilter(1 << 22, 5, kSeed); },
       [](const BloomFilter& s) { return s.Serialize(); }, &reporter);
+
+  bench::PrintHeader(
+      "E29 - served frames: flat vs. 4-shard Count-Min "
+      "(bench_parallel_throughput)",
+      "Hypothesis: at served frame sizes one flat Count-Min table beats "
+      "the 4-shard fan-out behind kShardedCountMin (a shard/flat ratio "
+      "below 1 refutes it for that row)",
+      "Zipf(1.1), 2^20 updates per writer, depth 4, 4 shards on a 4-thread "
+      "pool, median of 9 alternating runs; flat/4-shard columns in "
+      "ns/update (ingest, wall time for 2-writers) or us/frame "
+      "(ingest+query)");
+  ServedFrames(stream, &reporter);
 
   if (!out_path.empty() && !reporter.WriteSnapshot(out_path)) return 1;
   return 0;

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "common/wrapping.h"
 #include "parallel/sharded_sketch.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/telemetry.h"
@@ -37,11 +38,6 @@ std::vector<uint8_t> MalformedPayload(Opcode opcode) {
 std::vector<uint8_t> NoSuchSketch(const std::string& name) {
   return MakeError(ErrorCode::kNoSuchSketch,
                    "no sketch named '" + name + "'");
-}
-
-/// |v| as an unsigned magnitude, exact for every int64_t (INT64_MIN too).
-uint64_t Magnitude(int64_t v) {
-  return v < 0 ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
 }
 
 /// a + b clamped at UINT64_MAX. L1 masses sum words a client sends, so

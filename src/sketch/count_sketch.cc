@@ -115,7 +115,8 @@ int64_t CountSketch::EstimateRow(uint64_t row, uint64_t item) const {
 namespace {
 
 /// Median of `row_estimates` (destructively): the middle order statistic,
-/// or for even counts the average of the two middle order statistics.
+/// or for even counts the mean of the two middle order statistics,
+/// truncated toward zero and exact for every pair of int64_t values.
 /// Order statistics depend only on the multiset, so callers may fill the
 /// vector in any row order and still get a deterministic result.
 int64_t MedianOfRows(std::vector<int64_t>& row_estimates) {
@@ -126,7 +127,11 @@ int64_t MedianOfRows(std::vector<int64_t>& row_estimates) {
   // Even depth: average the two middle order statistics.
   const int64_t upper = *mid;
   const int64_t lower = *std::max_element(row_estimates.begin(), mid);
-  return (lower + upper) / 2;
+  int64_t sum = 0;
+  if (!__builtin_add_overflow(lower, upper, &sum)) return sum / 2;
+  // The sum overflowed, so both share a sign: halve each and add back the
+  // half of their remainders' sum, the exact mean truncated toward zero.
+  return lower / 2 + upper / 2 + (lower % 2 + upper % 2) / 2;
 }
 
 }  // namespace

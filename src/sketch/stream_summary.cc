@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/byte_buffer.h"
 #include "common/check.h"
+#include "common/wrapping.h"
 
 namespace sketch {
 
@@ -54,7 +54,7 @@ int64_t StreamSummary::EstimateCount(uint64_t item) const {
   const int64_t unbiased = verifier_.Estimate(item);
   // Count-Min bounds from above; when the unbiased estimate is smaller in
   // magnitude it is the better point estimate (typical under collisions).
-  return std::abs(unbiased) < std::abs(upper) ? unbiased : upper;
+  return Magnitude(unbiased) < Magnitude(upper) ? unbiased : upper;
 }
 
 std::vector<uint64_t> StreamSummary::HeavyHitters(double phi) const {

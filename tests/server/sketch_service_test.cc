@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -15,10 +16,12 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "common/wrapping.h"
 #include "fresh_bound.h"
 #include "gtest/gtest.h"
 #include "server/protocol.h"
 #include "sketch/count_min.h"
+#include "sketch/count_sketch.h"
 #include "stream/update.h"
 #include "telemetry/metric_registry.h"
 
@@ -418,6 +421,77 @@ TEST(SketchServiceTest, ShardedRestoreWrapsCountersLikeReplay) {
     EXPECT_EQ(batch[1].estimate, replay.Estimate(2)) << name;
     EXPECT_EQ(Snapshot(&service, name), replay.Serialize()) << name;
   }
+}
+
+/// A width-64 x depth-2 CountSketch blob whose two row estimates for item
+/// 1 are `rows[0]` and `rows[1]`: each row's counter is its sign times the
+/// wanted estimate, so sign * counter gives the estimate back.
+std::vector<uint8_t> TwoRowCountSketchBlob(const std::array<int64_t, 2>& rows) {
+  CountSketch probe(64, 2, 17);
+  probe.Update({1, 1});  // each row's counter becomes that row's sign
+  std::vector<uint8_t> blob = probe.Serialize();
+  const std::size_t header = blob.size() - 2 * 64 * sizeof(int64_t);
+  for (uint64_t row = 0; row < 2; ++row) {
+    for (uint64_t bucket = 0; bucket < 64; ++bucket) {
+      const int64_t sign = probe.CounterAt(row, bucket);
+      if (sign == 0) continue;
+      const auto counter = static_cast<uint64_t>(WrapMul(sign, rows[row]));
+      const std::size_t at = header + (row * 64 + bucket) * sizeof(int64_t);
+      for (std::size_t i = 0; i < sizeof(int64_t); ++i) {
+        blob[at + i] = static_cast<uint8_t>(counter >> (8 * i));
+      }
+    }
+  }
+  return blob;
+}
+
+TEST(SketchServiceTest, EvenDepthCountSketchMedianIsExact) {
+  // An even-depth median is the mean of the two middle rows, truncated
+  // toward zero. Rows near the int64_t limits must not overflow it: the
+  // served answer equals the mean taken in 128 bits, on the point and the
+  // batched query paths.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::array<int64_t, 2> pairs[] = {
+      {kMax, kMax}, {kMin, kMin},     {kMin, kMax},     {kMax, kMin},
+      {-3, 0},      {3, 0},           {-3, -4},         {5, 8},
+      {kMax, 1},    {kMin, -1},       {kMax - 1, kMax}, {kMin + 1, kMin},
+  };
+  SketchService service({});
+  int index = 0;
+  for (const std::array<int64_t, 2>& rows : pairs) {
+    const std::string name = "rows-" + std::to_string(index++);
+    SCOPED_TRACE(std::to_string(rows[0]) + ", " + std::to_string(rows[1]));
+    RestoreRequest restore;
+    restore.name = name;
+    restore.type = SketchType::kCountSketch;
+    restore.blob = TwoRowCountSketchBlob(rows);
+    ExpectOk(&service, EncodeRestore(restore));
+    const auto expected = static_cast<int64_t>(
+        (static_cast<__int128>(rows[0]) + rows[1]) / 2);
+    EXPECT_EQ(Query(&service, name, 1).estimate, expected);
+    for (const PointValueResponse& value : QueryBatch(&service, name, {1, 1})) {
+      EXPECT_EQ(value.estimate, expected);
+    }
+  }
+  // The same through ingest: a delta of INT64_MAX puts it in both rows.
+  Create(&service, "ingested", SketchType::kCountSketch, {64, 2, 17, 0, 0});
+  Ingest(&service, "ingested", {{1, kMax}});
+  EXPECT_EQ(Query(&service, "ingested", 1).estimate, kMax);
+  EXPECT_EQ(QueryBatch(&service, "ingested", {1}).at(0).estimate, kMax);
+}
+
+TEST(SketchServiceTest, StreamSummaryPointQueryOfInt64Min) {
+  // Both of a StreamSummary's estimates of an item ingested with
+  // INT64_MIN are INT64_MIN, whose magnitude no int64_t holds. The tie
+  // goes to the dyadic (upper) estimate, as for every other tie.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  SketchService service({});
+  Create(&service, "summary", SketchType::kStreamSummary,
+         {8, 256, 3, 512, 5});
+  Ingest(&service, "summary", {{1, kMin}});
+  EXPECT_EQ(Query(&service, "summary", 1).estimate, kMin);
+  EXPECT_EQ(QueryBatch(&service, "summary", {1}).at(0).estimate, kMin);
 }
 
 TEST(SketchServiceTest, LoneIngestIsARunOfOne) {

@@ -172,6 +172,27 @@ def server_frame_seeds(out):
     write(d, "conversation",
           wire_frame(0x02, create) + wire_frame(0x04, ingest) +
           wire_frame(0x05, query))
+    # Conversations whose deltas sit at the int64_t limits, each queried
+    # point-wise and batched: an even-depth CountSketch median of two
+    # INT64_MAX rows, a StreamSummary estimate of INT64_MIN, and a sharded
+    # CountMin fed both limits.
+    int64_max, int64_min = 2**63 - 1, -2**63
+    extremes = {
+        "count_sketch_depth2": (2, (64, 2, 7, 0, 0)),
+        "stream_summary": (4, (8, 64, 3, 128, 7)),
+        "sharded_count_min": (5, (64, 2, 7, 4, 0)),
+    }
+    for name, (sketch_type, params) in extremes.items():
+        sketch = wire_string("x")
+        write(d, "extreme_deltas_" + name,
+              wire_frame(0x02, sketch + bytes([sketch_type]) + u64(*params)) +
+              wire_frame(0x04, sketch + struct.pack("<I", 1) + u64(1) +
+                         i64(int64_max)) +
+              wire_frame(0x05, sketch + u64(1)) +
+              wire_frame(0x04, sketch + struct.pack("<I", 2) + u64(1) +
+                         i64(int64_min) + u64(2) + i64(int64_min)) +
+              wire_frame(0x05, sketch + u64(2)) +
+              wire_frame(0x0E, sketch + struct.pack("<I", 2) + u64(1, 2)))
     write(d, "ping", wire_frame(0x01))
     write(d, "snapshot_missing", wire_frame(0x08, wire_string("ghost")))
     write(d, "restore_tiny_blob",
