@@ -9,12 +9,13 @@
 // batching effects; a separate baseline row reports plain sequential
 // ApplyBatch on the calling thread.
 //
-// E29: the same fan-out at served frame sizes. One flat depth-4 Count-Min
-// against 4 shards on a 4-thread pool, fed the stream in frames of 4096,
-// 65536 and 262144 updates (one Ingest request each): ingest only, ingest
-// plus one point query per frame (the sharded table collapses and merges
-// its restored base before answering), and two writers with a table each
-// sharing the pool.
+// E29: the same fan-out at served frame sizes, which decides whether the
+// daemon should shard a kShardedCountMin sketch (it serves one flat table).
+// One flat depth-4 Count-Min against 4 shards on a 4-thread pool, fed the
+// stream in frames of 4096, 65536 and 262144 updates (one Ingest request
+// each): ingest only, ingest plus one point query per frame (the sharded
+// table collapses and merges a restored base before answering), and two
+// writers with a table each sharing the pool.
 
 #include <algorithm>
 #include <cinttypes>
@@ -133,8 +134,9 @@ struct FlatTable {
   CountMinSketch sketch;
 };
 
-/// A served sharded table: ingest fans out across the shards; a query
-/// answers from the shards collapsed with the (here empty) restored base.
+/// A sharded table as a served entry would hold one: ingest fans out
+/// across the shards; a query answers from the shards collapsed with the
+/// (here empty) restored base.
 struct ShardedTable {
   ShardedTable(const CountMinSketch& prototype, ThreadPool* pool)
       : sharded(prototype, kServedShards, pool), base(prototype) {}
@@ -314,8 +316,8 @@ int main(int argc, char** argv) {
       "E29 - served frames: flat vs. 4-shard Count-Min "
       "(bench_parallel_throughput)",
       "Hypothesis: at served frame sizes one flat Count-Min table beats "
-      "the 4-shard fan-out behind kShardedCountMin (a shard/flat ratio "
-      "below 1 refutes it for that row)",
+      "the 4-shard fan-out (a shard/flat ratio below 1 refutes it for "
+      "that row)",
       "Zipf(1.1), 2^20 updates per writer, depth 4, 4 shards on a 4-thread "
       "pool, median of 9 alternating runs; flat/4-shard columns in "
       "ns/update (ingest, wall time for 2-writers) or us/frame "

@@ -287,7 +287,8 @@ class FrameDecoder {
 /// or 1 (pow2: width/num_bits rounds up to the next power of two and the
 /// bucket reduction is a mask). Responses that report geometry or error
 /// bounds always reflect the *rounded* width. Any other value is
-/// kBadGeometry.
+/// kBadGeometry. `num_shards` must be 1 to 256; the server keeps one
+/// Count-Min table whatever its value (sharding is exact by linearity).
 struct CreateSketchRequest {
   std::string name;
   SketchType type = SketchType::kCountMin;

@@ -11,9 +11,7 @@ namespace sketch::server {
 
 SketchServer::SketchServer(const Options& options)
     : options_(options),
-      pool_(options.pool_threads),
-      service_(SketchService::Options{&pool_, options.default_shards,
-                                      options.slow_query_log_size}) {}
+      service_(SketchService::Options{options.slow_query_log_size}) {}
 
 SketchServer::~SketchServer() { Stop(); }
 

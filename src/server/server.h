@@ -5,7 +5,6 @@
 #include <string>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "server/event_loop.h"
 #include "server/health_monitor.h"
 #include "server/http_exposition.h"
@@ -26,10 +25,6 @@ class SketchServer {
     uint16_t tcp_port = 0;
     /// When non-empty, listen on this Unix-domain socket path instead.
     std::string unix_path;
-    /// Worker threads for the sharded-ingest fan-out pool.
-    std::size_t pool_threads = 4;
-    /// Shard replicas per kShardedCountMin sketch.
-    std::size_t default_shards = 4;
     /// Event-loop I/O threads (each multiplexes many connections).
     std::size_t io_threads = 2;
     /// Per-connection outbound backlog cap before a slow client is
@@ -86,7 +81,6 @@ class SketchServer {
   void AcceptLoop();
 
   Options options_;
-  ThreadPool pool_;
   SketchService service_;
   // Set in Start() before the accept thread is spawned and never
   // reassigned, so I/O threads may call listener_->Close() without a lock

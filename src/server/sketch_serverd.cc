@@ -2,8 +2,8 @@
 // and serves the sketchwire/1 protocol until a client sends Shutdown.
 //
 // Usage:
-//   sketch_serverd [--port=N] [--unix=PATH] [--pool-threads=N] [--shards=N]
-//                  [--http-port=N] [--health-period-ms=N] [--slow-log=N]
+//   sketch_serverd [--port=N] [--unix=PATH] [--http-port=N]
+//                  [--health-period-ms=N] [--slow-log=N]
 //
 // With --port=0 (the default) a free port is picked and printed, so
 // scripts can parse "listening on 127.0.0.1:PORT". --http-port enables
@@ -38,12 +38,6 @@ int main(int argc, char** argv) {
       options.tcp_port = static_cast<uint16_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(arg, "unix", &value)) {
       options.unix_path = value;
-    } else if (ParseFlag(arg, "pool-threads", &value)) {
-      options.pool_threads =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(arg, "shards", &value)) {
-      options.default_shards =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
     } else if (ParseFlag(arg, "http-port", &value)) {
       options.enable_http = true;
       options.http_port = static_cast<uint16_t>(std::atoi(value.c_str()));
@@ -55,9 +49,8 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atoll(value.c_str()));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--port=N] [--unix=PATH] [--pool-threads=N] "
-                   "[--shards=N] [--http-port=N] [--health-period-ms=N] "
-                   "[--slow-log=N]\n",
+                   "usage: %s [--port=N] [--unix=PATH] [--http-port=N] "
+                   "[--health-period-ms=N] [--slow-log=N]\n",
                    argv[0]);
       return 2;
     }

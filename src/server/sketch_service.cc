@@ -12,7 +12,6 @@
 
 #include "common/timer.h"
 #include "common/wrapping.h"
-#include "parallel/sharded_sketch.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -192,12 +191,18 @@ bool CheckedInnerProduct(const Sketch& lhs, const Sketch* rhs,
   return true;
 }
 
+/// A Count-Min table. It also serves kShardedCountMin: Count-Min is
+/// linear, so a stream split over shards collapses to the counters of one
+/// table fed the whole stream. The entry keeps the type it was created as
+/// for List and statsz, and answers and snapshots exactly as a kCountMin.
 class CountMinEntry : public SketchEntry {
  public:
-  explicit CountMinEntry(CountMinSketch sketch)
-      : sketch_(std::move(sketch)), l1_mass_(RowZeroL1(sketch_)) {}
+  CountMinEntry(CountMinSketch sketch, SketchType type)
+      : sketch_(std::move(sketch)),
+        type_(type),
+        l1_mass_(RowZeroL1(sketch_)) {}
 
-  SketchType type() const override { return SketchType::kCountMin; }
+  SketchType type() const override { return type_; }
 
   bool Ingest(UpdateSpan updates, ErrorResponse*) override {
     sketch_.ApplyBatch(updates);
@@ -235,6 +240,7 @@ class CountMinEntry : public SketchEntry {
 
  private:
   CountMinSketch sketch_;
+  SketchType type_;
   uint64_t l1_mass_;  // saturating, see SaturatingAdd
 };
 
@@ -396,104 +402,6 @@ class SummaryEntry : public SketchEntry {
 
   StreamSummary summary_;
   CachedScan f2_;
-};
-
-/// Sharded Count-Min: ingest fans out across `num_shards` replicas on the
-/// service pool; queries materialize the collapsed sketch lazily (cached
-/// until the next ingest dirties it). Restored state lives in `base_`,
-/// kept outside the replicas so a restore never multiplies counts.
-///
-/// Concurrency: queries run under the owning handle's *shared* lock, so
-/// the lazy materialization is serialized by an internal cache_mutex_.
-/// Ingest (exclusive lock) marks the cache dirty; the first query after
-/// an ingest rebuilds it and concurrent queries wait on cache_mutex_
-/// rather than each collapsing the shards.
-class ShardedCountMinEntry : public SketchEntry {
- public:
-  ShardedCountMinEntry(const CountMinSketch& prototype, CountMinSketch base,
-                       std::size_t num_shards, ThreadPool* pool)
-      : sharded_(prototype, num_shards, pool),
-        base_(std::move(base)),
-        cache_(prototype),
-        // Restored state arrives through base_ (zero for a fresh create).
-        l1_mass_(RowZeroL1(base_)) {}
-
-  SketchType type() const override { return SketchType::kShardedCountMin; }
-
-  bool Ingest(UpdateSpan updates, ErrorResponse*) override {
-    sharded_.Ingest(updates);
-    l1_mass_ = SaturatingAdd(l1_mass_, BatchL1(updates));
-    updates_applied_ += updates.size();
-    MutexLock lock(cache_mutex_);
-    dirty_ = true;
-    return true;
-  }
-
-  PointValueResponse PointQuery(uint64_t item) override {
-    const CountMinSketch& view = Materialize();
-    PointValueResponse response;
-    response.estimate = view.Estimate(item);
-    response.error_bound = L1Bound(view, l1_mass_);
-    response.bound_kind = BoundKind::kL1;
-    return response;
-  }
-
-  void PointQueryBatch(const std::vector<uint64_t>& items,
-                       std::vector<PointValueResponse>* out) override {
-    const CountMinSketch& view = Materialize();
-    EstimateBatchWithBound(view, items, L1Bound(view, l1_mass_),
-                           BoundKind::kL1, out);
-  }
-
-  bool InnerProduct(SketchEntry& other, int64_t* result,
-                    ErrorResponse* error) override {
-    return CheckedInnerProduct(Materialize(), other.AsCountMin(), result,
-                               error);
-  }
-
-  std::vector<uint8_t> Snapshot() override { return Materialize().Serialize(); }
-  const CountMinSketch* AsCountMin() override { return &Materialize(); }
-
-  uint64_t SizeInCounters() const override {
-    return base_.SizeInCounters() * (sharded_.num_shards() + 2);
-  }
-  uint64_t MemoryFootprintBytes() const override {
-    return sharded_.MemoryFootprintBytes() + base_.MemoryFootprintBytes() +
-           cache_.MemoryFootprintBytes();
-  }
-  StatsSnapshot Introspect() const override {
-    // Introspect the live shards plus the restored base, never the
-    // materialization cache (mutating it here would violate the
-    // shared-lock contract, and it is derived state anyway).
-    StatsSnapshot snapshot = sharded_.Introspect();
-    snapshot.children.push_back(base_.Introspect());
-    return snapshot;
-  }
-
- private:
-  const CountMinSketch& Materialize() {
-    MutexLock lock(cache_mutex_);
-    if (dirty_) {
-      cache_ = sharded_.Collapse();
-      cache_.Merge(base_);
-      dirty_ = false;
-    }
-    return cache_;
-  }
-
-  ShardedSketch<CountMinSketch> sharded_;
-  CountMinSketch base_;
-  mutable Mutex cache_mutex_;
-  // cache_ is written only inside cache_mutex_ (Materialize). It is
-  // deliberately *not* annotated GUARDED_BY: Materialize returns it by
-  // reference to callers that keep reading it after the mutex drops,
-  // which is safe because dirty_ can only become true again under the
-  // owning handle's exclusive lock — i.e. after every shared-lock reader
-  // has left. Annotating it would trip -Wthread-safety-reference on that
-  // (correct) return.
-  CountMinSketch cache_;
-  uint64_t l1_mass_;  // saturating, see SaturatingAdd
-  bool dirty_ SKETCH_GUARDED_BY(cache_mutex_) = true;
 };
 
 /// 8-byte words of state each row of a `Sketch` table carries beyond its
@@ -909,15 +817,21 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
     const CreateSketchRequest& request, ErrorResponse* error) {
   const auto& p = request.params;
   switch (request.type) {
-    case SketchType::kCountMin: {
+    case SketchType::kCountMin:
+    case SketchType::kShardedCountMin: {
+      // A sharded create names num_shards (1 to 256) before its mode word;
+      // the shards collapse to one table, so the count is checked and
+      // then not used.
+      const bool sharded = request.type == SketchType::kShardedCountMin;
       uint64_t width = p[0];
       WidthMode mode = WidthMode::kDivision;
-      if (!ParseWidthMode(p[3], &width, &mode) ||
+      if ((sharded && (p[3] < 1 || p[3] > 256)) ||
+          !ParseWidthMode(p[sharded ? 4 : 3], &width, &mode) ||
           !TablesFit<CountMinSketch>(width, p[1], 1)) {
         break;
       }
       return std::make_unique<CountMinEntry>(
-          CountMinSketch(p[0], p[1], p[2], mode));
+          CountMinSketch(p[0], p[1], p[2], mode), request.type);
     }
     case SketchType::kCountSketch: {
       uint64_t width = p[0];
@@ -950,22 +864,6 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntry(
       if (!SummaryFits(options)) break;
       return std::make_unique<SummaryEntry>(StreamSummary(options));
     }
-    case SketchType::kShardedCountMin: {
-      const uint64_t num_shards = p[3];
-      uint64_t width = p[0];
-      WidthMode mode = WidthMode::kDivision;
-      // Budget the whole composite: the shard replicas plus the restored
-      // base and the materialized view.
-      if (!ParseWidthMode(p[4], &width, &mode) || num_shards < 1 ||
-          num_shards > 256 ||
-          !TablesFit<CountMinSketch>(width, p[1], num_shards + 2)) {
-        break;
-      }
-      const CountMinSketch prototype(p[0], p[1], p[2], mode);
-      return std::make_unique<ShardedCountMinEntry>(
-          prototype, prototype, static_cast<std::size_t>(num_shards),
-          options_.pool);
-    }
   }
   error->code = ErrorCode::kBadGeometry;
   error->message = std::string("invalid parameters for sketch type ") +
@@ -979,14 +877,16 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntryFromBlob(
   // kMaxFramePayloadBytes bounds the blob); the decoded geometry is then
   // charged as a create of it would be, before the entry is built.
   switch (type) {
-    case SketchType::kCountMin: {
+    case SketchType::kCountMin:
+    case SketchType::kShardedCountMin: {
+      // A sharded snapshot is the collapsed CountMin table.
       std::optional<CountMinSketch> sketch =
           CountMinSketch::TryDeserialize(blob, error);
       if (!sketch) return nullptr;
       if (!TablesFit<CountMinSketch>(sketch->width(), sketch->depth(), 1)) {
         break;
       }
-      return std::make_unique<CountMinEntry>(std::move(*sketch));
+      return std::make_unique<CountMinEntry>(std::move(*sketch), type);
     }
     case SketchType::kCountSketch: {
       std::optional<CountSketch> sketch =
@@ -1011,26 +911,6 @@ std::unique_ptr<internal::SketchEntry> SketchService::BuildEntryFromBlob(
       if (!summary) return nullptr;
       if (!SummaryFits(summary->options())) break;
       return std::make_unique<SummaryEntry>(std::move(*summary));
-    }
-    case SketchType::kShardedCountMin: {
-      // A sharded snapshot is the collapsed CountMin state; the entry
-      // built from it holds default_shards replicas of that geometry plus
-      // the restored base and the materialized view.
-      std::optional<CountMinSketch> base =
-          CountMinSketch::TryDeserialize(blob, error);
-      if (!base) return nullptr;
-      if (!TablesFit<CountMinSketch>(base->width(), base->depth(),
-                                     options_.default_shards + 2)) {
-        break;
-      }
-      // base->width() is already rounded when the blob is pow2, so the
-      // prototype's own rounding is the identity — shards and the restored
-      // base stay merge-compatible.
-      const CountMinSketch prototype(base->width(), base->depth(),
-                                     base->seed(), base->width_mode());
-      return std::make_unique<ShardedCountMinEntry>(
-          prototype, std::move(*base), options_.default_shards,
-          options_.pool);
     }
     default:
       *error = "unknown sketch type";

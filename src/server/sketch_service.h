@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "server/protocol.h"
 #include "server/slow_query_log.h"
 #include "sketch/bloom_filter.h"
@@ -58,9 +57,8 @@ namespace internal {
 /// Locking contract: Ingest is only called under the owning handle's
 /// exclusive lock; every other method may be called under a shared lock
 /// from many threads at once, so it must not mutate state visible outside
-/// an internal mutex. Two kinds of derived state do so: the cached scans
-/// behind the CountSketch and StreamSummary F2 and the Bloom fill ratio,
-/// and ShardedCountMinEntry's materialization cache. Ingest invalidates
+/// an internal mutex. The cached scans behind the CountSketch and
+/// StreamSummary F2 and the Bloom fill ratio do so: Ingest invalidates
 /// them; the first reader after it refills them.
 class SketchEntry {
  public:
@@ -95,8 +93,7 @@ class SketchEntry {
 
   virtual std::vector<uint8_t> Snapshot() = 0;
 
-  /// Downcast hooks for inner products (a sharded entry materializes its
-  /// collapsed sketch).
+  /// Downcast hooks for inner products.
   virtual const CountMinSketch* AsCountMin() { return nullptr; }
   virtual const CountSketch* AsCountSketch() { return nullptr; }
 
@@ -132,24 +129,19 @@ struct EntryHandle {
 /// The registry + request dispatcher. Thread-safe: HandleFrames may be
 /// called concurrently from any number of event-loop threads. Queries
 /// serialize only against ingest on the same entry, never against each
-/// other (ShardedSketch still requires externally serialized *Ingest*
-/// calls, which the per-entry exclusive lock provides; parallelism lives
-/// inside an ingest, across the shard replicas, and across
-/// entries/queries).
+/// other; parallelism lives across entries and across queries. Every
+/// request runs on the calling thread: a kShardedCountMin sketch is one
+/// Count-Min table (see DESIGN.md "Server"), so no ingest fans out.
 class SketchService {
  public:
   struct Options {
-    /// Shard replicas for kShardedCountMin sketches; also the pool the
-    /// ingest fan-out runs on. A null pool runs shards inline.
-    ThreadPool* pool = nullptr;
-    std::size_t default_shards = 4;
     /// Slowest requests retained per opcode in the slow-query log
     /// (surfaced in /statsz and /tracez); 0 disables the log.
     std::size_t slow_query_log_size = 8;
   };
 
   explicit SketchService(const Options& options)
-      : options_(options), slow_log_(options.slow_query_log_size) {}
+      : slow_log_(options.slow_query_log_size) {}
 
   /// Dispatches a run of frames that were already queued on one
   /// connection, appending one response per frame, in order. This is the
@@ -262,7 +254,6 @@ class SketchService {
   std::unique_ptr<internal::SketchEntry> BuildEntryFromBlob(
       SketchType type, std::span<const uint8_t> blob, std::string* error);
 
-  Options options_;
   SlowQueryLog slow_log_;
   // Registry stripes: create/drop/lookup for a name only contend within
   // its hash stripe. Entry state is guarded by each EntryHandle's own

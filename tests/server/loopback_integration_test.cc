@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "loop_harness.h"
 #include "server/client.h"
@@ -105,8 +104,7 @@ const TypeCase kAllTypes[] = {
 };
 
 TEST(LoopbackIntegrationTest, AllFiveTypesRoundTripOverTheWire) {
-  ThreadPool pool(4);
-  LoopHarness server({&pool, 4});
+  LoopHarness server;
   const auto client = server.Connect();
   ASSERT_TRUE(client->Ping());
   for (const TypeCase& c : kAllTypes) RoundTrip(*client, c);

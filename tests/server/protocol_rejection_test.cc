@@ -317,21 +317,34 @@ TEST(ServiceRejectionTest, DeepNarrowCreateIsChargedForItsHashers) {
 }
 
 TEST(ServiceRejectionTest, ShardedCreateIsChargedForEveryTable) {
-  // A sharded create allocates num_shards replicas plus the restored base
-  // and the materialized view, each width x depth.
+  // A sharded create allocates one width x depth table, whatever its
+  // shard count, so it meets the flat CountMin boundary row for row.
   SketchService service({});
-  const uint64_t table = 4 * (1024 + RowWords<CountMinSketch>());
-  const uint64_t max_shards = kMaxSketchCounters / table - 2;
+  const uint64_t depth =
+      kMaxSketchCounters / (1024 + RowWords<CountMinSketch>());
+  for (const uint64_t shards : {1, 4, 256}) {
+    SCOPED_TRACE(shards);
+    EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
+                         {1024, depth + 1, 1, shards, 0}),
+              ErrorCode::kBadGeometry);
+    EXPECT_EQ(CreateCode(&service, "flat", SketchType::kCountMin,
+                         {1024, depth + 1, 1, 0, 0}),
+              ErrorCode::kBadGeometry);
+  }
   EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
-                       {1024, 4, 1, 256, 0}),
-            ErrorCode::kBadGeometry);
-  EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
-                       {1024, 4, 1, max_shards + 1, 0}),
-            ErrorCode::kBadGeometry);
-  EXPECT_EQ(CreateCode(&service, "sharded", SketchType::kShardedCountMin,
-                       {1024, 4, 1, max_shards, 0}),
+                       {1024, depth, 1, 256, 0}),
             ErrorCode::kNone);
-  EXPECT_EQ(service.sketch_count(), 1u);
+  EXPECT_EQ(CreateCode(&service, "flat", SketchType::kCountMin,
+                       {1024, depth, 1, 0, 0}),
+            ErrorCode::kNone);
+  // The shard count is still checked: 1 to 256.
+  for (const uint64_t shards : {0, 257}) {
+    EXPECT_EQ(CreateCode(&service, "bad-shards", SketchType::kShardedCountMin,
+                         {64, 2, 1, shards, 0}),
+              ErrorCode::kBadGeometry)
+        << shards;
+  }
+  EXPECT_EQ(service.sketch_count(), 2u);
 }
 
 TEST(ServiceRejectionTest, RestoreRejectsTruncatedBlob) {
@@ -641,19 +654,19 @@ TEST(BlobCheckTest, RejectsDeepNarrowBlob) {
 }
 
 TEST(BlobCheckTest, ChargesShardedRestoreForEveryTable) {
-  // A kShardedCountMin restore holds default_shards replicas plus the
-  // restored base and the materialized view, each of the blob's geometry.
+  // A kShardedCountMin restore is a CountMin restore: the same blob
+  // restores as both types, or is refused as both.
   SketchService service({});
-  const uint64_t tables = SketchService::Options{}.default_shards + 2;
   const uint64_t depth =
-      kMaxSketchCounters / (tables * (1024 + RowWords<CountMinSketch>()));
-  const std::vector<uint8_t> deeper =
-      CountMinSketch(1024, depth + 1, 9).Serialize();
-  EXPECT_TRUE(Restores(&service, "sharded", SketchType::kShardedCountMin,
-                       CountMinSketch(1024, depth, 9).Serialize()));
-  ExpectOverBudget(&service, SketchType::kShardedCountMin, deeper);
-  // The same blob is one table as a flat CountMin.
-  EXPECT_TRUE(Restores(&service, "flat", SketchType::kCountMin, deeper));
+      kMaxSketchCounters / (1024 + RowWords<CountMinSketch>());
+  for (const SketchType type :
+       {SketchType::kCountMin, SketchType::kShardedCountMin}) {
+    SCOPED_TRACE(SketchTypeName(type));
+    EXPECT_TRUE(Restores(&service, SketchTypeName(type), type,
+                         CountMinSketch(1024, depth, 9).Serialize()));
+    ExpectOverBudget(&service, type,
+                     CountMinSketch(1024, depth + 1, 9).Serialize());
+  }
   EXPECT_EQ(service.sketch_count(), 2u);
 }
 

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "fresh_bound.h"
 #include "gtest/gtest.h"
 #include "loop_harness.h"
@@ -160,8 +159,7 @@ TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplayCountMin) {
 }
 
 TEST(ServerStressTest, ConcurrentIngestMatchesSequentialReplaySharded) {
-  ThreadPool pool(4);
-  LoopHarness server({&pool, 4}, kIoThreads);
+  LoopHarness server({}, kIoThreads);
   const auto admin = server.Connect();
   ASSERT_TRUE(admin->CreateSketch("stress-sharded", SketchType::kShardedCountMin,
                                   {1024, 4, 77, 4, 0}));

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/wrapping.h"
 #include "fresh_bound.h"
 #include "gtest/gtest.h"
@@ -240,8 +239,7 @@ TEST(SketchServiceTest, StreamSummaryCachedBoundIsFreshScan) {
 }
 
 TEST(SketchServiceTest, ShardedCountMinMatchesPlainCountMin) {
-  ThreadPool pool(4);
-  SketchService service({&pool, 4});
+  SketchService service({});
   Create(&service, "plain", SketchType::kCountMin, {1024, 4, 99, 0, 0});
   Create(&service, "sharded", SketchType::kShardedCountMin,
          {1024, 4, 99, 4, 0});
@@ -291,8 +289,7 @@ TEST(SketchServiceTest, HostileL1MassSaturatesInsteadOfOverflowing) {
   uint64_t other = 2;
   while (hostile.Estimate(other) != 0) ++other;
 
-  ThreadPool pool(2);
-  SketchService service({&pool, 2});
+  SketchService service({});
   for (const SketchType type :
        {SketchType::kCountMin, SketchType::kShardedCountMin}) {
     const std::string name = SketchTypeName(type);
@@ -387,10 +384,10 @@ TEST(SketchServiceTest, PingAndShutdown) {
 }
 
 TEST(SketchServiceTest, ShardedRestoreWrapsCountersLikeReplay) {
-  // A client-restored base with a counter at INT64_MAX is merged into the
-  // collapsed shards on every query; +1 and INT64_MIN deltas push counters
-  // past the int64_t range. Counter arithmetic wraps mod 2^64, so the
-  // served answers and snapshot equal a sequential replay.
+  // A client-restored table with a counter at INT64_MAX takes +1 and
+  // INT64_MIN deltas that push counters past the int64_t range. Counter
+  // arithmetic wraps mod 2^64, so the served answers and snapshot equal a
+  // sequential replay, for a flat and a sharded CountMin alike.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   CountMinSketch replay(1024, 2, 3);
@@ -399,8 +396,7 @@ TEST(SketchServiceTest, ShardedRestoreWrapsCountersLikeReplay) {
   const std::vector<StreamUpdate> updates = {{1, 1}, {2, kMin}, {1, kMin}};
   replay.ApplyBatch(updates);
 
-  ThreadPool pool(2);
-  SketchService service({&pool, 2});
+  SketchService service({});
   for (const SketchType type :
        {SketchType::kCountMin, SketchType::kShardedCountMin}) {
     const std::string name = SketchTypeName(type);
@@ -572,8 +568,7 @@ std::optional<ErrorCode> InnerProductError(SketchService* service,
 }
 
 TEST(ServiceEntrySurfaceTest, UnsupportedQueriesAreRefusedPerFamily) {
-  ThreadPool pool(2);
-  SketchService service({&pool, 2});
+  SketchService service({});
   for (const FamilyCase& family : kFamilies) {
     const std::string name = SketchTypeName(family.type);
     SCOPED_TRACE(name);
@@ -652,6 +647,43 @@ TEST(ServiceEntrySurfaceTest, MismatchedGeometryIsRefusedForEveryCountMin) {
       }
     }
   }
+}
+
+/// The `{"name":"<name>",...}` object for `name` in a List or statsz body;
+/// empty if absent.
+std::string EntryJson(const std::string& body, const std::string& name) {
+  const std::size_t start = body.find("{\"name\":\"" + name + "\"");
+  if (start == std::string::npos) return "";
+  return body.substr(start, body.find('}', start) + 1 - start);
+}
+
+TEST(ServiceEntrySurfaceTest, ShardedEntryIsOneCountMinTableUnderItsOwnType) {
+  // A kShardedCountMin sketch reports its own type in List and statsz,
+  // and the counters and bytes of one same-geometry CountMin table.
+  SketchService service({});
+  Create(&service, "flat", SketchType::kCountMin, {2048, 4, 7, 0, 0});
+  Create(&service, "sharded", SketchType::kShardedCountMin,
+         {2048, 4, 7, 4, 0});
+  const std::vector<StreamUpdate> updates = {{1, 5}, {2, -3}, {9, 1}};
+  Ingest(&service, "flat", updates);
+  Ingest(&service, "sharded", updates);
+
+  TextResponse statsz;
+  ASSERT_TRUE(DecodeText(Handle(&service, EncodeStatsz()), &statsz));
+  const std::string sharded = EntryJson(statsz.text, "sharded");
+  // The flat entry's object under the sharded name and type: the same
+  // counters, memory_bytes and updates.
+  std::string expected = EntryJson(statsz.text, "flat");
+  ASSERT_NE(expected.find("\"memory_bytes\":"), std::string::npos);
+  expected.replace(expected.find("\"flat\""), 6, "\"sharded\"");
+  expected.replace(expected.find("\"CountMin\""), 10, "\"ShardedCountMin\"");
+  EXPECT_EQ(sharded, expected);
+
+  TextResponse list;
+  ASSERT_TRUE(DecodeText(Handle(&service, EncodeListSketches()), &list));
+  EXPECT_NE(EntryJson(list.text, "sharded").find("\"ShardedCountMin\""),
+            std::string::npos)
+      << list.text;
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "server/protocol.h"
 #include "server/sketch_service.h"
@@ -125,8 +124,7 @@ TEST(WidthModeServiceTest, Pow2SnapshotWritesV2AndRestores) {
 }
 
 TEST(WidthModeServiceTest, ShardedPow2MatchesPlainPow2) {
-  ThreadPool pool(2);
-  SketchService service({&pool, 2});
+  SketchService service({});
   Create(&service, "plain", SketchType::kCountMin, {1000, 4, 99, 1, 0});
   // Sharded: params[3] is the shard count, params[4] the mode word.
   Create(&service, "sharded", SketchType::kShardedCountMin,
