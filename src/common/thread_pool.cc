@@ -59,20 +59,30 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
   // block itself so a 1-thread pool never round-trips through the queue.
   // All pool-bound blocks are enqueued under a single lock acquisition —
   // one acquire + one NotifyAll instead of a lock/notify pair per block.
+  // `pending` counts this call's blocks only (guarded by mu_), so the call
+  // returns when its own blocks are done, not when the whole pool drains:
+  // two callers sharing a pool never wait on each other's work.
+  std::size_t pending = blocks - 1;
+  CondVar blocks_done;
   std::size_t lo = begin;
   if (blocks > 1) {
     MutexLock lock(mu_);
     for (std::size_t b = 0; b + 1 < blocks; ++b) {
       const std::size_t hi = lo + chunk + (b < remainder ? 1 : 0);
-      SubmitLocked([&body, lo, hi] {
+      SubmitLocked([this, &body, &pending, &blocks_done, lo, hi] {
         for (std::size_t i = lo; i < hi; ++i) body(i);
+        // Notify under the lock: the caller cannot observe pending == 0
+        // and destroy `blocks_done` until this block releases mu_.
+        MutexLock done(mu_);
+        if (--pending == 0) blocks_done.NotifyAll();
       });
       lo = hi;
     }
   }
   work_available_.NotifyAll();
   for (std::size_t i = lo; i < end; ++i) body(i);
-  Wait();
+  MutexLock lock(mu_);
+  while (pending != 0) blocks_done.Wait(mu_);
 }
 
 void ThreadPool::WorkerLoop() {

@@ -48,10 +48,11 @@ class ThreadPool {
   void Wait() SKETCH_EXCLUDES(mu_);
 
   /// Runs `body(i)` for every i in [begin, end), split into `num_threads`
-  /// contiguous blocks, and waits for completion. The calling thread
-  /// executes one block itself, so a pool of size 1 degenerates to a
-  /// plain loop with no cross-thread handoff. All pool-bound blocks are
-  /// enqueued under one lock acquisition.
+  /// contiguous blocks, and waits for those blocks only: tasks that other
+  /// callers submitted to the same pool do not delay the return. The
+  /// calling thread executes one block itself, so a pool of size 1
+  /// degenerates to a plain loop with no cross-thread handoff. All
+  /// pool-bound blocks are enqueued under one lock acquisition.
   void ParallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& body)
       SKETCH_EXCLUDES(mu_);

@@ -1,6 +1,7 @@
 #ifndef SKETCH_PARALLEL_SHARDED_SKETCH_H_
 #define SKETCH_PARALLEL_SHARDED_SKETCH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -46,8 +47,9 @@ namespace sketch {
 /// uses. Because safety comes from confinement rather than a lock, there
 /// is nothing here for the clang thread-safety analysis
 /// (`common/thread_annotations.h`) to annotate: the cross-thread
-/// handoff is the ThreadPool's annotated queue plus its Wait() barrier,
-/// which orders every worker's replica writes before Collapse reads them.
+/// handoff is the ThreadPool's annotated queue plus ParallelFor's
+/// completion wait, which orders every worker's replica writes before
+/// Collapse reads them.
 template <typename S>
 class ShardedSketch {
  public:
@@ -82,17 +84,15 @@ class ShardedSketch {
     }
     const std::size_t chunk = updates.size() / p;
     const std::size_t remainder = updates.size() % p;
-    std::size_t offset = 0;
-    // One task per shard; shard s owns its replica for the whole call, so
-    // workers share no mutable state and the hot path takes no locks.
-    for (std::size_t s = 0; s < p; ++s) {
+    // Shard s owns its replica and the s-th contiguous block for the whole
+    // call, so workers share no mutable state and the hot path takes no
+    // locks. ParallelFor waits for these blocks only, not for unrelated
+    // work another caller put on the same pool.
+    pool_->ParallelFor(0, p, [&](std::size_t s) {
+      const std::size_t offset = s * chunk + std::min(s, remainder);
       const std::size_t len = chunk + (s < remainder ? 1 : 0);
-      const UpdateSpan block = updates.subspan(offset, len);
-      S* replica = &shards_[s];
-      pool_->Submit([replica, block] { replica->ApplyBatch(block); });
-      offset += len;
-    }
-    pool_->Wait();
+      shards_[s].ApplyBatch(updates.subspan(offset, len));
+    });
   }
 
   /// Reduces the replicas into one sketch of the full stream by pairwise
@@ -105,17 +105,14 @@ class ShardedSketch {
     std::vector<S> work(shards_);
     for (std::size_t stride = 1; stride < work.size(); stride *= 2) {
       const std::size_t step = 2 * stride;
+      const std::size_t merges = (work.size() - stride + step - 1) / step;
+      const auto merge = [&](std::size_t m) {
+        work[m * step].Merge(work[m * step + stride]);
+      };
       if (pool_ == nullptr) {
-        for (std::size_t i = 0; i + stride < work.size(); i += step) {
-          work[i].Merge(work[i + stride]);
-        }
+        for (std::size_t m = 0; m < merges; ++m) merge(m);
       } else {
-        for (std::size_t i = 0; i + stride < work.size(); i += step) {
-          S* dst = &work[i];
-          const S* src = &work[i + stride];
-          pool_->Submit([dst, src] { dst->Merge(*src); });
-        }
-        pool_->Wait();
+        pool_->ParallelFor(0, merges, merge);
       }
     }
     return std::move(work[0]);

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
-#include <cstring>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 
@@ -8,185 +9,145 @@ namespace sketch::server {
 
 namespace {
 
-uint16_t LoadU16(const uint8_t* p) {
-  return static_cast<uint16_t>(static_cast<uint16_t>(p[0]) |
-                               static_cast<uint16_t>(p[1]) << 8);
+/// Offset of the u16 flags in the frame header.
+constexpr std::size_t kFlagsOffset = 6;
+
+struct FrameHeader {
+  uint32_t payload_length = 0;
+  uint8_t opcode = 0;
+  uint8_t version = 0;
+  uint16_t flags = 0;
+};
+
+/// Parses the fixed header at the front of `bytes`, which holds at least
+/// kFrameHeaderBytes.
+FrameHeader ReadFrameHeader(std::span<const uint8_t> bytes) {
+  ByteReader reader(bytes.first(kFrameHeaderBytes));
+  FrameHeader header;
+  reader.ReadU32(&header.payload_length);
+  reader.ReadU8(&header.opcode);
+  reader.ReadU8(&header.version);
+  reader.ReadU16(&header.flags);
+  return header;
 }
 
-uint32_t LoadU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+/// Starts a frame: appends the header with a zero payload length, ready
+/// for the payload to be appended to the same buffer. `payload_bytes`
+/// only sizes the first allocation; the default covers every fixed-size
+/// message with a short name.
+std::vector<uint8_t> BeginFrame(Opcode opcode, std::size_t payload_bytes = 56) {
+  std::vector<uint8_t> frame;
+  frame.reserve(kFrameHeaderBytes + payload_bytes);
+  AppendU32(0, &frame);  // payload length, patched by SealFrame
+  AppendU8(static_cast<uint8_t>(opcode), &frame);
+  AppendU8(kProtocolVersion, &frame);
+  AppendU16(0, &frame);  // flags (must-be-zero bits; see StampTraceId)
+  return frame;
 }
 
-uint64_t LoadU64(const uint8_t* p) {
-  return static_cast<uint64_t>(LoadU32(p)) |
-         static_cast<uint64_t>(LoadU32(p + 4)) << 32;
+/// Patches the payload length into a frame started by BeginFrame. CHECKs
+/// the payload is within kMaxFramePayloadBytes: an oversized frame is a
+/// bug in this process.
+std::vector<uint8_t> SealFrame(std::vector<uint8_t> frame) {
+  const std::size_t payload_length = frame.size() - kFrameHeaderBytes;
+  SKETCH_CHECK_MSG(payload_length <= kMaxFramePayloadBytes,
+                   "frame payload exceeds kMaxFramePayloadBytes");
+  StoreLittleEndian(static_cast<uint32_t>(payload_length), frame.data());
+  return frame;
 }
 
-/// Frames a payload-free request (ping, listing, shutdown, ...).
-std::vector<uint8_t> EncodeEmpty(Opcode opcode) {
-  return EncodeFrame(opcode, {});
+/// A blob field (snapshot bytes, text): u32 length + raw bytes, capped at
+/// kMaxBlobBytes.
+template <typename Bytes>
+void AppendBlob(const Bytes& blob, std::vector<uint8_t>* out) {
+  SKETCH_CHECK_MSG(blob.size() <= kMaxBlobBytes,
+                   "encoded blob exceeds kMaxBlobBytes");
+  AppendLengthPrefixed<uint32_t>(blob, out);
 }
 
-/// Shared tail for all Decode* functions: the message must consume the
-/// payload exactly; trailing bytes mean a malformed or mismatched frame.
-bool FinishDecode(const PayloadReader& reader) { return reader.AtEnd(); }
+template <typename Bytes>
+bool TryReadBlob(ByteReader* reader, Bytes* out) {
+  return reader->ReadLengthPrefixed<uint32_t>(kMaxBlobBytes, out);
+}
+
+/// Reads a u32 element count and checks it against `cap` and against the
+/// bytes left (`item_bytes` per element), so the caller can size its
+/// output from it without trusting the wire.
+bool TryReadCount(ByteReader* reader, uint32_t cap, std::size_t item_bytes,
+                  uint32_t* count) {
+  return reader->ReadU32(count) && *count <= cap &&
+         reader->remaining() / item_bytes >= *count;
+}
+
+/// One point-value entry: i64 estimate + f64 bound + u8 kind.
+void AppendPointValue(const PointValueResponse& value,
+                      std::vector<uint8_t>* out) {
+  AppendI64(value.estimate, out);
+  AppendF64(value.error_bound, out);
+  AppendU8(static_cast<uint8_t>(value.bound_kind), out);
+}
+
+bool TryReadPointValue(ByteReader* reader, PointValueResponse* out) {
+  uint8_t raw_kind = 0;
+  if (!reader->ReadI64(&out->estimate) || !reader->ReadF64(&out->error_bound) ||
+      !reader->ReadU8(&raw_kind)) {
+    return false;
+  }
+  out->bound_kind = static_cast<BoundKind>(raw_kind);
+  return true;
+}
 
 }  // namespace
 
-// --- PayloadWriter --------------------------------------------------------
-
-void PayloadWriter::PutU16(uint16_t value) {
-  bytes_.push_back(static_cast<uint8_t>(value));
-  bytes_.push_back(static_cast<uint8_t>(value >> 8));
-}
-
-void PayloadWriter::PutU32(uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-void PayloadWriter::PutU64(uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-void PayloadWriter::PutF64(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(bits);
-}
-
-void PayloadWriter::PutString(const std::string& value) {
-  SKETCH_CHECK_MSG(value.size() <= kMaxNameBytes,
+void AppendName(const std::string& name, std::vector<uint8_t>* out) {
+  SKETCH_CHECK_MSG(name.size() <= kMaxNameBytes,
                    "encoded string exceeds kMaxNameBytes");
-  PutU16(static_cast<uint16_t>(value.size()));
-  bytes_.insert(bytes_.end(), value.begin(), value.end());
+  AppendLengthPrefixed<uint16_t>(name, out);
 }
 
-void PayloadWriter::PutBytes(const std::vector<uint8_t>& value) {
-  SKETCH_CHECK_MSG(value.size() <= kMaxBlobBytes,
-                   "encoded blob exceeds kMaxBlobBytes");
-  PutU32(static_cast<uint32_t>(value.size()));
-  bytes_.insert(bytes_.end(), value.begin(), value.end());
-}
-
-// --- PayloadReader --------------------------------------------------------
-
-bool PayloadReader::TryReadU8(uint8_t* out) {
-  if (remaining() < 1) return false;
-  *out = data_[position_++];
-  return true;
-}
-
-bool PayloadReader::TryReadU16(uint16_t* out) {
-  if (remaining() < 2) return false;
-  *out = LoadU16(data_ + position_);
-  position_ += 2;
-  return true;
-}
-
-bool PayloadReader::TryReadU32(uint32_t* out) {
-  if (remaining() < 4) return false;
-  *out = LoadU32(data_ + position_);
-  position_ += 4;
-  return true;
-}
-
-bool PayloadReader::TryReadU64(uint64_t* out) {
-  if (remaining() < 8) return false;
-  *out = LoadU64(data_ + position_);
-  position_ += 8;
-  return true;
-}
-
-bool PayloadReader::TryReadI64(int64_t* out) {
-  uint64_t bits = 0;
-  if (!TryReadU64(&bits)) return false;
-  *out = static_cast<int64_t>(bits);
-  return true;
-}
-
-bool PayloadReader::TryReadF64(double* out) {
-  uint64_t bits = 0;
-  if (!TryReadU64(&bits)) return false;
-  std::memcpy(out, &bits, sizeof(bits));
-  return true;
-}
-
-bool PayloadReader::TryReadString(std::string* out) {
-  uint16_t length = 0;
-  if (!TryReadU16(&length)) return false;
-  // Validate against both the cap and the bytes actually present before
-  // touching the output string, so a hostile length cannot allocate.
-  if (length > kMaxNameBytes || length > remaining()) return false;
-  out->assign(reinterpret_cast<const char*>(data_ + position_), length);
-  position_ += length;
-  return true;
-}
-
-bool PayloadReader::TryReadBytes(std::vector<uint8_t>* out,
-                                 uint32_t max_bytes) {
-  uint32_t length = 0;
-  if (!TryReadU32(&length)) return false;
-  if (length > max_bytes || length > remaining()) return false;
-  out->assign(data_ + position_, data_ + position_ + length);
-  position_ += length;
-  return true;
+bool TryReadName(ByteReader* reader, std::string* out) {
+  return reader->ReadLengthPrefixed<uint16_t>(kMaxNameBytes, out);
 }
 
 // --- Framing --------------------------------------------------------------
 
 std::vector<uint8_t> EncodeFrame(Opcode opcode,
                                  const std::vector<uint8_t>& payload) {
-  SKETCH_CHECK_MSG(payload.size() <= kMaxFramePayloadBytes,
-                   "frame payload exceeds kMaxFramePayloadBytes");
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  const auto length = static_cast<uint32_t>(payload.size());
-  for (int shift = 0; shift < 32; shift += 8) {
-    frame.push_back(static_cast<uint8_t>(length >> shift));
-  }
-  frame.push_back(static_cast<uint8_t>(opcode));
-  frame.push_back(kProtocolVersion);
-  frame.push_back(0);  // flags (must-be-zero bits; see StampTraceId)
-  frame.push_back(0);
+  std::vector<uint8_t> frame = BeginFrame(opcode, payload.size());
   frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  return SealFrame(std::move(frame));
 }
 
 void StampTraceId(std::vector<uint8_t>* frame, uint64_t trace_id) {
   SKETCH_CHECK_MSG(trace_id != 0, "trace id 0 is the untraced sentinel");
   SKETCH_CHECK_MSG(frame->size() >= kFrameHeaderBytes,
                    "StampTraceId on a truncated frame");
-  const uint32_t payload_length = LoadU32(frame->data());
-  SKETCH_CHECK_MSG(frame->size() == kFrameHeaderBytes + payload_length,
-                   "StampTraceId on a malformed or multi-frame buffer");
-  const uint16_t flags = LoadU16(frame->data() + 6);
-  SKETCH_CHECK_MSG((flags & kFrameFlagTraceId) == 0,
+  const FrameHeader header = ReadFrameHeader(*frame);
+  SKETCH_CHECK_MSG(
+      frame->size() == kFrameHeaderBytes + header.payload_length,
+      "StampTraceId on a malformed or multi-frame buffer");
+  SKETCH_CHECK_MSG((header.flags & kFrameFlagTraceId) == 0,
                    "frame already carries a trace id");
   const uint32_t new_length =
-      payload_length + static_cast<uint32_t>(kTraceIdBytes);
+      header.payload_length + static_cast<uint32_t>(kTraceIdBytes);
   SKETCH_CHECK_MSG(new_length <= kMaxFramePayloadBytes,
                    "trace id would push frame over kMaxFramePayloadBytes");
-  for (int shift = 0; shift < 32; shift += 8) {
-    (*frame)[static_cast<std::size_t>(shift / 8)] =
-        static_cast<uint8_t>(new_length >> shift);
-  }
-  const uint16_t new_flags = flags | kFrameFlagTraceId;
-  (*frame)[6] = static_cast<uint8_t>(new_flags);
-  (*frame)[7] = static_cast<uint8_t>(new_flags >> 8);
-  for (int shift = 0; shift < 64; shift += 8) {
-    frame->push_back(static_cast<uint8_t>(trace_id >> shift));
-  }
+  StoreLittleEndian(new_length, frame->data());
+  StoreLittleEndian(static_cast<uint16_t>(header.flags | kFrameFlagTraceId),
+                    frame->data() + kFlagsOffset);
+  AppendU64(trace_id, frame);
 }
 
 void FrameDecoder::Feed(const uint8_t* data, std::size_t size) {
   if (failed_) return;  // stream is already unrecoverable
   buffer_.insert(buffer_.end(), data, data + size);
+}
+
+DecodeStatus FrameDecoder::Fail(ErrorCode code, const char* message) {
+  failed_ = true;
+  error_code_ = code;
+  error_ = message;
+  return DecodeStatus::kBadFrame;
 }
 
 DecodeStatus FrameDecoder::Next(Frame* out) {
@@ -202,52 +163,41 @@ DecodeStatus FrameDecoder::Next(Frame* out) {
     }
     return DecodeStatus::kNeedMore;
   }
-  const uint8_t* header = buffer_.data() + consumed_;
-  const uint32_t payload_length = LoadU32(header);
-  const uint8_t raw_opcode = header[4];
-  const uint8_t version = header[5];
-  const uint16_t flags = LoadU16(header + 6);
+  const std::span<const uint8_t> unread =
+      std::span(buffer_).subspan(consumed_);
+  const FrameHeader header = ReadFrameHeader(unread);
   // Header validation happens before the payload is required to be
   // present: an oversized declared length is rejected here, while only
   // kFrameHeaderBytes have been buffered, so the declared length never
   // drives an allocation.
-  if (version != kProtocolVersion) {
-    failed_ = true;
-    error_code_ = ErrorCode::kBadFrameHeader;
-    error_ = "unsupported protocol version";
-    return DecodeStatus::kBadFrame;
+  if (header.version != kProtocolVersion) {
+    return Fail(ErrorCode::kBadFrameHeader, "unsupported protocol version");
   }
-  if ((flags & ~kKnownFrameFlags) != 0) {
-    failed_ = true;
-    error_code_ = ErrorCode::kBadFrameHeader;
-    error_ = "reserved frame-header bits set";
-    return DecodeStatus::kBadFrame;
+  if ((header.flags & ~kKnownFrameFlags) != 0) {
+    return Fail(ErrorCode::kBadFrameHeader, "reserved frame-header bits set");
   }
-  const bool traced = (flags & kFrameFlagTraceId) != 0;
-  if (traced && payload_length < kTraceIdBytes) {
-    failed_ = true;
-    error_code_ = ErrorCode::kBadFrameHeader;
-    error_ = "trace-id flag set but payload shorter than the id";
-    return DecodeStatus::kBadFrame;
+  const bool traced = (header.flags & kFrameFlagTraceId) != 0;
+  if (traced && header.payload_length < kTraceIdBytes) {
+    return Fail(ErrorCode::kBadFrameHeader,
+                "trace-id flag set but payload shorter than the id");
   }
-  if (payload_length > kMaxFramePayloadBytes) {
-    failed_ = true;
-    error_code_ = ErrorCode::kFrameTooLarge;
-    error_ = "frame payload length exceeds kMaxFramePayloadBytes";
-    return DecodeStatus::kBadFrame;
+  if (header.payload_length > kMaxFramePayloadBytes) {
+    return Fail(ErrorCode::kFrameTooLarge,
+                "frame payload length exceeds kMaxFramePayloadBytes");
   }
-  if (available < kFrameHeaderBytes + payload_length) {
+  if (available < kFrameHeaderBytes + header.payload_length) {
     return DecodeStatus::kNeedMore;
   }
-  out->opcode = static_cast<Opcode>(raw_opcode);
-  const uint8_t* payload = header + kFrameHeaderBytes;
+  out->opcode = static_cast<Opcode>(header.opcode);
+  const uint8_t* payload = unread.data() + kFrameHeaderBytes;
   // The trailing trace id is framing, not message: strip it here so the
   // typed decoders (which reject trailing bytes) never see it.
   const std::size_t message_length =
-      traced ? payload_length - kTraceIdBytes : payload_length;
+      traced ? header.payload_length - kTraceIdBytes : header.payload_length;
   out->payload.assign(payload, payload + message_length);
-  out->trace_id = traced ? LoadU64(payload + message_length) : 0;
-  consumed_ += kFrameHeaderBytes + payload_length;
+  out->trace_id =
+      traced ? LoadLittleEndian<uint64_t>(payload + message_length) : 0;
+  consumed_ += kFrameHeaderBytes + header.payload_length;
   if (consumed_ == buffer_.size()) {
     buffer_.clear();
     consumed_ = 0;
@@ -256,51 +206,56 @@ DecodeStatus FrameDecoder::Next(Frame* out) {
 }
 
 // --- Typed encode/decode --------------------------------------------------
+//
+// Every Decode* ends with reader.AtEnd(): a message must consume its
+// payload exactly, so trailing bytes mean a malformed or mismatched frame.
 
-std::vector<uint8_t> EncodePing() { return EncodeEmpty(Opcode::kPing); }
-std::vector<uint8_t> EncodeShutdown() { return EncodeEmpty(Opcode::kShutdown); }
-std::vector<uint8_t> EncodeListSketches() {
-  return EncodeEmpty(Opcode::kListSketches);
+std::vector<uint8_t> EncodePing() { return EncodeFrame(Opcode::kPing, {}); }
+std::vector<uint8_t> EncodeShutdown() {
+  return EncodeFrame(Opcode::kShutdown, {});
 }
-std::vector<uint8_t> EncodeStatsz() { return EncodeEmpty(Opcode::kStatsz); }
+std::vector<uint8_t> EncodeListSketches() {
+  return EncodeFrame(Opcode::kListSketches, {});
+}
+std::vector<uint8_t> EncodeStatsz() {
+  return EncodeFrame(Opcode::kStatsz, {});
+}
 std::vector<uint8_t> EncodeTraceDump() {
-  return EncodeEmpty(Opcode::kTraceDump);
+  return EncodeFrame(Opcode::kTraceDump, {});
 }
 
 std::vector<uint8_t> EncodeCreateSketch(const CreateSketchRequest& request) {
-  PayloadWriter writer;
-  writer.PutString(request.name);
-  writer.PutU8(static_cast<uint8_t>(request.type));
-  for (uint64_t param : request.params) writer.PutU64(param);
-  return EncodeFrame(Opcode::kCreateSketch, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kCreateSketch);
+  AppendName(request.name, &frame);
+  AppendU8(static_cast<uint8_t>(request.type), &frame);
+  for (uint64_t param : request.params) AppendU64(param, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeCreateSketch(const Frame& frame, CreateSketchRequest* out) {
   if (frame.opcode != Opcode::kCreateSketch) return false;
-  PayloadReader reader(frame.payload);
+  ByteReader reader(frame.payload);
   uint8_t raw_type = 0;
-  if (!reader.TryReadString(&out->name) || !reader.TryReadU8(&raw_type)) {
+  if (!TryReadName(&reader, &out->name) || !reader.ReadU8(&raw_type)) {
     return false;
   }
   out->type = static_cast<SketchType>(raw_type);
-  for (uint64_t& param : out->params) {
-    if (!reader.TryReadU64(&param)) return false;
-  }
-  return FinishDecode(reader);
+  return reader.ReadWords(out->params) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeIngestSpan(const std::string& name,
                                       UpdateSpan updates) {
   SKETCH_CHECK_MSG(updates.size() <= kMaxBatchUpdates,
                    "ingest batch exceeds kMaxBatchUpdates");
-  PayloadWriter writer;
-  writer.PutString(name);
-  writer.PutU32(static_cast<uint32_t>(updates.size()));
+  std::vector<uint8_t> frame =
+      BeginFrame(Opcode::kIngest, 2 + name.size() + 4 + 16 * updates.size());
+  AppendName(name, &frame);
+  AppendU32(static_cast<uint32_t>(updates.size()), &frame);
   for (const StreamUpdate& update : updates) {
-    writer.PutU64(update.item);
-    writer.PutI64(update.delta);
+    AppendU64(update.item, &frame);
+    AppendI64(update.delta, &frame);
   }
-  return EncodeFrame(Opcode::kIngest, writer.bytes());
+  return SealFrame(std::move(frame));
 }
 
 std::vector<uint8_t> EncodeIngest(const IngestRequest& request) {
@@ -310,108 +265,100 @@ std::vector<uint8_t> EncodeIngest(const IngestRequest& request) {
 bool DecodeIngest(const Frame& frame, IngestRequest* out) {
   if (frame.opcode != Opcode::kIngest) return false;
   out->trace_id = frame.trace_id;  // framing metadata, not payload
-  PayloadReader reader(frame.payload);
-  uint32_t count = 0;
-  if (!reader.TryReadString(&out->name) || !reader.TryReadU32(&count)) {
-    return false;
-  }
+  ByteReader reader(frame.payload);
   // Reject before allocating: the declared count must respect the batch
   // cap AND fit in the bytes actually present (16 bytes per update).
-  if (count > kMaxBatchUpdates || reader.remaining() / 16 < count) {
+  uint32_t count = 0;
+  if (!TryReadName(&reader, &out->name) ||
+      !TryReadCount(&reader, kMaxBatchUpdates, 16, &count)) {
     return false;
   }
   out->updates.resize(count);
   for (StreamUpdate& update : out->updates) {
-    if (!reader.TryReadU64(&update.item) || !reader.TryReadI64(&update.delta)) {
+    if (!reader.ReadU64(&update.item) || !reader.ReadI64(&update.delta)) {
       return false;
     }
   }
-  return FinishDecode(reader);
+  return reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodePointQuery(const PointQueryRequest& request) {
-  PayloadWriter writer;
-  writer.PutString(request.name);
-  writer.PutU64(request.item);
-  return EncodeFrame(Opcode::kPointQuery, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kPointQuery);
+  AppendName(request.name, &frame);
+  AppendU64(request.item, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodePointQuery(const Frame& frame, PointQueryRequest* out) {
   if (frame.opcode != Opcode::kPointQuery) return false;
-  PayloadReader reader(frame.payload);
-  return reader.TryReadString(&out->name) && reader.TryReadU64(&out->item) &&
-         FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadName(&reader, &out->name) && reader.ReadU64(&out->item) &&
+         reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodePointQueryBatch(
     const PointQueryBatchRequest& request) {
   SKETCH_CHECK_MSG(request.items.size() <= kMaxBatchQueryItems,
                    "point-query batch exceeds kMaxBatchQueryItems");
-  PayloadWriter writer;
-  writer.PutString(request.name);
-  writer.PutU32(static_cast<uint32_t>(request.items.size()));
-  for (uint64_t item : request.items) writer.PutU64(item);
-  return EncodeFrame(Opcode::kPointQueryBatch, writer.bytes());
+  std::vector<uint8_t> frame =
+      BeginFrame(Opcode::kPointQueryBatch,
+                 2 + request.name.size() + 4 + 8 * request.items.size());
+  AppendName(request.name, &frame);
+  AppendU32(static_cast<uint32_t>(request.items.size()), &frame);
+  AppendWords(request.items, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodePointQueryBatch(const Frame& frame, PointQueryBatchRequest* out) {
   if (frame.opcode != Opcode::kPointQueryBatch) return false;
-  PayloadReader reader(frame.payload);
-  if (!reader.TryReadString(&out->name)) return false;
+  ByteReader reader(frame.payload);
   uint32_t count = 0;
-  if (!reader.TryReadU32(&count)) return false;
-  if (count > kMaxBatchQueryItems || reader.remaining() / 8 < count) {
+  if (!TryReadName(&reader, &out->name) ||
+      !TryReadCount(&reader, kMaxBatchQueryItems, 8, &count)) {
     return false;
   }
   out->items.resize(count);
-  for (uint64_t& item : out->items) {
-    if (!reader.TryReadU64(&item)) return false;
-  }
-  return FinishDecode(reader);
+  return reader.ReadWords(out->items) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeHeavyHitters(const HeavyHittersRequest& request) {
-  PayloadWriter writer;
-  writer.PutString(request.name);
-  writer.PutF64(request.phi);
-  return EncodeFrame(Opcode::kHeavyHitters, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kHeavyHitters);
+  AppendName(request.name, &frame);
+  AppendF64(request.phi, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeHeavyHitters(const Frame& frame, HeavyHittersRequest* out) {
   if (frame.opcode != Opcode::kHeavyHitters) return false;
-  PayloadReader reader(frame.payload);
-  return reader.TryReadString(&out->name) && reader.TryReadF64(&out->phi) &&
-         FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadName(&reader, &out->name) && reader.ReadF64(&out->phi) &&
+         reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeInnerProduct(const InnerProductRequest& request) {
-  PayloadWriter writer;
-  writer.PutString(request.left);
-  writer.PutString(request.right);
-  return EncodeFrame(Opcode::kInnerProduct, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kInnerProduct);
+  AppendName(request.left, &frame);
+  AppendName(request.right, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeInnerProduct(const Frame& frame, InnerProductRequest* out) {
   if (frame.opcode != Opcode::kInnerProduct) return false;
-  PayloadReader reader(frame.payload);
-  return reader.TryReadString(&out->left) &&
-         reader.TryReadString(&out->right) && FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadName(&reader, &out->left) &&
+         TryReadName(&reader, &out->right) && reader.AtEnd();
 }
-
-namespace {
-std::vector<uint8_t> EncodeNamed(Opcode opcode, const NamedRequest& request) {
-  PayloadWriter writer;
-  writer.PutString(request.name);
-  return EncodeFrame(opcode, writer.bytes());
-}
-}  // namespace
 
 std::vector<uint8_t> EncodeDropSketch(const NamedRequest& request) {
-  return EncodeNamed(Opcode::kDropSketch, request);
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kDropSketch);
+  AppendName(request.name, &frame);
+  return SealFrame(std::move(frame));
 }
 
 std::vector<uint8_t> EncodeSnapshot(const NamedRequest& request) {
-  return EncodeNamed(Opcode::kSnapshot, request);
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kSnapshot);
+  AppendName(request.name, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeNamedRequest(const Frame& frame, NamedRequest* out) {
@@ -419,171 +366,146 @@ bool DecodeNamedRequest(const Frame& frame, NamedRequest* out) {
       frame.opcode != Opcode::kSnapshot) {
     return false;
   }
-  PayloadReader reader(frame.payload);
-  return reader.TryReadString(&out->name) && FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadName(&reader, &out->name) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeRestore(const RestoreRequest& request) {
-  PayloadWriter writer;
-  writer.PutString(request.name);
-  writer.PutU8(static_cast<uint8_t>(request.type));
-  writer.PutBytes(request.blob);
-  return EncodeFrame(Opcode::kRestore, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(
+      Opcode::kRestore, 2 + request.name.size() + 1 + 4 + request.blob.size());
+  AppendName(request.name, &frame);
+  AppendU8(static_cast<uint8_t>(request.type), &frame);
+  AppendBlob(request.blob, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeRestore(const Frame& frame, RestoreRequest* out) {
   if (frame.opcode != Opcode::kRestore) return false;
-  PayloadReader reader(frame.payload);
+  ByteReader reader(frame.payload);
   uint8_t raw_type = 0;
-  if (!reader.TryReadString(&out->name) || !reader.TryReadU8(&raw_type)) {
+  if (!TryReadName(&reader, &out->name) || !reader.ReadU8(&raw_type)) {
     return false;
   }
   out->type = static_cast<SketchType>(raw_type);
-  return reader.TryReadBytes(&out->blob, kMaxBlobBytes) && FinishDecode(reader);
+  return TryReadBlob(&reader, &out->blob) && reader.AtEnd();
 }
 
-std::vector<uint8_t> EncodeOk() { return EncodeEmpty(Opcode::kOk); }
-std::vector<uint8_t> EncodePong() { return EncodeEmpty(Opcode::kPong); }
+std::vector<uint8_t> EncodeOk() { return EncodeFrame(Opcode::kOk, {}); }
+std::vector<uint8_t> EncodePong() { return EncodeFrame(Opcode::kPong, {}); }
 
 std::vector<uint8_t> EncodeError(const ErrorResponse& response) {
-  PayloadWriter writer;
-  writer.PutU16(static_cast<uint16_t>(response.code));
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kError);
+  AppendU16(static_cast<uint16_t>(response.code), &frame);
   // Error text is bounded like a name so a response always fits one frame.
   std::string message = response.message;
   if (message.size() > kMaxNameBytes) message.resize(kMaxNameBytes);
-  writer.PutString(message);
-  return EncodeFrame(Opcode::kError, writer.bytes());
+  AppendName(message, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeError(const Frame& frame, ErrorResponse* out) {
   if (frame.opcode != Opcode::kError) return false;
-  PayloadReader reader(frame.payload);
+  ByteReader reader(frame.payload);
   uint16_t raw_code = 0;
-  if (!reader.TryReadU16(&raw_code)) return false;
+  if (!reader.ReadU16(&raw_code)) return false;
   out->code = static_cast<ErrorCode>(raw_code);
-  return reader.TryReadString(&out->message) && FinishDecode(reader);
+  return TryReadName(&reader, &out->message) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodePointValue(const PointValueResponse& response) {
-  PayloadWriter writer;
-  writer.PutI64(response.estimate);
-  writer.PutF64(response.error_bound);
-  writer.PutU8(static_cast<uint8_t>(response.bound_kind));
-  return EncodeFrame(Opcode::kPointValue, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kPointValue);
+  AppendPointValue(response, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodePointValue(const Frame& frame, PointValueResponse* out) {
   if (frame.opcode != Opcode::kPointValue) return false;
-  PayloadReader reader(frame.payload);
-  uint8_t raw_kind = 0;
-  if (!reader.TryReadI64(&out->estimate) ||
-      !reader.TryReadF64(&out->error_bound) || !reader.TryReadU8(&raw_kind)) {
-    return false;
-  }
-  out->bound_kind = static_cast<BoundKind>(raw_kind);
-  return FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadPointValue(&reader, out) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeValueBatch(const ValueBatchResponse& response) {
   SKETCH_CHECK_MSG(response.values.size() <= kMaxBatchQueryItems,
                    "value batch exceeds kMaxBatchQueryItems");
-  PayloadWriter writer;
-  writer.PutU32(static_cast<uint32_t>(response.values.size()));
+  std::vector<uint8_t> frame =
+      BeginFrame(Opcode::kValueBatch, 4 + 17 * response.values.size());
+  AppendU32(static_cast<uint32_t>(response.values.size()), &frame);
   for (const PointValueResponse& value : response.values) {
-    writer.PutI64(value.estimate);
-    writer.PutF64(value.error_bound);
-    writer.PutU8(static_cast<uint8_t>(value.bound_kind));
+    AppendPointValue(value, &frame);
   }
-  return EncodeFrame(Opcode::kValueBatch, writer.bytes());
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeValueBatch(const Frame& frame, ValueBatchResponse* out) {
   if (frame.opcode != Opcode::kValueBatch) return false;
-  PayloadReader reader(frame.payload);
-  uint32_t count = 0;
-  if (!reader.TryReadU32(&count)) return false;
+  ByteReader reader(frame.payload);
   // 17 bytes per entry: i64 estimate + f64 bound + u8 kind.
-  if (count > kMaxBatchQueryItems || reader.remaining() / 17 < count) {
-    return false;
-  }
+  uint32_t count = 0;
+  if (!TryReadCount(&reader, kMaxBatchQueryItems, 17, &count)) return false;
   out->values.resize(count);
   for (PointValueResponse& value : out->values) {
-    uint8_t raw_kind = 0;
-    if (!reader.TryReadI64(&value.estimate) ||
-        !reader.TryReadF64(&value.error_bound) ||
-        !reader.TryReadU8(&raw_kind)) {
-      return false;
-    }
-    value.bound_kind = static_cast<BoundKind>(raw_kind);
+    if (!TryReadPointValue(&reader, &value)) return false;
   }
-  return FinishDecode(reader);
+  return reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeItems(const ItemsResponse& response) {
   SKETCH_CHECK_MSG(response.items.size() <= kMaxHeavyHitterItems,
                    "items response exceeds kMaxHeavyHitterItems");
-  PayloadWriter writer;
-  writer.PutU32(static_cast<uint32_t>(response.items.size()));
-  for (uint64_t item : response.items) writer.PutU64(item);
-  return EncodeFrame(Opcode::kItems, writer.bytes());
+  std::vector<uint8_t> frame =
+      BeginFrame(Opcode::kItems, 4 + 8 * response.items.size());
+  AppendU32(static_cast<uint32_t>(response.items.size()), &frame);
+  AppendWords(response.items, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeItems(const Frame& frame, ItemsResponse* out) {
   if (frame.opcode != Opcode::kItems) return false;
-  PayloadReader reader(frame.payload);
+  ByteReader reader(frame.payload);
   uint32_t count = 0;
-  if (!reader.TryReadU32(&count)) return false;
-  if (count > kMaxHeavyHitterItems || reader.remaining() / 8 < count) {
-    return false;
-  }
+  if (!TryReadCount(&reader, kMaxHeavyHitterItems, 8, &count)) return false;
   out->items.resize(count);
-  for (uint64_t& item : out->items) {
-    if (!reader.TryReadU64(&item)) return false;
-  }
-  return FinishDecode(reader);
+  return reader.ReadWords(out->items) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeBlob(const BlobResponse& response) {
-  PayloadWriter writer;
-  writer.PutBytes(response.bytes);
-  return EncodeFrame(Opcode::kBlob, writer.bytes());
+  std::vector<uint8_t> frame =
+      BeginFrame(Opcode::kBlob, 4 + response.bytes.size());
+  AppendBlob(response.bytes, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeBlob(const Frame& frame, BlobResponse* out) {
   if (frame.opcode != Opcode::kBlob) return false;
-  PayloadReader reader(frame.payload);
-  return reader.TryReadBytes(&out->bytes, kMaxBlobBytes) &&
-         FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadBlob(&reader, &out->bytes) && reader.AtEnd();
 }
 
+// Text payloads (statsz JSON, trace JSON, listings) can exceed the name
+// cap, so they ride as a length-prefixed blob.
 std::vector<uint8_t> EncodeText(const TextResponse& response) {
-  // Text payloads (statsz JSON, trace JSON, listings) can exceed the name
-  // cap, so they ride as a length-prefixed blob.
-  PayloadWriter writer;
-  std::vector<uint8_t> bytes(response.text.begin(), response.text.end());
-  writer.PutBytes(bytes);
-  return EncodeFrame(Opcode::kText, writer.bytes());
+  std::vector<uint8_t> frame =
+      BeginFrame(Opcode::kText, 4 + response.text.size());
+  AppendBlob(response.text, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeText(const Frame& frame, TextResponse* out) {
   if (frame.opcode != Opcode::kText) return false;
-  PayloadReader reader(frame.payload);
-  std::vector<uint8_t> bytes;
-  if (!reader.TryReadBytes(&bytes, kMaxBlobBytes)) return false;
-  out->text.assign(bytes.begin(), bytes.end());
-  return FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return TryReadBlob(&reader, &out->text) && reader.AtEnd();
 }
 
 std::vector<uint8_t> EncodeIngestAck(const IngestAckResponse& response) {
-  PayloadWriter writer;
-  writer.PutU64(response.accepted);
-  return EncodeFrame(Opcode::kIngestAck, writer.bytes());
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kIngestAck);
+  AppendU64(response.accepted, &frame);
+  return SealFrame(std::move(frame));
 }
 
 bool DecodeIngestAck(const Frame& frame, IngestAckResponse* out) {
   if (frame.opcode != Opcode::kIngestAck) return false;
-  PayloadReader reader(frame.payload);
-  return reader.TryReadU64(&out->accepted) && FinishDecode(reader);
+  ByteReader reader(frame.payload);
+  return reader.ReadU64(&out->accepted) && reader.AtEnd();
 }
 
 bool IsKnownRequestOpcode(uint8_t raw) {

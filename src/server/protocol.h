@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_buffer.h"
 #include "stream/update.h"
 
 /// \file
@@ -36,7 +37,12 @@
 ///
 /// Payload primitives: u8/u16/u32/u64/i64/f64 little-endian; strings are a
 /// u16 length followed by raw bytes (names are capped at kMaxNameBytes);
-/// byte blobs are a u32 length followed by raw bytes.
+/// byte blobs are a u32 length followed by raw bytes. All of them, and the
+/// frame header itself, are written and read by the byte codec that also
+/// encodes sketch blobs (common/byte_buffer.h); this file adds only the
+/// wire's own rules: the name and blob caps, the batch caps, and that a
+/// message consumes its payload exactly. Each Encode* builds its frame in
+/// one buffer: header first, then the payload, then the length patched in.
 ///
 /// Untrusted-input discipline (the server-side mirror of SL003): every
 /// decode path validates a declared length against both its own cap and
@@ -172,59 +178,12 @@ struct Frame {
   uint64_t trace_id = 0;
 };
 
-/// Appends primitives to a payload buffer. Encode-side only; sizes are
-/// checked with SKETCH_CHECK because exceeding a cap here is a bug in this
-/// process, not hostile input.
-class PayloadWriter {
- public:
-  void PutU8(uint8_t value) { bytes_.push_back(value); }
-  void PutU16(uint16_t value);
-  void PutU32(uint32_t value);
-  void PutU64(uint64_t value);
-  void PutI64(int64_t value) { PutU64(static_cast<uint64_t>(value)); }
-  void PutF64(double value);
-  /// u16 length + raw bytes; CHECKs length <= kMaxNameBytes.
-  void PutString(const std::string& value);
-  /// u32 length + raw bytes; CHECKs length <= kMaxBlobBytes.
-  void PutBytes(const std::vector<uint8_t>& value);
-
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> Take() { return std::move(bytes_); }
-
- private:
-  std::vector<uint8_t> bytes_;
-};
-
-/// Bounds-checked cursor over a received payload. Every TryRead* returns
-/// false instead of reading past the end, and length-prefixed reads
-/// validate the declared length against the cap and the remaining bytes
-/// before allocating.
-class PayloadReader {
- public:
-  PayloadReader(const uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit PayloadReader(const std::vector<uint8_t>& payload)
-      : PayloadReader(payload.data(), payload.size()) {}
-
-  bool TryReadU8(uint8_t* out);
-  bool TryReadU16(uint16_t* out);
-  bool TryReadU32(uint32_t* out);
-  bool TryReadU64(uint64_t* out);
-  bool TryReadI64(int64_t* out);
-  bool TryReadF64(double* out);
-  /// u16 length + bytes; rejects length > kMaxNameBytes before allocating.
-  bool TryReadString(std::string* out);
-  /// u32 length + bytes; rejects length > max_bytes before allocating.
-  bool TryReadBytes(std::vector<uint8_t>* out, uint32_t max_bytes);
-
-  std::size_t remaining() const { return size_ - position_; }
-  bool AtEnd() const { return position_ == size_; }
-
- private:
-  const uint8_t* data_;
-  std::size_t size_;
-  std::size_t position_ = 0;
-};
+/// The wire's name field: a u16 length plus raw bytes, capped at
+/// kMaxNameBytes. AppendName CHECKs the cap (an oversized name is a bug in
+/// this process); TryReadName rejects a longer or truncated name before
+/// allocating.
+void AppendName(const std::string& name, std::vector<uint8_t>* out);
+bool TryReadName(ByteReader* reader, std::string* out);
 
 /// Encodes a complete frame (header + payload). CHECKs the payload is
 /// within kMaxFramePayloadBytes — an oversized response is a server bug.
@@ -267,6 +226,9 @@ class FrameDecoder {
   std::size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
+  /// Marks the stream failed with `code` and `message`; returns kBadFrame.
+  DecodeStatus Fail(ErrorCode code, const char* message);
+
   std::vector<uint8_t> buffer_;
   std::size_t consumed_ = 0;
   bool failed_ = false;

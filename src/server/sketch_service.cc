@@ -518,9 +518,9 @@ std::string PeekSketchName(const Frame& frame) {
     default:
       return std::string();
   }
-  PayloadReader reader(frame.payload);
+  ByteReader reader(frame.payload);
   std::string name;
-  if (!reader.TryReadString(&name)) return std::string();
+  if (!TryReadName(&reader, &name)) return std::string();
   return name;
 }
 

@@ -1,22 +1,22 @@
 #include "sketch/bloom_filter.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 
 #include "common/byte_buffer.h"
 #include "common/check.h"
 #include "common/prng.h"
+#include "sketch/table_header.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
 
 namespace {
-constexpr uint64_t kBloomMagic = 0x534b424c4f4f4d31ULL;  // "SKBLOOM1"
-// v2 adds a width-mode word to the header; only written for non-default
-// modes so division-mode buffers stay byte-identical to v1.
-constexpr uint64_t kBloomMagicV2 = 0x534b424c4f4f4d32ULL;  // "SKBLOOM2"
+constexpr TableFormat kTableFormat = {
+    0x534b424c4f4f4d31ULL,  // "SKBLOOM1"
+    0x534b424c4f4f4d32ULL,  // "SKBLOOM2"
+    "BloomFilter", "bit count"};
 }  // namespace
 
 BloomFilter::BloomFilter(uint64_t num_bits, int num_hashes, uint64_t seed,
@@ -166,62 +166,34 @@ StatsSnapshot BloomFilter::Introspect() const {
 }
 
 std::vector<uint8_t> BloomFilter::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(48 + bits_.size() * 8);
-  // Division-mode buffers keep the v1 layout byte for byte; pow2 filters
-  // write the v2 magic and append the mode word to the header.
-  if (width_mode_ == WidthMode::kDivision) {
-    AppendU64(kBloomMagic, &out);
-    AppendU64(num_bits_, &out);
-    AppendU64(static_cast<uint64_t>(probes_.size()), &out);
-    AppendU64(seed_, &out);
-  } else {
-    AppendU64(kBloomMagicV2, &out);
-    AppendU64(num_bits_, &out);
-    AppendU64(static_cast<uint64_t>(probes_.size()), &out);
-    AppendU64(seed_, &out);
-    AppendU64(static_cast<uint64_t>(width_mode_), &out);
-  }
-  AppendWords(bits_, &out);
-  return out;
+  return SerializeTable(
+      kTableFormat,
+      {num_bits_, static_cast<uint64_t>(probes_.size()), seed_, width_mode_},
+      bits_);
 }
 
 std::optional<BloomFilter> BloomFilter::TryDeserialize(
     std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  uint64_t header[4] = {};
-  if (!reader.ReadWords(header)) {
-    return FailDecode(error, "truncated sketch buffer");
-  }
-  const auto [magic, num_bits, num_hashes, seed] = header;
-  if (magic != kBloomMagic && magic != kBloomMagicV2) {
-    return FailDecode(error, "not a BloomFilter buffer");
-  }
-  if (num_bits < 1 || num_bits > UINT64_MAX - 63) {
-    return FailDecode(error, "invalid BloomFilter bit count");
-  }
-  if (num_hashes < 1 || num_hashes > 1024) {
-    return FailDecode(error, "invalid BloomFilter hash count");
-  }
-  WidthMode mode = WidthMode::kDivision;
-  if (magic == kBloomMagicV2) {
-    uint64_t mode_word = 0;
-    if (!reader.ReadU64(&mode_word)) {
-      return FailDecode(error, "truncated sketch buffer");
-    }
-    if (mode_word != static_cast<uint64_t>(WidthMode::kPow2)) {
-      return FailDecode(error, "invalid BloomFilter width mode");
-    }
-    if (!std::has_single_bit(num_bits)) {
-      return FailDecode(error,
-                        "pow2 BloomFilter bit count is not a power of two");
-    }
-    mode = WidthMode::kPow2;
-  }
-  if (!CheckSerializedSize(bytes, reader.words_read(), (num_bits + 63) / 64)) {
+  const std::optional<TableHeader> header = ReadTableHeader(
+      kTableFormat,
+      [](uint64_t num_bits, uint64_t num_hashes) -> const char* {
+        if (num_bits < 1 || num_bits > UINT64_MAX - 63) {
+          return "invalid BloomFilter bit count";
+        }
+        if (num_hashes < 1 || num_hashes > 1024) {
+          return "invalid BloomFilter hash count";
+        }
+        return nullptr;
+      },
+      &reader, error);
+  if (!header) return std::nullopt;
+  if (!CheckSerializedSize(bytes, reader.words_read(),
+                           (header->size + 63) / 64)) {
     return FailDecode(error, "BloomFilter buffer size does not match geometry");
   }
-  BloomFilter filter(num_bits, static_cast<int>(num_hashes), seed, mode);
+  BloomFilter filter(header->size, static_cast<int>(header->depth),
+                     header->seed, header->mode);
   reader.ReadWords(filter.bits_);
   return filter;
 }

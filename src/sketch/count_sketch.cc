@@ -1,7 +1,6 @@
 #include "sketch/count_sketch.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -9,15 +8,16 @@
 #include "common/check.h"
 #include "common/prng.h"
 #include "common/wrapping.h"
+#include "sketch/table_header.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
 
 namespace {
-constexpr uint64_t kCountSketchMagic = 0x534b43534b543031ULL;  // "SKCSKT01"
-// v2 adds a width-mode word to the header; only written for non-default
-// modes so division-mode buffers stay byte-identical to v1.
-constexpr uint64_t kCountSketchMagicV2 = 0x534b43534b543032ULL;  // "SKCSKT02"
+constexpr TableFormat kTableFormat = {
+    0x534b43534b543031ULL,  // "SKCSKT01"
+    0x534b43534b543032ULL,  // "SKCSKT02"
+    "CountSketch", "width"};
 }  // namespace
 
 CountSketch::CountSketch(uint64_t width, uint64_t depth, uint64_t seed,
@@ -256,62 +256,29 @@ StatsSnapshot CountSketch::Introspect() const {
 }
 
 std::vector<uint8_t> CountSketch::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(48 + counters_.size() * 8);
-  // Division-mode buffers keep the v1 layout byte for byte; pow2 sketches
-  // write the v2 magic and append the mode word to the header.
-  if (width_mode_ == WidthMode::kDivision) {
-    AppendU64(kCountSketchMagic, &out);
-    AppendU64(width_, &out);
-    AppendU64(depth_, &out);
-    AppendU64(seed_, &out);
-  } else {
-    AppendU64(kCountSketchMagicV2, &out);
-    AppendU64(width_, &out);
-    AppendU64(depth_, &out);
-    AppendU64(seed_, &out);
-    AppendU64(static_cast<uint64_t>(width_mode_), &out);
-  }
-  AppendWords(counters_, &out);
-  return out;
+  return SerializeTable(kTableFormat, {width_, depth_, seed_, width_mode_},
+                        counters_);
 }
 
 std::optional<CountSketch> CountSketch::TryDeserialize(
     std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  uint64_t header[4] = {};
-  if (!reader.ReadWords(header)) {
-    return FailDecode(error, "truncated sketch buffer");
-  }
-  const auto [magic, width, depth, seed] = header;
-  if (magic != kCountSketchMagic && magic != kCountSketchMagicV2) {
-    return FailDecode(error, "not a CountSketch buffer");
-  }
-  if (width < 1 || depth < 1) {
-    return FailDecode(error, "invalid CountSketch geometry");
-  }
-  WidthMode mode = WidthMode::kDivision;
-  if (magic == kCountSketchMagicV2) {
-    uint64_t mode_word = 0;
-    if (!reader.ReadU64(&mode_word)) {
-      return FailDecode(error, "truncated sketch buffer");
-    }
-    if (mode_word != static_cast<uint64_t>(WidthMode::kPow2)) {
-      return FailDecode(error, "invalid CountSketch width mode");
-    }
-    if (!std::has_single_bit(width)) {
-      return FailDecode(error, "pow2 CountSketch width is not a power of two");
-    }
-    mode = WidthMode::kPow2;
-  }
+  const std::optional<TableHeader> header = ReadTableHeader(
+      kTableFormat,
+      [](uint64_t width, uint64_t depth) -> const char* {
+        return width < 1 || depth < 1 ? "invalid CountSketch geometry"
+                                      : nullptr;
+      },
+      &reader, error);
+  if (!header) return std::nullopt;
   uint64_t cells = 0;
-  if (!CheckedMulU64(width, depth, &cells)) {
+  if (!CheckedMulU64(header->size, header->depth, &cells)) {
     return FailDecode(error, "CountSketch geometry overflows");
   }
   if (!CheckSerializedSize(bytes, reader.words_read(), cells)) {
     return FailDecode(error, "CountSketch buffer size does not match geometry");
   }
-  CountSketch sketch(width, depth, seed, mode);
+  CountSketch sketch(header->size, header->depth, header->seed, header->mode);
   reader.ReadWords(sketch.counters_);
   return sketch;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace sketch {
@@ -94,6 +95,40 @@ TEST(ByteBufferTest, SizeChecksRejectOverflow) {
   EXPECT_TRUE(CheckSerializedSize(five_words, 4, 1));
   EXPECT_FALSE(CheckSerializedSize(five_words, 4, 2));
   EXPECT_FALSE(CheckSerializedSize(five_words, 4, UINT64_MAX / 8));
+}
+
+TEST(ByteBufferTest, StoreAndLoadAreLittleEndian) {
+  uint8_t bytes[4] = {};
+  StoreLittleEndian<uint32_t>(0x01020304u, bytes);
+  EXPECT_EQ(bytes[0], 0x04);
+  EXPECT_EQ(bytes[3], 0x01);
+  EXPECT_EQ(LoadLittleEndian<uint32_t>(bytes), 0x01020304u);
+  EXPECT_EQ(LoadLittleEndian<uint16_t>(bytes), 0x0304u);
+}
+
+TEST(ByteBufferTest, LengthPrefixedReadChecksBeforeSizingItsOutput) {
+  std::vector<uint8_t> buffer;
+  AppendLengthPrefixed<uint16_t>(std::string("abc"), &buffer);
+  ByteReader reader(buffer);
+  // Over the cap: refused with the output untouched and nothing consumed.
+  std::string text = "keep";
+  EXPECT_FALSE(reader.ReadLengthPrefixed<uint16_t>(2, &text));
+  EXPECT_EQ(text, "keep");
+  EXPECT_EQ(reader.remaining(), buffer.size());
+  // At the cap it reads.
+  EXPECT_TRUE(reader.ReadLengthPrefixed<uint16_t>(3, &text));
+  EXPECT_EQ(text, "abc");
+  EXPECT_TRUE(reader.AtEnd());
+  // A prefix that claims more bytes than are present is refused the same
+  // way, whatever the cap.
+  std::vector<uint8_t> lying;
+  AppendU32(1000, &lying);
+  AppendU8(7, &lying);
+  ByteReader short_reader(lying);
+  std::vector<uint8_t> blob;
+  EXPECT_FALSE(short_reader.ReadLengthPrefixed<uint32_t>(1u << 20, &blob));
+  EXPECT_TRUE(blob.empty());
+  EXPECT_EQ(short_reader.remaining(), lying.size());
 }
 
 }  // namespace

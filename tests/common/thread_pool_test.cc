@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -101,6 +104,34 @@ TEST(ThreadPoolTest, DestructorDrainsPendingWork) {
     // No Wait(): the destructor must finish everything before joining.
   }
   EXPECT_EQ(count.load(), 500);
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
+  // One worker of a 2-thread pool is parked on a latch by a task that
+  // ParallelFor did not submit. The call's own blocks fit on the caller
+  // and the free worker, so it must return while that task is parked.
+  ThreadPool pool(2);
+  std::latch parked(1);
+  std::latch release(1);
+  pool.Submit([&] {
+    parked.count_down();
+    release.wait();
+  });
+  parked.wait();
+  std::atomic<int> covered{0};
+  auto call = std::async(std::launch::async, [&] {
+    pool.ParallelFor(0, 64, [&covered](std::size_t) {
+      covered.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  const bool returned =
+      call.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Release the parked task either way, so a regression fails the test
+  // instead of hanging it.
+  release.count_down();
+  call.wait();
+  EXPECT_TRUE(returned) << "ParallelFor waited for a task it did not submit";
+  EXPECT_EQ(covered.load(), 64);
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <latch>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -195,6 +198,38 @@ TEST(ShardedSketchTest, WorkActuallySpreadsAcrossShards) {
     }
     EXPECT_GT(row0_mass, 0) << "shard " << s << " never ingested";
   }
+}
+
+TEST(ShardedSketchTest, IngestDoesNotWaitForUnrelatedTasks) {
+  // Two sketches (or any other work) on one pool must not wait on each
+  // other: with one worker of a 2-thread pool parked by an unrelated task,
+  // Ingest and Collapse still return, running on the caller and the free
+  // worker.
+  ThreadPool pool(2);
+  std::latch parked(1);
+  std::latch release(1);
+  pool.Submit([&] {
+    parked.count_down();
+    release.wait();
+  });
+  parked.wait();
+  const auto& stream = ZipfStream();
+  CountMinSketch sequential(1024, 4, kSeed);
+  sequential.ApplyBatch(stream);
+  ShardedSketch<CountMinSketch> sharded(CountMinSketch(1024, 4, kSeed),
+                                        /*num_shards=*/4, &pool);
+  auto call = std::async(std::launch::async, [&] {
+    sharded.Ingest(stream);
+    return sharded.Collapse().Serialize();
+  });
+  const bool returned =
+      call.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Release the parked task either way, so a regression fails the test
+  // instead of hanging it.
+  release.count_down();
+  const std::vector<uint8_t> collapsed = call.get();
+  EXPECT_TRUE(returned) << "Ingest waited for a task it did not submit";
+  EXPECT_EQ(collapsed, sequential.Serialize());
 }
 
 }  // namespace

@@ -157,12 +157,11 @@ TEST(BatchQueryTest, OversizedBatchIsRejectedNotAllocated) {
   TypeCase c = {"big", SketchType::kCountMin, {512, 4, 3, 0, 0}};
   CreateAndFill(service, c);
 
-  PayloadWriter writer;
-  writer.PutString("big");
-  writer.PutU32(kMaxBatchQueryItems + 1);  // lying count, no item bytes
+  std::vector<uint8_t> payload;
+  AppendName("big", &payload);
+  AppendU32(kMaxBatchQueryItems + 1, &payload);  // lying count, no items
   Frame frame;
-  Dispatch(service, EncodeFrame(Opcode::kPointQueryBatch, writer.bytes()),
-           &frame);
+  Dispatch(service, EncodeFrame(Opcode::kPointQueryBatch, payload), &frame);
   ErrorResponse error;
   ASSERT_TRUE(DecodeError(frame, &error));
   EXPECT_EQ(error.code, ErrorCode::kMalformedPayload);

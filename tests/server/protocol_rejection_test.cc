@@ -128,34 +128,30 @@ TEST(PayloadRejectionTest, ZeroLengthFrameForPayloadOpcode) {
 TEST(PayloadRejectionTest, IngestCountLyingAboutAvailableBytes) {
   // Declared update count of 1000 with bytes for none: DecodeIngest must
   // reject from the length check, before sizing its output vector.
-  PayloadWriter writer;
-  writer.PutString("victim");
-  writer.PutU32(1000);
   Frame frame;
   frame.opcode = Opcode::kIngest;
-  frame.payload = writer.bytes();
+  AppendName("victim", &frame.payload);
+  AppendU32(1000, &frame.payload);
   IngestRequest request;
   EXPECT_FALSE(DecodeIngest(frame, &request));
   EXPECT_TRUE(request.updates.empty());
 }
 
 TEST(PayloadRejectionTest, IngestCountAboveBatchCap) {
-  PayloadWriter writer;
-  writer.PutString("victim");
-  writer.PutU32(kMaxBatchUpdates + 1);
   Frame frame;
   frame.opcode = Opcode::kIngest;
-  frame.payload = writer.bytes();
+  AppendName("victim", &frame.payload);
+  AppendU32(kMaxBatchUpdates + 1, &frame.payload);
   IngestRequest request;
   EXPECT_FALSE(DecodeIngest(frame, &request));
 }
 
 TEST(PayloadRejectionTest, StringLengthPastEndOfPayload) {
-  PayloadWriter writer;
-  writer.PutU16(200);  // claims 200 name bytes; none follow
-  PayloadReader reader(writer.bytes());
+  std::vector<uint8_t> payload;
+  AppendU16(200, &payload);  // claims 200 name bytes; none follow
+  ByteReader reader(payload);
   std::string name;
-  EXPECT_FALSE(reader.TryReadString(&name));
+  EXPECT_FALSE(TryReadName(&reader, &name));
 }
 
 TEST(PayloadRejectionTest, TrailingBytesRejected) {
@@ -687,8 +683,8 @@ using ProtocolDeathTest = ::testing::Test;
 TEST(ProtocolDeathTest, OversizedNameAborts) {
   // Encode-side violations are programming errors in this process, so
   // they CHECK instead of returning a status.
-  PayloadWriter writer;
-  EXPECT_DEATH(writer.PutString(std::string(kMaxNameBytes + 1, 'x')),
+  std::vector<uint8_t> payload;
+  EXPECT_DEATH(AppendName(std::string(kMaxNameBytes + 1, 'x'), &payload),
                "kMaxNameBytes");
 }
 

@@ -218,30 +218,29 @@ TEST(ProtocolTest, DecodeRejectsWrongOpcode) {
 }
 
 TEST(PayloadReaderTest, PrimitivesAreLittleEndianAndBoundsChecked) {
-  PayloadWriter writer;
-  writer.PutU8(0xab);
-  writer.PutU16(0x1234);
-  writer.PutU32(0xdeadbeef);
-  writer.PutU64(0x0123456789abcdefULL);
-  writer.PutI64(-5);
-  writer.PutF64(0.5);
-  const std::vector<uint8_t>& bytes = writer.bytes();
+  std::vector<uint8_t> bytes;
+  AppendU8(0xab, &bytes);
+  AppendU16(0x1234, &bytes);
+  AppendU32(0xdeadbeef, &bytes);
+  AppendU64(0x0123456789abcdefULL, &bytes);
+  AppendI64(-5, &bytes);
+  AppendF64(0.5, &bytes);
   // Spot-check the wire layout: u16 0x1234 is 34 12 on the wire.
   EXPECT_EQ(bytes[1], 0x34);
   EXPECT_EQ(bytes[2], 0x12);
-  PayloadReader reader(bytes);
+  ByteReader reader(bytes);
   uint8_t u8 = 0;
   uint16_t u16 = 0;
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int64_t i64 = 0;
   double f64 = 0.0;
-  EXPECT_TRUE(reader.TryReadU8(&u8));
-  EXPECT_TRUE(reader.TryReadU16(&u16));
-  EXPECT_TRUE(reader.TryReadU32(&u32));
-  EXPECT_TRUE(reader.TryReadU64(&u64));
-  EXPECT_TRUE(reader.TryReadI64(&i64));
-  EXPECT_TRUE(reader.TryReadF64(&f64));
+  EXPECT_TRUE(reader.ReadU8(&u8));
+  EXPECT_TRUE(reader.ReadU16(&u16));
+  EXPECT_TRUE(reader.ReadU32(&u32));
+  EXPECT_TRUE(reader.ReadU64(&u64));
+  EXPECT_TRUE(reader.ReadI64(&i64));
+  EXPECT_TRUE(reader.ReadF64(&f64));
   EXPECT_EQ(u8, 0xab);
   EXPECT_EQ(u16, 0x1234);
   EXPECT_EQ(u32, 0xdeadbeefu);
@@ -250,19 +249,19 @@ TEST(PayloadReaderTest, PrimitivesAreLittleEndianAndBoundsChecked) {
   EXPECT_DOUBLE_EQ(f64, 0.5);
   EXPECT_TRUE(reader.AtEnd());
   // Reading past the end fails without moving the cursor.
-  EXPECT_FALSE(reader.TryReadU8(&u8));
+  EXPECT_FALSE(reader.ReadU8(&u8));
 }
 
 TEST(PayloadReaderTest, StringAndBytesRoundTrip) {
-  PayloadWriter writer;
-  writer.PutString(std::string(kMaxNameBytes, 'n'));
-  writer.PutBytes({9, 8, 7});
-  PayloadReader reader(writer.bytes());
+  std::vector<uint8_t> bytes;
+  AppendName(std::string(kMaxNameBytes, 'n'), &bytes);
+  AppendLengthPrefixed<uint32_t>(std::vector<uint8_t>{9, 8, 7}, &bytes);
+  ByteReader reader(bytes);
   std::string name;
   std::vector<uint8_t> blob;
-  EXPECT_TRUE(reader.TryReadString(&name));
+  EXPECT_TRUE(TryReadName(&reader, &name));
   EXPECT_EQ(name.size(), kMaxNameBytes);
-  EXPECT_TRUE(reader.TryReadBytes(&blob, 16));
+  EXPECT_TRUE(reader.ReadLengthPrefixed<uint32_t>(16, &blob));
   EXPECT_EQ(blob, (std::vector<uint8_t>{9, 8, 7}));
   EXPECT_TRUE(reader.AtEnd());
 }

@@ -31,6 +31,12 @@ MAGICS = {
 }
 
 
+# Payload caps from src/server/protocol.h.
+K_MAX_NAME_BYTES = 256
+K_MAX_BATCH_UPDATES = 1 << 18
+K_MAX_BATCH_QUERY_ITEMS = 1 << 16
+
+
 def u64(*values):
     return b"".join(struct.pack("<Q", v & (2**64 - 1)) for v in values)
 
@@ -228,6 +234,39 @@ def server_frame_seeds(out):
           wire_frame(0x04, wire_string("f") + struct.pack("<I", 1000)))
     write(d, "string_past_end",
           wire_frame(0x05, struct.pack("<H", 500) + b"ab"))
+    # Each length-prefix boundary the payload reader guards, one step on
+    # either side: the name cap, a blob length against the bytes present,
+    # and the ingest / batch-query counts against their caps and against
+    # the payload. Every seed runs after a create of "f" so the accepted
+    # side reaches the service.
+    create_f = wire_frame(0x02, create)
+    for length in (K_MAX_NAME_BYTES, K_MAX_NAME_BYTES + 1):
+        name = wire_string("n" * length)
+        write(d, f"name_{length}_bytes",
+              wire_frame(0x02, name + bytes([1]) + u64(64, 2, 7, 0, 0)) +
+              wire_frame(0x05, name + u64(3)))
+    blob = counter_sketch_buffer(MAGICS["count_min"], 4, 2, 7)
+    for name, declared in (("blob_length_exact", len(blob)),
+                           ("blob_length_one_past", len(blob) + 1)):
+        write(d, name,
+              wire_frame(0x09, wire_string("r") + bytes([1]) +
+                         struct.pack("<I", declared) + blob))
+    update = u64(3) + i64(5)
+    write(d, "ingest_count_over_cap",
+          create_f + wire_frame(0x04, wire_string("f") +
+                                struct.pack("<I", K_MAX_BATCH_UPDATES + 1) +
+                                update))
+    write(d, "ingest_count_one_past_payload",
+          create_f + wire_frame(0x04, wire_string("f") +
+                                struct.pack("<I", 3) + update * 2))
+    write(d, "batch_query_count_over_cap",
+          create_f + wire_frame(0x0E, wire_string("f") +
+                                struct.pack("<I", K_MAX_BATCH_QUERY_ITEMS + 1) +
+                                u64(3)))
+    write(d, "batch_query_count_one_past_payload",
+          create_f + wire_frame(0x0E, wire_string("f") +
+                                struct.pack("<I", 3) + u64(3, 9)))
+    write(d, "trailing_byte", create_f + wire_frame(0x05, query + b"\x00"))
     write(d, "empty", b"")
 
 

@@ -25,12 +25,14 @@ rest on:
          is either a leak or a sign the design went sideways.
   SL006  (--compile-headers) every public header under src/ is
          self-contained: a TU containing only that #include must compile.
-  SL007  protocol decode paths under src/server (Decode*/TryRead*/Next
-         definitions) length-validate before allocating: any
-         resize/reserve/assign must be preceded, within the same function,
-         by a comparison against a kMax* cap, a remaining()-bytes check,
-         or a SKETCH_CHECK — so a hostile length prefix can never drive an
-         allocation.
+  SL007  untrusted-length decode paths length-validate before allocating:
+         the protocol decoders under src/server (Decode*/TryRead*/Next
+         definitions) and the shared codec's readers in
+         src/common/byte_buffer.h (Read* definitions, where the
+         length-prefixed read lives). Any resize/reserve/assign must be
+         preceded, within the same function, by a comparison against a
+         kMax* cap, a remaining()-bytes check, or a SKETCH_CHECK — so a
+         hostile length prefix can never drive an allocation.
   SL008  lock discipline is annotation-visible under src/: no raw
          std::mutex / std::condition_variable members (use the annotated
          sketch::Mutex / sketch::CondVar wrappers from
@@ -312,20 +314,27 @@ def check_naked_new_delete(clean):
 
 # SL007: allocation calls inside a decode path, and the validation tokens
 # that must appear earlier in the same function body.
-SL007_ALLOC = re.compile(r"\.(?:resize|reserve|assign)\s*\(")
+SL007_ALLOC = re.compile(r"(?:\.|->)\s*(?:resize|reserve|assign)\s*\(")
 SL007_GUARD = re.compile(r"kMax\w+|\bremaining\s*\(|SKETCH_CHECK")
 
 
+# SL007 scope: path prefix -> names of the decode functions it polices.
+SL007_DECODE_PATHS = (
+    ("src/server/", r"(?:Decode|TryRead|Next)\w*"),
+    ("src/common/byte_buffer.h", r"Read\w*"),
+)
+
+
 def check_server_decode_allocation(rel, clean):
-    """SL007: src/server decode paths must length-validate before any
-    allocation — a declared length from the wire may only reach
+    """SL007: decode paths must length-validate before any allocation — a
+    declared length from the wire or a blob may only reach
     resize/reserve/assign after a cap or remaining-bytes comparison."""
-    if not str(rel).replace("\\", "/").startswith("src/server/"):
+    path = str(rel).replace("\\", "/")
+    names = [n for prefix, n in SL007_DECODE_PATHS if path.startswith(prefix)]
+    if not names:
         return []
     violations = []
-    for start, body in _find_function_definitions(
-        clean, r"(?:Decode|TryRead|Next)\w*"
-    ):
+    for start, body in _find_function_definitions(clean, names[0]):
         body_offset = clean.find(body, start)
         for alloc in SL007_ALLOC.finditer(body):
             if not SL007_GUARD.search(body[: alloc.start()]):

@@ -294,6 +294,45 @@ void BuildRows(std::vector<double>* rows, uint64_t depth) {
         )
         self.assertEqual(violations, [])
 
+    BYTE_READER_TEMPLATE = """\
+#ifndef SKETCH_COMMON_BYTE_BUFFER_H_
+#define SKETCH_COMMON_BYTE_BUFFER_H_
+namespace sketch {{
+class ByteReader {{
+ public:
+  template <typename Length, typename Bytes>
+  bool ReadLengthPrefixed(uint64_t max_bytes, Bytes* out) {{
+    Length length = 0;
+    if (!ReadLittleEndian(&length)) return false;
+{body}
+    position_ += length;
+    return true;
+  }}
+}};
+}}  // namespace sketch
+#endif  // SKETCH_COMMON_BYTE_BUFFER_H_
+"""
+
+    def test_sl007_shared_reader_resize_before_cap_check(self):
+        # The shared codec's length-prefixed read is a decode path too: a
+        # declared length may not size the output before the cap check.
+        source = self.BYTE_READER_TEMPLATE.format(
+            body="""\
+    out->resize(length);
+    if (length > max_bytes || length > remaining()) return false;"""
+        )
+        violations = self.lint({"src/common/byte_buffer.h": source})
+        self.assertEqual(rules_found(violations), {"SL007"})
+
+    def test_sl007_shared_reader_cap_check_first_passes(self):
+        source = self.BYTE_READER_TEMPLATE.format(
+            body="""\
+    if (length > max_bytes || length > remaining()) return false;
+    out->assign(data, data + length);"""
+        )
+        violations = self.lint({"src/common/byte_buffer.h": source})
+        self.assertEqual(violations, [])
+
     def test_sl008_raw_mutex_member(self):
         source = """\
 #ifndef SKETCH_POOL_H_
