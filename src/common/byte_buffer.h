@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <optional>
 #include <span>
@@ -15,11 +16,9 @@
 /// \file
 /// The one little-endian byte codec: sketch blobs and sketchwire/1 frames
 /// (src/server/protocol.h) are written by the Append* helpers and read by
-/// ByteReader, and every integer<->byte conversion goes through
-/// StoreLittleEndian / LoadLittleEndian. A sketch persists only (magic,
-/// geometry, seed, counters): its hash functions are rebuilt
-/// deterministically from the seed, a practical payoff of seed-derived
-/// randomness.
+/// ByteReader. A sketch persists only (magic, geometry, seed, counters):
+/// its hash functions are rebuilt deterministically from the seed, a
+/// practical payoff of seed-derived randomness.
 ///
 /// Decoding never aborts: every reader and check here returns false on bad
 /// input, and each sketch's TryDeserialize (or the wire's Decode*) turns
@@ -31,7 +30,11 @@ namespace sketch {
 // StoreLittleEndian and LoadLittleEndian are written as one expression per
 // byte (a fold over the byte indices, not a loop), so the compiler can merge
 // them into a single word store or load where the target allows; gcc -O2
-// does on x86-64, and does not for the equivalent loop.
+// does on x86-64, and does not for the equivalent loop. They encode every
+// fixed-width field. Counter tables bypass them on little-endian hosts
+// (AppendWords and ByteReader::ReadWords copy the whole table at once);
+// there the fold remains the big-endian path and the oracle the tests
+// compare that copy against.
 
 /// Writes `value` into the sizeof(T) bytes at `dst`, least significant
 /// byte first.
@@ -96,18 +99,33 @@ void AppendLengthPrefixed(const Bytes& bytes, std::vector<uint8_t>* out) {
 }
 
 /// Appends a counter table (int64_t counters or uint64_t bit words) as
-/// little-endian words. Every sketch's counters are encoded by this one
-/// loop.
+/// little-endian words: one byte-range insert where a word's bytes
+/// already are its encoding, the fold per word elsewhere.
 template <typename Word>
 void AppendWords(const std::vector<Word>& words, std::vector<uint8_t>* out) {
-  static_assert(sizeof(Word) == 8, "counter tables are 8-byte words");
-  const std::size_t at = out->size();
-  out->resize(at + words.size() * 8);
-  uint8_t* dst = out->data() + at;
-  for (Word word : words) {
-    StoreLittleEndian(static_cast<uint64_t>(word), dst);
-    dst += 8;
+  static_assert(std::is_integral_v<Word> && sizeof(Word) == 8,
+                "counter tables are 8-byte words");
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const uint8_t*>(words.data());
+    out->insert(out->end(), bytes, bytes + words.size() * 8);
+  } else {
+    const std::size_t at = out->size();
+    out->resize(at + words.size() * 8);
+    uint8_t* dst = out->data() + at;
+    for (Word word : words) {
+      StoreLittleEndian(static_cast<uint64_t>(word), dst);
+      dst += 8;
+    }
   }
+}
+
+/// The bytes `sketch.AppendSerialized(out)` appends, in a fresh buffer:
+/// every sketch's Serialize().
+template <typename Sketch>
+std::vector<uint8_t> SerializedBytes(const Sketch& sketch) {
+  std::vector<uint8_t> out;
+  sketch.AppendSerialized(&out);
+  return out;
 }
 
 /// Overflow-checked product of two u64 geometry fields read from an
@@ -163,25 +181,34 @@ class ByteReader {
   }
 
   /// Fills every element of `words` (an array, span, or vector of 8-byte
-  /// integers) from consecutive words. Headers and counter tables are all
-  /// decoded by this one loop. False if fewer words remain.
+  /// integers) from consecutive words: one memcpy on a little-endian
+  /// host, the fold per word elsewhere. False if fewer words remain.
   template <typename Words>
   bool ReadWords(Words&& words) {
-    if (std::size(words) > remaining() / 8) return false;
-    for (auto& word : words) {
-      static_assert(sizeof(word) == 8, "counter tables are 8-byte words");
-      word = static_cast<std::remove_reference_t<decltype(word)>>(
-          LoadLittleEndian<uint64_t>(bytes_.data() + position_));
-      position_ += 8;
+    const std::size_t count = std::size(words);
+    if (count > remaining() / 8) return false;
+    auto* data = std::data(words);
+    using Word = std::remove_reference_t<decltype(*data)>;
+    static_assert(std::is_integral_v<Word> && sizeof(Word) == 8,
+                  "counter tables are 8-byte words");
+    const uint8_t* src = bytes_.data() + position_;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count != 0) std::memcpy(data, src, count * 8);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) {
+        data[i] = static_cast<Word>(LoadLittleEndian<uint64_t>(src + 8 * i));
+      }
     }
+    position_ += count * 8;
     return true;
   }
 
   /// Reads a byte string written by AppendLengthPrefixed<Length> into
-  /// `out` (a std::string or byte vector). The declared length is checked
-  /// against `max_bytes` and against the bytes remaining before `out` is
-  /// sized, so a hostile prefix cannot drive an allocation. False, and
-  /// nothing consumed, if either check fails.
+  /// `out`: a std::string or byte vector gets a copy, a
+  /// std::span<const uint8_t> borrows the bytes in place. The declared
+  /// length is checked against `max_bytes` and against the bytes remaining
+  /// before `out` is sized, so a hostile prefix cannot drive an
+  /// allocation. False, and nothing consumed, if either check fails.
   template <typename Length, typename Bytes>
   bool ReadLengthPrefixed(uint64_t max_bytes, Bytes* out) {
     const std::size_t start = position_;
@@ -191,8 +218,12 @@ class ByteReader {
       position_ = start;
       return false;
     }
-    const uint8_t* data = bytes_.data() + position_;
-    out->assign(data, data + length);
+    const std::span<const uint8_t> field = bytes_.subspan(position_, length);
+    if constexpr (std::is_same_v<Bytes, std::span<const uint8_t>>) {
+      *out = field;
+    } else {
+      out->assign(field.begin(), field.end());
+    }
     position_ += length;
     return true;
   }

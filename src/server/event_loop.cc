@@ -256,9 +256,14 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
   if (!frames.empty()) {
     std::vector<std::vector<uint8_t>> responses;
     service_->HandleFrames(frames, &responses);
-    for (const std::vector<uint8_t>& response : responses) {
-      conn->outbound.insert(conn->outbound.end(), response.begin(),
-                            response.end());
+    for (std::vector<uint8_t>& response : responses) {
+      if (conn->outbound.empty()) {
+        // No backlog: the response becomes the outbound buffer, uncopied.
+        conn->outbound = std::move(response);
+      } else {
+        conn->outbound.insert(conn->outbound.end(), response.begin(),
+                              response.end());
+      }
     }
   }
   if (bad_frame) {

@@ -57,12 +57,27 @@ std::vector<uint8_t> SealFrame(std::vector<uint8_t> frame) {
 }
 
 /// A blob field (snapshot bytes, text): u32 length + raw bytes, capped at
-/// kMaxBlobBytes.
+/// kMaxBlobBytes. `append` writes the bytes straight into `out` and the
+/// length is patched in after, so a snapshot is serialized in place.
+template <typename Append>
+void AppendBlobWith(const Append& append, std::vector<uint8_t>* out) {
+  AppendU32(0, out);
+  const std::size_t blob_at = out->size();
+  append(out);
+  const std::size_t blob_bytes = out->size() - blob_at;
+  SKETCH_CHECK_MSG(blob_bytes <= kMaxBlobBytes,
+                   "encoded blob exceeds kMaxBlobBytes");
+  StoreLittleEndian(static_cast<uint32_t>(blob_bytes),
+                    out->data() + blob_at - 4);
+}
+
 template <typename Bytes>
 void AppendBlob(const Bytes& blob, std::vector<uint8_t>* out) {
-  SKETCH_CHECK_MSG(blob.size() <= kMaxBlobBytes,
-                   "encoded blob exceeds kMaxBlobBytes");
-  AppendLengthPrefixed<uint32_t>(blob, out);
+  AppendBlobWith(
+      [&](std::vector<uint8_t>* field) {
+        field->insert(field->end(), blob.begin(), blob.end());
+      },
+      out);
 }
 
 template <typename Bytes>
@@ -95,6 +110,20 @@ bool TryReadPointValue(ByteReader* reader, PointValueResponse* out) {
   }
   out->bound_kind = static_cast<BoundKind>(raw_kind);
   return true;
+}
+
+/// The one restore parser: a RestoreRequestView borrows the blob, a
+/// RestoreRequest copies it.
+template <typename Request>
+bool ParseRestore(const Frame& frame, Request* out) {
+  if (frame.opcode != Opcode::kRestore) return false;
+  ByteReader reader(frame.payload);
+  uint8_t raw_type = 0;
+  if (!TryReadName(&reader, &out->name) || !reader.ReadU8(&raw_type)) {
+    return false;
+  }
+  out->type = static_cast<SketchType>(raw_type);
+  return TryReadBlob(&reader, &out->blob) && reader.AtEnd();
 }
 
 }  // namespace
@@ -379,15 +408,12 @@ std::vector<uint8_t> EncodeRestore(const RestoreRequest& request) {
   return SealFrame(std::move(frame));
 }
 
+bool DecodeRestore(const Frame& frame, RestoreRequestView* out) {
+  return ParseRestore(frame, out);
+}
+
 bool DecodeRestore(const Frame& frame, RestoreRequest* out) {
-  if (frame.opcode != Opcode::kRestore) return false;
-  ByteReader reader(frame.payload);
-  uint8_t raw_type = 0;
-  if (!TryReadName(&reader, &out->name) || !reader.ReadU8(&raw_type)) {
-    return false;
-  }
-  out->type = static_cast<SketchType>(raw_type);
-  return TryReadBlob(&reader, &out->blob) && reader.AtEnd();
+  return ParseRestore(frame, out);
 }
 
 std::vector<uint8_t> EncodeOk() { return EncodeFrame(Opcode::kOk, {}); }
@@ -468,11 +494,18 @@ bool DecodeItems(const Frame& frame, ItemsResponse* out) {
   return reader.ReadWords(out->items) && reader.AtEnd();
 }
 
-std::vector<uint8_t> EncodeBlob(const BlobResponse& response) {
-  std::vector<uint8_t> frame =
-      BeginFrame(Opcode::kBlob, 4 + response.bytes.size());
-  AppendBlob(response.bytes, &frame);
+std::vector<uint8_t> EncodeBlob(
+    std::size_t size_hint,
+    const std::function<void(std::vector<uint8_t>*)>& append) {
+  std::vector<uint8_t> frame = BeginFrame(Opcode::kBlob, 4 + size_hint);
+  AppendBlobWith(append, &frame);
   return SealFrame(std::move(frame));
+}
+
+std::vector<uint8_t> EncodeBlob(const BlobResponse& response) {
+  return EncodeBlob(response.bytes.size(), [&](std::vector<uint8_t>* out) {
+    out->insert(out->end(), response.bytes.begin(), response.bytes.end());
+  });
 }
 
 bool DecodeBlob(const Frame& frame, BlobResponse* out) {

@@ -4,6 +4,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -300,6 +302,15 @@ struct RestoreRequest {
   std::vector<uint8_t> blob;
 };
 
+/// A decoded restore whose blob borrows the frame's payload: valid only
+/// while that Frame is alive and unchanged. The server restores from it,
+/// so the blob's counters are copied once, into the restored sketch.
+struct RestoreRequestView {
+  std::string name;
+  SketchType type = SketchType::kCountMin;
+  std::span<const uint8_t> blob;
+};
+
 // --- Response messages ----------------------------------------------------
 
 struct ErrorResponse {
@@ -374,6 +385,7 @@ std::vector<uint8_t> EncodeSnapshot(const NamedRequest& request);
 bool DecodeNamedRequest(const Frame& frame, NamedRequest* out);
 
 std::vector<uint8_t> EncodeRestore(const RestoreRequest& request);
+bool DecodeRestore(const Frame& frame, RestoreRequestView* out);
 bool DecodeRestore(const Frame& frame, RestoreRequest* out);
 
 std::vector<uint8_t> EncodeOk();
@@ -388,6 +400,13 @@ bool DecodePointValue(const Frame& frame, PointValueResponse* out);
 std::vector<uint8_t> EncodeItems(const ItemsResponse& response);
 bool DecodeItems(const Frame& frame, ItemsResponse* out);
 
+/// Encodes a kBlob frame whose blob is whatever `append` appends to the
+/// frame buffer it is handed, so a snapshot is written once, straight
+/// after the frame header. `size_hint` (the expected blob bytes) sizes the
+/// first allocation. CHECKs the blob is within kMaxBlobBytes.
+std::vector<uint8_t> EncodeBlob(
+    std::size_t size_hint,
+    const std::function<void(std::vector<uint8_t>*)>& append);
 std::vector<uint8_t> EncodeBlob(const BlobResponse& response);
 bool DecodeBlob(const Frame& frame, BlobResponse* out);
 

@@ -230,7 +230,9 @@ class CountMinEntry : public SketchEntry {
     return CheckedInnerProduct(sketch_, other.AsCountMin(), result, error);
   }
 
-  std::vector<uint8_t> Snapshot() override { return sketch_.Serialize(); }
+  void AppendSnapshot(std::vector<uint8_t>* out) const override {
+    sketch_.AppendSerialized(out);
+  }
   const CountMinSketch* AsCountMin() override { return &sketch_; }
   uint64_t SizeInCounters() const override { return sketch_.SizeInCounters(); }
   uint64_t MemoryFootprintBytes() const override {
@@ -275,7 +277,9 @@ class CountSketchEntry : public SketchEntry {
     return CheckedInnerProduct(sketch_, other.AsCountSketch(), result, error);
   }
 
-  std::vector<uint8_t> Snapshot() override { return sketch_.Serialize(); }
+  void AppendSnapshot(std::vector<uint8_t>* out) const override {
+    sketch_.AppendSerialized(out);
+  }
   const CountSketch* AsCountSketch() override { return &sketch_; }
   uint64_t SizeInCounters() const override { return sketch_.SizeInCounters(); }
   uint64_t MemoryFootprintBytes() const override {
@@ -320,7 +324,9 @@ class BloomEntry : public SketchEntry {
     return response;
   }
 
-  std::vector<uint8_t> Snapshot() override { return filter_.Serialize(); }
+  void AppendSnapshot(std::vector<uint8_t>* out) const override {
+    filter_.AppendSerialized(out);
+  }
   uint64_t SizeInCounters() const override {
     return (filter_.num_bits() + 63) / 64;
   }
@@ -383,9 +389,14 @@ class SummaryEntry : public SketchEntry {
     return true;
   }
 
-  std::vector<uint8_t> Snapshot() override { return summary_.Serialize(); }
+  void AppendSnapshot(std::vector<uint8_t>* out) const override {
+    summary_.AppendSerialized(out);
+  }
   uint64_t SizeInCounters() const override {
     return summary_.SizeInCounters();
+  }
+  uint64_t SnapshotBytes() const override {
+    return summary_.SerializedSizeBytes();
   }
   uint64_t MemoryFootprintBytes() const override {
     return summary_.MemoryFootprintBytes();
@@ -1043,16 +1054,18 @@ std::vector<uint8_t> SketchService::HandleSnapshot(
     const NamedRequest& request) {
   SKETCH_TRACE_SPAN("server.snapshot");
   return WithEntryShared(request.name, [&](internal::SketchEntry& entry) {
-    BlobResponse blob;
-    blob.bytes = entry.Snapshot();
     SKETCH_COUNTER_INC("server.snapshots");
-    return EncodeBlob(blob);
+    return EncodeBlob(entry.SnapshotBytes(),
+                      [&](std::vector<uint8_t>* out) {
+                        entry.AppendSnapshot(out);
+                      });
   });
 }
 
 std::vector<uint8_t> SketchService::HandleRestore(const Frame& frame) {
   SKETCH_TRACE_SPAN("server.restore");
-  RestoreRequest request;
+  // The blob is restored from where it lies in the frame's payload.
+  RestoreRequestView request;
   if (!DecodeRestore(frame, &request) || request.name.empty()) {
     return MalformedPayload(frame.opcode);
   }

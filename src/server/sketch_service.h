@@ -91,7 +91,17 @@ class SketchEntry {
   virtual bool InnerProduct(SketchEntry& other, int64_t* result,
                             ErrorResponse* error);
 
-  virtual std::vector<uint8_t> Snapshot() = 0;
+  /// Appends the sketch's serialized blob to `out` (a response frame
+  /// under construction: the snapshot is written in place).
+  virtual void AppendSnapshot(std::vector<uint8_t>* out) const = 0;
+
+  /// At least the bytes AppendSnapshot appends, and at most 8 more: it
+  /// sizes the snapshot's response frame, so the table is never copied by
+  /// a regrowth. The base counts the counters and one table header of at
+  /// most 5 words (v2); StreamSummary, which has more headers, overrides.
+  virtual uint64_t SnapshotBytes() const {
+    return 8 * (SizeInCounters() + 5);
+  }
 
   /// Downcast hooks for inner products.
   virtual const CountMinSketch* AsCountMin() { return nullptr; }

@@ -7,12 +7,17 @@
 #include "common/check.h"
 #include "common/prng.h"
 #include "common/wrapping.h"
+#include "sketch/table_header.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch {
 
 namespace {
-constexpr uint64_t kAmsMagic = 0x534b414d53303031ULL;  // "SKAMS001"
+// No pow2 mode, so no v2 magic.
+constexpr TableFormat kTableFormat = {
+    0x534b414d53303031ULL,  // "SKAMS001"
+    0x534b414d53303031ULL,  // "SKAMS001"
+    "AmsSketch", "width"};
 }  // namespace
 
 AmsSketch::AmsSketch(uint64_t width, uint64_t depth, uint64_t seed)
@@ -143,37 +148,32 @@ StatsSnapshot AmsSketch::Introspect() const {
   return snapshot;
 }
 
+void AmsSketch::AppendSerialized(std::vector<uint8_t>* out) const {
+  AppendTable(kTableFormat, {width_, depth_, seed_}, counters_, out);
+}
+
 std::vector<uint8_t> AmsSketch::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(40 + counters_.size() * 8);
-  AppendU64(kAmsMagic, &out);
-  AppendU64(width_, &out);
-  AppendU64(depth_, &out);
-  AppendU64(seed_, &out);
-  AppendWords(counters_, &out);
-  return out;
+  return SerializedBytes(*this);
 }
 
 std::optional<AmsSketch> AmsSketch::TryDeserialize(
     std::span<const uint8_t> bytes, std::string* error) {
   ByteReader reader(bytes);
-  uint64_t header[4] = {};
-  if (!reader.ReadWords(header)) {
-    return FailDecode(error, "truncated sketch buffer");
-  }
-  const auto [magic, width, depth, seed] = header;
-  if (magic != kAmsMagic) return FailDecode(error, "not an AmsSketch buffer");
-  if (width < 1 || depth < 1) {
-    return FailDecode(error, "invalid AmsSketch geometry");
-  }
+  const std::optional<TableHeader> header = ReadTableHeader(
+      kTableFormat,
+      [](uint64_t width, uint64_t depth) -> const char* {
+        return width < 1 || depth < 1 ? "invalid AmsSketch geometry" : nullptr;
+      },
+      &reader, error);
+  if (!header) return std::nullopt;
   uint64_t cells = 0;
-  if (!CheckedMulU64(width, depth, &cells)) {
+  if (!CheckedMulU64(header->size, header->depth, &cells)) {
     return FailDecode(error, "AmsSketch geometry overflows");
   }
   if (!CheckSerializedSize(bytes, reader.words_read(), cells)) {
     return FailDecode(error, "AmsSketch buffer size does not match geometry");
   }
-  AmsSketch sketch(width, depth, seed);
+  AmsSketch sketch(header->size, header->depth, header->seed);
   reader.ReadWords(sketch.counters_);
   return sketch;
 }

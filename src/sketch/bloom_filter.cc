@@ -165,11 +165,15 @@ StatsSnapshot BloomFilter::Introspect() const {
   return snapshot;
 }
 
-std::vector<uint8_t> BloomFilter::Serialize() const {
-  return SerializeTable(
+void BloomFilter::AppendSerialized(std::vector<uint8_t>* out) const {
+  AppendTable(
       kTableFormat,
       {num_bits_, static_cast<uint64_t>(probes_.size()), seed_, width_mode_},
-      bits_);
+      bits_, out);
+}
+
+std::vector<uint8_t> BloomFilter::Serialize() const {
+  return SerializedBytes(*this);
 }
 
 std::optional<BloomFilter> BloomFilter::TryDeserialize(

@@ -66,8 +66,10 @@ class BloomFilter {
   /// Fraction of bits currently set (diagnostic).
   double FillRatio() const;
 
-  /// Serializes geometry, seed, and the bit array to a portable
-  /// little-endian byte buffer.
+  /// Appends geometry, seed, and the bit array to `out` as a portable
+  /// little-endian blob. Serialize() returns the same bytes in a fresh
+  /// buffer.
+  void AppendSerialized(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
 
   /// Reconstructs a filter from Serialize() output. Malformed or

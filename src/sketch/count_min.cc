@@ -238,9 +238,13 @@ StatsSnapshot CountMinSketch::Introspect() const {
   return snapshot;
 }
 
+void CountMinSketch::AppendSerialized(std::vector<uint8_t>* out) const {
+  AppendTable(kTableFormat, {width_, depth_, seed_, width_mode_}, counters_,
+              out);
+}
+
 std::vector<uint8_t> CountMinSketch::Serialize() const {
-  return SerializeTable(kTableFormat, {width_, depth_, seed_, width_mode_},
-                        counters_);
+  return SerializedBytes(*this);
 }
 
 std::optional<CountMinSketch> CountMinSketch::TryDeserialize(

@@ -255,9 +255,13 @@ StatsSnapshot CountSketch::Introspect() const {
   return snapshot;
 }
 
+void CountSketch::AppendSerialized(std::vector<uint8_t>* out) const {
+  AppendTable(kTableFormat, {width_, depth_, seed_, width_mode_}, counters_,
+              out);
+}
+
 std::vector<uint8_t> CountSketch::Serialize() const {
-  return SerializeTable(kTableFormat, {width_, depth_, seed_, width_mode_},
-                        counters_);
+  return SerializedBytes(*this);
 }
 
 std::optional<CountSketch> CountSketch::TryDeserialize(

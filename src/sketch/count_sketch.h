@@ -92,8 +92,10 @@ class CountSketch {
     return counters_[row * width_ + bucket];
   }
 
-  /// Serializes geometry, seed, and counters to a portable little-endian
-  /// byte buffer (hash functions are rebuilt from the seed on load).
+  /// Appends geometry, seed, and counters to `out` as a portable
+  /// little-endian blob (hash functions are rebuilt from the seed on
+  /// load). Serialize() returns the same bytes in a fresh buffer.
+  void AppendSerialized(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
 
   /// Reconstructs a sketch from Serialize() output. Malformed or

@@ -174,24 +174,22 @@ uint64_t DyadicCountMin::MemoryFootprintBytes() const {
   return bytes;
 }
 
-std::vector<uint8_t> DyadicCountMin::Serialize() const {
+void DyadicCountMin::AppendSerialized(std::vector<uint8_t>* out) const {
   // Header: magic, log_universe, total, width, depth (all levels share
   // geometry). Payload: log_universe full CountMin blobs, each of the
   // fixed size (4 + width * depth) words, carrying its own derived seed.
   const uint64_t width = levels_.front().width();
   const uint64_t depth = levels_.front().depth();
-  std::vector<uint8_t> out;
-  out.reserve(40 + levels_.size() * (32 + width * depth * 8));
-  AppendU64(kDyadicMagic, &out);
-  AppendU64(static_cast<uint64_t>(log_universe_), &out);
-  AppendI64(total_, &out);
-  AppendU64(width, &out);
-  AppendU64(depth, &out);
-  for (const CountMinSketch& level : levels_) {
-    const std::vector<uint8_t> blob = level.Serialize();
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
-  return out;
+  AppendU64(kDyadicMagic, out);
+  AppendU64(static_cast<uint64_t>(log_universe_), out);
+  AppendI64(total_, out);
+  AppendU64(width, out);
+  AppendU64(depth, out);
+  for (const CountMinSketch& level : levels_) level.AppendSerialized(out);
+}
+
+std::vector<uint8_t> DyadicCountMin::Serialize() const {
+  return SerializedBytes(*this);
 }
 
 std::optional<DyadicCountMin> DyadicCountMin::TryDeserialize(

@@ -68,9 +68,11 @@ class DyadicCountMin {
 
   int log_universe() const { return log_universe_; }
 
-  /// Serializes the level structure and every per-level Count-Min blob to
-  /// a portable little-endian byte buffer (all levels share geometry, so
-  /// the layout is fixed once the header is read).
+  /// Appends the level structure and every per-level Count-Min blob to
+  /// `out` as a portable little-endian blob (all levels share geometry, so
+  /// the layout is fixed once the header is read). Serialize() returns the
+  /// same bytes in a fresh buffer.
+  void AppendSerialized(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
 
   /// Reconstructs a dyadic sketch from Serialize() output, or returns

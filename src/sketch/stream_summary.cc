@@ -105,29 +105,41 @@ uint64_t StreamSummary::MemoryFootprintBytes() const {
          (ams_.MemoryFootprintBytes() - sizeof(AmsSketch));
 }
 
-std::vector<uint8_t> StreamSummary::Serialize() const {
+void StreamSummary::AppendSerialized(std::vector<uint8_t>* out) const {
   // Header: magic + the five Options words + the three component blob
   // lengths in words. Payload: the component blobs, each a self-contained
   // Serialize() buffer (whole little-endian words, so word lengths are
-  // exact).
-  const std::vector<uint8_t> dyadic = dyadic_.Serialize();
-  const std::vector<uint8_t> verifier = verifier_.Serialize();
-  const std::vector<uint8_t> ams = ams_.Serialize();
-  std::vector<uint8_t> out;
-  out.reserve(72 + dyadic.size() + verifier.size() + ams.size());
-  AppendU64(kSummaryMagic, &out);
-  AppendU64(static_cast<uint64_t>(options_.log_universe), &out);
-  AppendU64(options_.width, &out);
-  AppendU64(options_.depth, &out);
-  AppendU64(options_.verify_width, &out);
-  AppendU64(options_.seed, &out);
-  AppendU64(dyadic.size() / 8, &out);
-  AppendU64(verifier.size() / 8, &out);
-  AppendU64(ams.size() / 8, &out);
-  out.insert(out.end(), dyadic.begin(), dyadic.end());
-  out.insert(out.end(), verifier.begin(), verifier.end());
-  out.insert(out.end(), ams.begin(), ams.end());
-  return out;
+  // exact). The lengths are patched in once each component is appended.
+  AppendU64(kSummaryMagic, out);
+  AppendU64(static_cast<uint64_t>(options_.log_universe), out);
+  AppendU64(options_.width, out);
+  AppendU64(options_.depth, out);
+  AppendU64(options_.verify_width, out);
+  AppendU64(options_.seed, out);
+  std::size_t length_at = out->size();
+  out->resize(length_at + 3 * 8);
+  const auto append_component = [&](const auto& component) {
+    const std::size_t start = out->size();
+    component.AppendSerialized(out);
+    StoreLittleEndian(static_cast<uint64_t>((out->size() - start) / 8),
+                      out->data() + length_at);
+    length_at += 8;
+  };
+  append_component(dyadic_);
+  append_component(verifier_);
+  append_component(ams_);
+}
+
+std::vector<uint8_t> StreamSummary::Serialize() const {
+  return SerializedBytes(*this);
+}
+
+uint64_t StreamSummary::SerializedSizeBytes() const {
+  // Every component is division-mode, so every table header is the v1
+  // one of 4 words: one per dyadic level, the verifier and the AMS sketch.
+  // Add this header's 9 words and DyadicCountMin's 5.
+  const uint64_t tables = static_cast<uint64_t>(options_.log_universe) + 2;
+  return 8 * (SizeInCounters() + 9 + 5 + 4 * tables);
 }
 
 std::optional<StreamSummary> StreamSummary::TryDeserialize(

@@ -75,9 +75,14 @@ class StreamSummary {
   /// Total memory footprint in counters.
   uint64_t SizeInCounters() const;
 
-  /// Serializes the Options plus every component sketch (dyadic Count-Min,
-  /// Count-Sketch verifier, AMS) to a portable little-endian byte buffer.
+  /// Appends the Options plus every component sketch (dyadic Count-Min,
+  /// Count-Sketch verifier, AMS) to `out` as a portable little-endian
+  /// blob. Serialize() returns the same bytes in a fresh buffer.
+  void AppendSerialized(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
+
+  /// The exact byte length of Serialize(), from the layout.
+  uint64_t SerializedSizeBytes() const;
 
   /// Reconstructs a summary from Serialize() output, or returns
   /// std::nullopt with a reason in *error (if non-null). Each component

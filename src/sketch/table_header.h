@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,10 +13,11 @@
 
 /// \file
 /// The one codec for the serialized header of the hashed-counter tables
-/// (CountMinSketch, CountSketch, BloomFilter). Division-mode tables write
-/// v1, (magic, size, depth, seed), byte for byte the layout that predates
-/// width modes. Pow2 tables write v2, (magic_v2, size, depth, seed, mode);
-/// a division-mode v2 buffer is malformed, not merely redundant. `size` is
+/// (CountMinSketch, CountSketch, BloomFilter, AmsSketch). Division-mode
+/// tables write v1, (magic, size, depth, seed), byte for byte the layout
+/// that predates width modes. Pow2 tables write v2, (magic_v2, size,
+/// depth, seed, mode); a division-mode v2 buffer is malformed, not merely
+/// redundant. AmsSketch has no pow2 mode, so it writes only v1. `size` is
 /// the width or Bloom bit count, `depth` the row or Bloom hash count. Each
 /// family keeps its own geometry range check and counter payload.
 
@@ -24,7 +26,7 @@ namespace sketch {
 /// One family's magics and the words its rejection messages use.
 struct TableFormat {
   uint64_t magic_v1;
-  uint64_t magic_v2;
+  uint64_t magic_v2;      ///< magic_v1 again for a family with no v2
   const char* family;     ///< e.g. "CountMinSketch"
   const char* size_noun;  ///< what `size` is called: "width" or "bit count"
 };
@@ -36,21 +38,18 @@ struct TableHeader {
   WidthMode mode = WidthMode::kDivision;
 };
 
-/// A serialized table: the v1 or v2 header, then `words`.
+/// Appends a serialized table to `out`: the v1 or v2 header, then
+/// `words`. A served snapshot appends straight into its response frame.
 template <typename Word>
-std::vector<uint8_t> SerializeTable(const TableFormat& format,
-                                    const TableHeader& header,
-                                    const std::vector<Word>& words) {
+void AppendTable(const TableFormat& format, const TableHeader& header,
+                 const std::vector<Word>& words, std::vector<uint8_t>* out) {
   const bool v1 = header.mode == WidthMode::kDivision;
-  std::vector<uint8_t> out;
-  out.reserve(5 * 8 + words.size() * 8);
-  AppendU64(v1 ? format.magic_v1 : format.magic_v2, &out);
-  AppendU64(header.size, &out);
-  AppendU64(header.depth, &out);
-  AppendU64(header.seed, &out);
-  if (!v1) AppendU64(static_cast<uint64_t>(header.mode), &out);
-  AppendWords(words, &out);
-  return out;
+  AppendU64(v1 ? format.magic_v1 : format.magic_v2, out);
+  AppendU64(header.size, out);
+  AppendU64(header.depth, out);
+  AppendU64(header.seed, out);
+  if (!v1) AppendU64(static_cast<uint64_t>(header.mode), out);
+  AppendWords(words, out);
 }
 
 /// A family's geometry range check: the rejection message for an
@@ -70,7 +69,12 @@ inline std::optional<TableHeader> ReadTableHeader(
   }
   const auto [magic, size, depth, seed] = words;
   if (magic != format.magic_v1 && magic != format.magic_v2) {
-    return FailDecode(error, std::string("not a ") + format.family + " buffer");
+    // "a CountMinSketch", "an AmsSketch".
+    const char* article = std::strchr("AEIOU", format.family[0]) != nullptr
+                              ? "an "
+                              : "a ";
+    return FailDecode(error, std::string("not ") + article + format.family +
+                                 " buffer");
   }
   if (const char* message = check_geometry(size, depth)) {
     return FailDecode(error, message);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/prng.h"
 
 namespace sketch {
 namespace {
@@ -54,6 +57,44 @@ TEST(ByteBufferTest, CounterTablesRoundTrip) {
   ASSERT_TRUE(reader.ReadWords(decoded));
   EXPECT_EQ(decoded, counters);
   EXPECT_TRUE(reader.AtEnd());
+}
+
+// AppendWords and ReadWords copy whole tables on a little-endian host; the
+// per-word StoreLittleEndian / LoadLittleEndian fold is their oracle.
+TEST(ByteBufferTest, WordCopyMatchesTheFold) {
+  Xoshiro256StarStar rng(2013);
+  for (std::size_t size : {0u, 1u, 2u, 7u, 64u, 1000u}) {
+    std::vector<int64_t> counters(size);
+    for (int64_t& counter : counters) {
+      counter = static_cast<int64_t>(rng.Next());
+    }
+    const int64_t extremes[] = {0, 1, -1, INT64_MIN, INT64_MAX};
+    for (std::size_t i = 0; i < size && i < 5; ++i) {
+      counters[i * size / 5] = extremes[i];
+    }
+    // One leading byte puts the table at an odd offset of the buffer.
+    std::vector<uint8_t> copied = {0xab};
+    AppendWords(counters, &copied);
+    std::vector<uint8_t> folded(1 + 8 * size);
+    folded[0] = 0xab;
+    for (std::size_t i = 0; i < size; ++i) {
+      StoreLittleEndian(static_cast<uint64_t>(counters[i]),
+                        folded.data() + 1 + 8 * i);
+    }
+    ASSERT_EQ(copied, folded) << "size " << size;
+
+    ByteReader reader(copied);
+    uint8_t lead = 0;
+    ASSERT_TRUE(reader.ReadU8(&lead));
+    std::vector<int64_t> decoded(size, 42);
+    ASSERT_TRUE(reader.ReadWords(decoded));
+    EXPECT_TRUE(reader.AtEnd());
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(decoded[i], static_cast<int64_t>(LoadLittleEndian<uint64_t>(
+                                folded.data() + 1 + 8 * i)))
+          << "size " << size << " word " << i;
+    }
+  }
 }
 
 TEST(ByteBufferTest, LittleEndianLayout) {

@@ -158,6 +158,56 @@ TEST(EventLoopTest, PipelinedFramesEachGetAnOrderedResponse) {
   server.Stop();
 }
 
+TEST(EventLoopTest, PipelinedSnapshotsAroundAPingComeBackInOrder) {
+  // One write carrying Snapshot + Ping + Snapshot. The first response is
+  // handed to the connection's outbound buffer without a copy, the other
+  // two are appended behind it; all three must come back in order, and
+  // both blobs must be the table's bytes.
+  SketchServer server({});
+  ASSERT_TRUE(server.Start());
+  auto stream = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_NE(stream, nullptr);
+
+  CreateSketchRequest create;
+  create.name = "snap";
+  create.type = SketchType::kCountMin;
+  create.params = {8192, 4, 9, 0, 0};  // a 256 KiB table
+  std::vector<StreamUpdate> updates;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    updates.push_back({i * 7919, static_cast<int64_t>(i % 11) - 5});
+  }
+  std::vector<uint8_t> setup = EncodeCreateSketch(create);
+  const std::vector<uint8_t> ingest =
+      EncodeIngestSpan("snap", UpdateSpan(updates));
+  setup.insert(setup.end(), ingest.begin(), ingest.end());
+  ASSERT_TRUE(WriteAll(stream.get(), setup));
+  std::vector<Frame> acks;
+  ASSERT_TRUE(ReadResponses(stream.get(), 2, &acks));
+  ASSERT_EQ(acks[0].opcode, Opcode::kOk);
+  ASSERT_EQ(acks[1].opcode, Opcode::kIngestAck);
+
+  const std::vector<uint8_t> snapshot = EncodeSnapshot({"snap"});
+  const std::vector<uint8_t> ping = EncodePing();
+  std::vector<uint8_t> wire = snapshot;
+  wire.insert(wire.end(), ping.begin(), ping.end());
+  wire.insert(wire.end(), snapshot.begin(), snapshot.end());
+  ASSERT_TRUE(WriteAll(stream.get(), wire));
+
+  std::vector<Frame> responses;
+  ASSERT_TRUE(ReadResponses(stream.get(), 3, &responses));
+  CountMinSketch replay(8192, 4, 9);
+  replay.ApplyBatch(updates);
+  const std::vector<uint8_t> expected = replay.Serialize();
+  BlobResponse first;
+  BlobResponse second;
+  ASSERT_TRUE(DecodeBlob(responses[0], &first));
+  EXPECT_EQ(responses[1].opcode, Opcode::kPong);
+  ASSERT_TRUE(DecodeBlob(responses[2], &second));
+  EXPECT_EQ(first.bytes, expected);
+  EXPECT_EQ(second.bytes, expected);
+  server.Stop();
+}
+
 TEST(EventLoopTest, SlowClientBackpressureEvictsTheConnection) {
   // A client that pipelines large batched queries without ever reading
   // responses must be evicted once its outbound backlog exceeds the

@@ -97,6 +97,28 @@ TEST(ProtocolTest, IngestRoundTrip) {
   EXPECT_EQ(decoded.updates[2].item, 0xffffffffffffffffULL);
 }
 
+// A name of 1 to 8 bytes puts the updates at every payload offset
+// modulo 8; each decodes to the values encoded.
+TEST(ProtocolTest, IngestDecodesAtEveryPayloadAlignment) {
+  IngestRequest request;
+  request.updates = {{0, 0},
+                     {1, -1},
+                     {UINT64_MAX, INT64_MIN},
+                     {0x0102030405060708ULL, INT64_MAX}};
+  for (std::size_t length = 1; length <= 8; ++length) {
+    request.name = std::string(length, 'n');
+    IngestRequest decoded;
+    ASSERT_TRUE(DecodeIngest(DecodeOneFrame(EncodeIngest(request), 64),
+                             &decoded));
+    EXPECT_EQ(decoded.name, request.name);
+    ASSERT_EQ(decoded.updates.size(), request.updates.size());
+    for (std::size_t i = 0; i < request.updates.size(); ++i) {
+      EXPECT_EQ(decoded.updates[i].item, request.updates[i].item);
+      EXPECT_EQ(decoded.updates[i].delta, request.updates[i].delta);
+    }
+  }
+}
+
 TEST(ProtocolTest, IngestSpanMatchesVectorEncoding) {
   IngestRequest request;
   request.name = "same";
@@ -150,6 +172,49 @@ TEST(ProtocolTest, RestoreRoundTrip) {
   EXPECT_EQ(decoded.name, "rebuild");
   EXPECT_EQ(decoded.type, SketchType::kStreamSummary);
   EXPECT_EQ(decoded.blob, request.blob);
+}
+
+// The borrowing decode and the owning one are one parser: they agree on
+// every field, and on every rejection.
+TEST(ProtocolTest, RestoreViewAgreesWithOwningDecode) {
+  RestoreRequest request;
+  request.type = SketchType::kCountSketch;
+  for (std::size_t length = 1; length <= 8; ++length) {
+    request.name = std::string(length, 'r');
+    request.blob.assign(8 * length + 3, static_cast<uint8_t>(length));
+    const Frame frame = DecodeOneFrame(EncodeRestore(request), 64);
+    RestoreRequestView view;
+    RestoreRequest owned;
+    ASSERT_TRUE(DecodeRestore(frame, &view));
+    ASSERT_TRUE(DecodeRestore(frame, &owned));
+    EXPECT_EQ(view.name, owned.name);
+    EXPECT_EQ(view.type, owned.type);
+    EXPECT_EQ(std::vector<uint8_t>(view.blob.begin(), view.blob.end()),
+              owned.blob);
+    EXPECT_EQ(owned.blob, request.blob);
+    // The view points into the payload: after the name, type and length.
+    EXPECT_EQ(view.blob.data(), frame.payload.data() + 2 + length + 1 + 4);
+    // A payload one byte short of its blob is refused by both.
+    Frame truncated = frame;
+    truncated.payload.pop_back();
+    EXPECT_FALSE(DecodeRestore(truncated, &view));
+    EXPECT_FALSE(DecodeRestore(truncated, &owned));
+  }
+}
+
+TEST(ProtocolTest, AppenderBlobMatchesBlobResponse) {
+  for (std::size_t size : {0u, 1u, 7u, 4096u}) {
+    BlobResponse response;
+    response.bytes.assign(size, 0x5a);
+    if (size > 0) response.bytes.back() = 0x01;
+    const auto append = [&](std::vector<uint8_t>* out) {
+      out->insert(out->end(), response.bytes.begin(), response.bytes.end());
+    };
+    // The hint sizes an allocation and nothing else.
+    EXPECT_EQ(EncodeBlob(size, append), EncodeBlob(response));
+    EXPECT_EQ(EncodeBlob(0, append), EncodeBlob(response));
+    EXPECT_EQ(EncodeBlob(2 * size + 100, append), EncodeBlob(response));
+  }
 }
 
 TEST(ProtocolTest, ResponseRoundTrips) {

@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/wrapping.h"
@@ -275,6 +276,70 @@ TEST(SketchServiceTest, SnapshotRestoreRoundTripPreservesQueries) {
   Ingest(&service, "copy", {{11, 1}});
   EXPECT_EQ(Query(&service, "copy", 11).estimate,
             Query(&service, "origin", 11).estimate + 1);
+}
+
+// A restore decodes its blob where it lies in the frame's payload, which
+// a name of 1 to 8 bytes puts at every offset modulo 8. Whatever the
+// offset, the restored sketch snapshots to the source's bytes.
+TEST(SketchServiceTest, RestoreAtEveryPayloadAlignmentKeepsTheBytes) {
+  struct Family {
+    SketchType type;
+    std::array<uint64_t, 5> params;
+  };
+  const Family families[] = {
+      {SketchType::kCountMin, {512, 3, 5, 0, 0}},
+      {SketchType::kCountMin, {512, 3, 5, 1, 0}},
+      {SketchType::kCountSketch, {256, 5, 6, 0, 0}},
+      {SketchType::kBloom, {4000, 3, 7, 0, 0}},
+      {SketchType::kStreamSummary, {10, 64, 3, 128, 8}},
+  };
+  std::vector<StreamUpdate> updates;
+  for (uint64_t i = 0; i < 300; ++i) {
+    updates.push_back({(i * 37) % 1000, static_cast<int64_t>(i % 7) - 3});
+  }
+  updates.push_back({999, INT64_MAX});
+  for (const Family& family : families) {
+    SketchService service({});
+    Create(&service, "src", family.type, family.params);
+    Ingest(&service, "src", updates);
+    const std::vector<uint8_t> source = Snapshot(&service, "src");
+    ASSERT_FALSE(source.empty());
+    for (std::size_t length = 1; length <= 8; ++length) {
+      RestoreRequest restore;
+      restore.name = std::string(length, 'r');
+      restore.type = family.type;
+      restore.blob = source;
+      ExpectOk(&service, EncodeRestore(restore));
+      EXPECT_EQ(Snapshot(&service, restore.name), source)
+          << SketchTypeName(family.type) << " name length " << length;
+    }
+  }
+}
+
+// SnapshotBytes sizes a snapshot's response frame: it must cover the
+// blob (else the frame regrows and copies the table) and overshoot by at
+// most one word (a v1 header counted as v2). A StreamSummary at
+// log_universe 16 has over 512 bytes of headers.
+TEST(SketchServiceTest, SnapshotBytesCoversTheSnapshotWithinOneWord) {
+  SketchService service({});
+  Create(&service, "cm", SketchType::kCountMin, {512, 3, 5, 0, 0});
+  Create(&service, "cm_pow2", SketchType::kCountMin, {512, 3, 5, 1, 0});
+  Create(&service, "sharded", SketchType::kShardedCountMin,
+         {1024, 4, 99, 4, 0});
+  Create(&service, "cs", SketchType::kCountSketch, {256, 5, 6, 0, 0});
+  Create(&service, "bloom", SketchType::kBloom, {4000, 3, 7, 0, 0});
+  Create(&service, "sum", SketchType::kStreamSummary, {16, 64, 4, 128, 13});
+  std::vector<std::pair<std::string, uint64_t>> hints;
+  service.ForEachSketch(
+      [&](const std::string& name, const internal::SketchEntry& entry) {
+        hints.emplace_back(name, entry.SnapshotBytes());
+      });
+  ASSERT_EQ(hints.size(), 6u);
+  for (const auto& [name, hint] : hints) {
+    const uint64_t bytes = Snapshot(&service, name).size();
+    EXPECT_GE(hint, bytes) << name;
+    EXPECT_LE(hint, bytes + 8) << name;
+  }
 }
 
 TEST(SketchServiceTest, HostileL1MassSaturatesInsteadOfOverflowing) {

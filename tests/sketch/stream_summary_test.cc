@@ -124,5 +124,18 @@ TEST(StreamSummaryTest, SizeIsSumOfParts) {
   EXPECT_LT(summary.SizeInCounters(), 1u << 18);
 }
 
+TEST(StreamSummaryTest, SerializedSizeBytesIsTheSerializedLength) {
+  for (int log_universe : {1, 12, 20}) {
+    StreamSummary::Options options;
+    options.log_universe = log_universe;
+    options.width = 16;
+    options.depth = 4;
+    options.verify_width = 32;
+    const StreamSummary summary(options);
+    EXPECT_EQ(summary.SerializedSizeBytes(), summary.Serialize().size())
+        << "log_universe " << log_universe;
+  }
+}
+
 }  // namespace
 }  // namespace sketch

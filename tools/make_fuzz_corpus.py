@@ -35,6 +35,7 @@ MAGICS = {
 K_MAX_NAME_BYTES = 256
 K_MAX_BATCH_UPDATES = 1 << 18
 K_MAX_BATCH_QUERY_ITEMS = 1 << 16
+K_MAX_BLOB_BYTES = (8 << 20) - 1024
 
 
 def u64(*values):
@@ -218,11 +219,15 @@ def server_frame_seeds(out):
         "sharded_count_min": (5, counter_sketch_buffer(MAGICS["count_min"],
                                                        4, 2, 7)),
     }
+    # The server restores a blob where it lies in the payload: a one-byte
+    # name puts it at offset 8, a two-byte name at the odd offset 9.
     for name, (sketch_type, blob) in restores.items():
-        write(d, "restore_" + name,
-              wire_frame(0x09, wire_string("r") + bytes([sketch_type]) +
-                         struct.pack("<I", len(blob)) + blob) +
-              wire_frame(0x08, wire_string("r")))
+        for prefix, sketch in (("restore_", "r"),
+                               ("restore_odd_offset_", "ro")):
+            write(d, prefix + name,
+                  wire_frame(0x09, wire_string(sketch) + bytes([sketch_type]) +
+                             struct.pack("<I", len(blob)) + blob) +
+                  wire_frame(0x08, wire_string(sketch)))
     # Framing violations the decoder must reject from the header alone.
     write(d, "length_overflow", wire_frame(0x01, declared_len=2**32 - 1))
     write(d, "wrong_version", wire_frame(0x01, version=9))
@@ -246,10 +251,13 @@ def server_frame_seeds(out):
               wire_frame(0x02, name + bytes([1]) + u64(64, 2, 7, 0, 0)) +
               wire_frame(0x05, name + u64(3)))
     blob = counter_sketch_buffer(MAGICS["count_min"], 4, 2, 7)
-    for name, declared in (("blob_length_exact", len(blob)),
-                           ("blob_length_one_past", len(blob) + 1)):
+    for name, sketch, declared in (
+            ("blob_length_exact", "r", len(blob)),
+            ("blob_length_one_past", "r", len(blob) + 1),
+            ("blob_length_one_past_odd_offset", "ro", len(blob) + 1),
+            ("blob_length_over_cap", "r", K_MAX_BLOB_BYTES + 1)):
         write(d, name,
-              wire_frame(0x09, wire_string("r") + bytes([1]) +
+              wire_frame(0x09, wire_string(sketch) + bytes([1]) +
                          struct.pack("<I", declared) + blob))
     update = u64(3) + i64(5)
     write(d, "ingest_count_over_cap",
