@@ -2,9 +2,10 @@
 // decoders, and the full service dispatch behind them.
 //
 // The input is fed to a FrameDecoder in two fragments (exercising header /
-// payload resumption), and every extracted frame is pushed through every
-// typed decoder and then through SketchService::HandleFrame. Invariants
-// enforced with a trap (a real finding, not a rejection):
+// payload resumption and the in-place receipt of a large frame), and every
+// extracted frame is pushed through every typed decoder and then through
+// SketchService::HandleFrame. Invariants enforced with a trap (a real
+// finding, not a rejection):
 //
 //   * no frame reaches a SKETCH_CHECK inside the service (the daemon would
 //     abort there),
@@ -76,6 +77,27 @@ std::vector<uint8_t> HandleOrTrap(sketch::server::SketchService& service,
   }
 }
 
+/// Pushes one extracted frame through every typed decoder and the
+/// service, and checks the answer is one well-formed response frame.
+void CheckFrame(sketch::server::SketchService& service,
+                const sketch::server::Frame& frame) {
+  using namespace sketch::server;
+  TryAllDecoders(frame);
+  const std::vector<uint8_t> response = HandleOrTrap(service, frame);
+  FrameDecoder response_decoder;
+  response_decoder.Feed(response.data(), response.size());
+  Frame response_frame;
+  if (response_decoder.Next(&response_frame) != DecodeStatus::kFrame) {
+    __builtin_trap();  // the server emitted a malformed frame
+  }
+  if (static_cast<uint8_t>(response_frame.opcode) < 0x80) {
+    __builtin_trap();  // the server answered with a request opcode
+  }
+  if (response_decoder.buffered_bytes() != 0) {
+    __builtin_trap();  // trailing bytes after the response frame
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -83,30 +105,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   SketchService service({});
   FrameDecoder decoder;
   // Split the input so every frame boundary can land mid-header or
-  // mid-payload at least some of the time.
+  // mid-payload at least some of the time, and drain the frames after
+  // each half, as the event loop does after each read: a frame split
+  // with more than one window still to come is received in place.
   const size_t half = size / 2;
-  decoder.Feed(data, half);
-  decoder.Feed(data + half, size - half);
-
+  const size_t lengths[2] = {half, size - half};
   Frame frame;
   // Cap the frames handled per input so a frame-dense input cannot
   // create an unbounded registry.
-  for (int handled = 0; handled < 64; ++handled) {
-    if (decoder.Next(&frame) != DecodeStatus::kFrame) break;
-    TryAllDecoders(frame);
-
-    const std::vector<uint8_t> response = HandleOrTrap(service, frame);
-    FrameDecoder response_decoder;
-    response_decoder.Feed(response.data(), response.size());
-    Frame response_frame;
-    if (response_decoder.Next(&response_frame) != DecodeStatus::kFrame) {
-      __builtin_trap();  // the server emitted a malformed frame
-    }
-    if (static_cast<uint8_t>(response_frame.opcode) < 0x80) {
-      __builtin_trap();  // the server answered with a request opcode
-    }
-    if (response_decoder.buffered_bytes() != 0) {
-      __builtin_trap();  // trailing bytes after the response frame
+  int handled = 0;
+  for (const size_t length : lengths) {
+    decoder.Feed(data, length);
+    data += length;
+    while (handled < 64 && decoder.Next(&frame) == DecodeStatus::kFrame) {
+      ++handled;
+      CheckFrame(service, frame);
     }
   }
   return 0;

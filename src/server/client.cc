@@ -1,5 +1,7 @@
 #include "server/client.h"
 
+#include <span>
+
 namespace sketch::server {
 
 namespace {
@@ -31,7 +33,6 @@ bool SketchClient::Transact(const std::vector<uint8_t>& request,
     last_error_ = TransportError("write failed (connection lost?)");
     return false;
   }
-  std::vector<uint8_t> chunk(64 * 1024);
   while (true) {
     const DecodeStatus status = decoder_.Next(response);
     if (status == DecodeStatus::kFrame) return true;
@@ -39,12 +40,13 @@ bool SketchClient::Transact(const std::vector<uint8_t>& request,
       last_error_ = TransportError("framing violation in server response");
       return false;
     }
-    const std::ptrdiff_t n = stream_->Read(chunk.data(), chunk.size());
+    const std::span<uint8_t> window = decoder_.WriteWindow();
+    const std::ptrdiff_t n = stream_->Read(window.data(), window.size());
     if (n <= 0) {
       last_error_ = TransportError("connection closed before response");
       return false;
     }
-    decoder_.Feed(chunk.data(), static_cast<std::size_t>(n));
+    decoder_.Commit(static_cast<std::size_t>(n));
   }
 }
 

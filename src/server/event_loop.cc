@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <span>
 #include <utility>
 
 #include "telemetry/telemetry.h"
@@ -14,11 +15,6 @@
 namespace sketch::server {
 
 namespace {
-
-/// Per-event read granularity: a fraction of the max frame, so a large
-/// frame arrives over several reads and exercises the decoder's
-/// resumption path.
-constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 bool SetNonBlocking(int fd, bool nonblocking) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -209,43 +205,43 @@ void EventLoopPool::Run(Loop* loop) {
 }
 
 bool EventLoopPool::ServeReadable(Conn* conn) {
-  uint8_t chunk[kReadChunkBytes];
-  bool peer_closed = false;
-  while (true) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn->decoder.Feed(chunk, static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < sizeof(chunk)) break;
-      continue;
-    }
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;  // torn connection
-  }
-
-  // Drain every complete frame buffered by the reads; the whole run goes
-  // through HandleFrames so consecutive same-sketch ingest frames share
-  // one lookup + one exclusive lock. Frames pipelined after a kShutdown
-  // are dropped.
+  // Each read lands in the decoder's write window, and the frames it
+  // completes are drained before the next read, so a frame whose rest is
+  // larger than one window is received straight into its own payload.
+  // The whole run goes through HandleFrames so consecutive same-sketch
+  // ingest frames share one lookup + one exclusive lock. Frames
+  // pipelined after a kShutdown are dropped.
   const uint64_t rx_start_ns = MonotonicNowNs();
   uint64_t run_trace_id = 0;  // first traced frame tags the rx/tx spans
   std::vector<Frame> frames;
   bool bad_frame = false;
-  while (!conn->shutdown_pending) {
-    Frame frame;
-    const DecodeStatus status = conn->decoder.Next(&frame);
-    if (status == DecodeStatus::kNeedMore) break;
-    if (status == DecodeStatus::kBadFrame) {
-      bad_frame = true;
+  bool peer_closed = false;
+  while (!bad_frame) {
+    const std::span<uint8_t> window = conn->decoder.WriteWindow();
+    const ssize_t n = ::recv(conn->fd, window.data(), window.size(), 0);
+    if (n == 0) {
+      peer_closed = true;
       break;
     }
-    if (frame.opcode == Opcode::kShutdown) conn->shutdown_pending = true;
-    if (run_trace_id == 0) run_trace_id = frame.trace_id;
-    frames.push_back(std::move(frame));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      return false;  // torn connection
+    }
+    conn->decoder.Commit(static_cast<std::size_t>(n));
+    while (!conn->shutdown_pending) {
+      Frame frame;
+      const DecodeStatus status = conn->decoder.Next(&frame);
+      if (status == DecodeStatus::kNeedMore) break;
+      if (status == DecodeStatus::kBadFrame) {
+        bad_frame = true;
+        break;
+      }
+      if (frame.opcode == Opcode::kShutdown) conn->shutdown_pending = true;
+      if (run_trace_id == 0) run_trace_id = frame.trace_id;
+      frames.push_back(std::move(frame));
+    }
+    if (static_cast<std::size_t>(n) < window.size()) break;
   }
   if (run_trace_id != 0) {
     telemetry::TraceRecorder::Instance().RecordSpan(
@@ -289,9 +285,6 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
   }
   const std::size_t backlog = conn->outbound.size() - conn->consumed;
   if (backlog == 0) {
-    // Reclaim the coalescing buffer once the kernel has taken it all.
-    conn->outbound.clear();
-    conn->consumed = 0;
     conn->want_write = false;
     if (conn->shutdown_pending || peer_closed) return false;
     return true;
@@ -322,7 +315,10 @@ bool EventLoopPool::FlushOutbound(Conn* conn) {
     return false;
   }
   if (conn->consumed == conn->outbound.size()) {
-    conn->outbound.clear();
+    // Release the drained buffer, capacity and all: a connection that
+    // once received a snapshot must not keep its size until it closes.
+    // The next response is moved into the empty buffer anyway.
+    conn->outbound = {};
     conn->consumed = 0;
   }
   return true;

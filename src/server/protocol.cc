@@ -1,5 +1,7 @@
 #include "server/protocol.h"
 
+#include <algorithm>
+#include <cstring>
 #include <span>
 #include <utility>
 
@@ -11,6 +13,10 @@ namespace {
 
 /// Offset of the u16 flags in the frame header.
 constexpr std::size_t kFlagsOffset = 6;
+
+/// FrameDecoder moves its unread bytes to the front of its buffer once
+/// the consumed bytes before them outnumber them this many times.
+constexpr std::size_t kCompactRatio = 8;
 
 struct FrameHeader {
   uint32_t payload_length = 0;
@@ -167,9 +173,58 @@ void StampTraceId(std::vector<uint8_t>* frame, uint64_t trace_id) {
   AppendU64(trace_id, frame);
 }
 
-void FrameDecoder::Feed(const uint8_t* data, std::size_t size) {
+std::span<uint8_t> FrameDecoder::WriteWindow() {
+  if (in_place_received_ < in_place_bytes_) {
+    std::vector<uint8_t>& payload = in_place_.payload;
+    // Next() reserved the whole validated length, so growing the size
+    // never moves the bytes already received.
+    SKETCH_CHECK(payload.capacity() >= in_place_bytes_);
+    if (payload.size() == in_place_received_) {
+      payload.resize(in_place_received_ +
+                     std::min(kWindowBytes,
+                              in_place_bytes_ - in_place_received_));
+    }
+    return std::span(payload).subspan(in_place_received_);
+  }
+  if (buffer_.size() - filled_ < kWindowBytes) {
+    // Move the unread bytes to the front once the consumed bytes before
+    // them are kCompactRatio times as many, so the moves add at most
+    // 1/kCompactRatio of a copy per byte received. Otherwise grow by one
+    // window step: only bytes about to be received are zero-filled.
+    if (consumed_ > 0 && consumed_ >= kCompactRatio * (filled_ - consumed_)) {
+      std::copy(buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(filled_),
+                buffer_.begin());
+      filled_ -= consumed_;
+      consumed_ = 0;
+    }
+    if (buffer_.size() - filled_ < kWindowBytes) {
+      buffer_.resize(filled_ + kWindowBytes);
+    }
+  }
+  return std::span(buffer_).subspan(filled_, kWindowBytes);
+}
+
+void FrameDecoder::Commit(std::size_t size) {
+  if (in_place_received_ < in_place_bytes_) {
+    SKETCH_CHECK(size <= in_place_.payload.size() - in_place_received_);
+    in_place_received_ += size;
+    return;
+  }
+  SKETCH_CHECK(size <= buffer_.size() - filled_);
   if (failed_) return;  // stream is already unrecoverable
-  buffer_.insert(buffer_.end(), data, data + size);
+  filled_ += size;
+}
+
+void FrameDecoder::Feed(const uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const std::span<uint8_t> window = WriteWindow();
+    const std::size_t n = std::min(size, window.size());
+    std::memcpy(window.data(), data, n);
+    Commit(n);
+    data += n;
+    size -= n;
+  }
 }
 
 DecodeStatus FrameDecoder::Fail(ErrorCode code, const char* message) {
@@ -181,24 +236,32 @@ DecodeStatus FrameDecoder::Fail(ErrorCode code, const char* message) {
 
 DecodeStatus FrameDecoder::Next(Frame* out) {
   if (failed_) return DecodeStatus::kBadFrame;
-  const std::size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) {
-    // Compact once the consumed prefix dominates, so a long-lived
-    // connection does not grow its buffer without bound.
-    if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-      consumed_ = 0;
-    }
-    return DecodeStatus::kNeedMore;
+  if (in_place_bytes_ != 0) {
+    if (in_place_received_ < in_place_bytes_) return DecodeStatus::kNeedMore;
+    // Strip the trailing trace id, as for a buffered frame below.
+    const std::size_t message_length =
+        in_place_traced_ ? in_place_bytes_ - kTraceIdBytes : in_place_bytes_;
+    out->opcode = in_place_.opcode;
+    out->trace_id = in_place_traced_
+                        ? LoadLittleEndian<uint64_t>(
+                              in_place_.payload.data() + message_length)
+                        : 0;
+    in_place_.payload.erase(
+        in_place_.payload.begin() + static_cast<std::ptrdiff_t>(message_length),
+        in_place_.payload.end());
+    out->payload = std::move(in_place_.payload);
+    in_place_bytes_ = 0;
+    in_place_received_ = 0;
+    return DecodeStatus::kFrame;
   }
+  const std::size_t available = filled_ - consumed_;
+  if (available < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
   const std::span<const uint8_t> unread =
-      std::span(buffer_).subspan(consumed_);
+      std::span(buffer_).subspan(consumed_, available);
   const FrameHeader header = ReadFrameHeader(unread);
   // Header validation happens before the payload is required to be
   // present: an oversized declared length is rejected here, while only
-  // kFrameHeaderBytes have been buffered, so the declared length never
-  // drives an allocation.
+  // kFrameHeaderBytes may have arrived.
   if (header.version != kProtocolVersion) {
     return Fail(ErrorCode::kBadFrameHeader, "unsupported protocol version");
   }
@@ -214,11 +277,24 @@ DecodeStatus FrameDecoder::Next(Frame* out) {
     return Fail(ErrorCode::kFrameTooLarge,
                 "frame payload length exceeds kMaxFramePayloadBytes");
   }
-  if (available < kFrameHeaderBytes + header.payload_length) {
+  const uint8_t* payload = unread.data() + kFrameHeaderBytes;
+  const std::size_t received = available - kFrameHeaderBytes;
+  if (received < header.payload_length) {
+    if (header.payload_length - received > kWindowBytes) {
+      // The rest is received in place: WriteWindow() now points into
+      // this frame's own payload vector.
+      in_place_.opcode = static_cast<Opcode>(header.opcode);
+      in_place_.payload.reserve(header.payload_length);
+      in_place_.payload.assign(payload, payload + received);
+      in_place_bytes_ = header.payload_length;
+      in_place_received_ = received;
+      in_place_traced_ = traced;
+      consumed_ = 0;
+      filled_ = 0;
+    }
     return DecodeStatus::kNeedMore;
   }
   out->opcode = static_cast<Opcode>(header.opcode);
-  const uint8_t* payload = unread.data() + kFrameHeaderBytes;
   // The trailing trace id is framing, not message: strip it here so the
   // typed decoders (which reject trailing bytes) never see it.
   const std::size_t message_length =
@@ -227,9 +303,9 @@ DecodeStatus FrameDecoder::Next(Frame* out) {
   out->trace_id =
       traced ? LoadLittleEndian<uint64_t>(payload + message_length) : 0;
   consumed_ += kFrameHeaderBytes + header.payload_length;
-  if (consumed_ == buffer_.size()) {
-    buffer_.clear();
+  if (consumed_ == filled_) {
     consumed_ = 0;
+    filled_ = 0;
   }
   return DecodeStatus::kFrame;
 }

@@ -78,8 +78,10 @@ inline constexpr std::size_t kTraceIdBytes = 8;
 /// Hard cap on a frame payload. Chosen so the largest legal messages — a
 /// kMaxBatchUpdates ingest batch (16 bytes per update) and a snapshot of a
 /// maximum-geometry sketch (kMaxSketchCounters counters at 8 bytes) — fit
-/// with headroom, while a hostile length prefix can never drive a large
-/// allocation: the decoder rejects the frame before buffering the payload.
+/// with headroom. The decoder rejects a longer declared length from the
+/// header alone, and resident memory follows the bytes received, so a
+/// hostile length prefix cannot make the daemon touch memory it was
+/// never sent.
 inline constexpr uint32_t kMaxFramePayloadBytes = 8u << 20;  // 8 MiB
 
 /// Cap on sketch-name strings.
@@ -200,12 +202,26 @@ std::vector<uint8_t> EncodeFrame(Opcode opcode,
 /// well-formed and stays within kMaxFramePayloadBytes.
 void StampTraceId(std::vector<uint8_t>* frame, uint64_t trace_id);
 
-/// Incremental frame decoder. Feed() whatever a transport read returned —
-/// any fragmentation, including one byte at a time — and Next() yields
-/// complete frames as they become available. A malformed header (bad
-/// version, nonzero reserved bits, oversized length) is fatal for the
-/// stream: Next() returns kBadFrame and the decoder stays failed, because
-/// after a framing error the byte stream can no longer be resynchronized.
+/// Incremental frame decoder. A transport reads straight into
+/// WriteWindow() and reports what arrived with Commit(); Feed() copies
+/// bytes it already holds through the same window. Next() yields complete
+/// frames as they become available, under any fragmentation, including
+/// one byte at a time. A malformed header (bad version, unknown flag
+/// bits, oversized length) is fatal for the stream: Next() returns
+/// kBadFrame and the decoder stays failed, because after a framing error
+/// the byte stream can no longer be resynchronized.
+///
+/// Bytes land in the decoder's buffer, and Next() copies each frame it
+/// finds complete there into Frame::payload. Once Next() has validated
+/// the header of a frame whose remaining bytes are more than one window,
+/// it reserves the frame's own payload vector (the validated length, so
+/// at most kMaxFramePayloadBytes), moves the bytes already buffered into
+/// it, and WriteWindow() then points into that vector, one window at a
+/// time, until the frame is complete; Next() hands the vector out by
+/// move. So past its first window, a MiB-sized restore is copied only by
+/// the transport. The vector's size grows one window per WriteWindow(),
+/// so resident memory follows the bytes received, not the declared
+/// length.
 enum class DecodeStatus : uint8_t {
   kFrame = 0,     ///< *out holds the next complete frame
   kNeedMore = 1,  ///< no complete frame buffered yet
@@ -214,7 +230,20 @@ enum class DecodeStatus : uint8_t {
 
 class FrameDecoder {
  public:
-  /// Appends raw transport bytes to the internal buffer.
+  /// Most bytes one WriteWindow() offers, and the remaining-bytes size
+  /// above which a frame is received in place.
+  static constexpr std::size_t kWindowBytes = 64 * 1024;
+
+  /// Where the next transport read lands: 1 to kWindowBytes writable
+  /// bytes, never empty. Valid until the next call on this decoder.
+  std::span<uint8_t> WriteWindow();
+
+  /// Records that the first `size` bytes of the last WriteWindow() were
+  /// written, with no other call in between. CHECKs `size` fits that
+  /// window. Bytes committed after a framing error are dropped.
+  void Commit(std::size_t size);
+
+  /// Copies `size` bytes through WriteWindow()/Commit().
   void Feed(const uint8_t* data, std::size_t size);
 
   /// Extracts the next complete frame, if any.
@@ -224,15 +253,30 @@ class FrameDecoder {
   ErrorCode error_code() const { return error_code_; }
   const std::string& error() const { return error_; }
 
-  /// Bytes currently buffered and not yet consumed by Next().
-  std::size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  /// Bytes received and not yet handed out by Next(), a partly received
+  /// in-place frame included.
+  std::size_t buffered_bytes() const {
+    return filled_ - consumed_ +
+           (in_place_bytes_ != 0 ? kFrameHeaderBytes + in_place_received_
+                                 : 0);
+  }
 
  private:
   /// Marks the stream failed with `code` and `message`; returns kBadFrame.
   DecodeStatus Fail(ErrorCode code, const char* message);
 
+  /// Received bytes are buffer_[consumed_, filled_); the rest of buffer_
+  /// is the window the next read may fill.
   std::vector<uint8_t> buffer_;
   std::size_t consumed_ = 0;
+  std::size_t filled_ = 0;
+  /// The frame being received in place: its opcode and payload vector,
+  /// its declared payload length (trace id included; 0 = none), the
+  /// payload bytes received so far, and whether it carries a trace id.
+  Frame in_place_;
+  std::size_t in_place_bytes_ = 0;
+  std::size_t in_place_received_ = 0;
+  bool in_place_traced_ = false;
   bool failed_ = false;
   ErrorCode error_code_ = ErrorCode::kNone;
   std::string error_;

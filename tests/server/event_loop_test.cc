@@ -6,6 +6,7 @@
 
 #include <dirent.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/prng.h"
 #include "gtest/gtest.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -299,6 +301,53 @@ TEST(EventLoopTest, SingleByteWritesStillDecodeAndServe) {
   PointValueResponse value;
   ASSERT_TRUE(DecodePointValue(responses[2], &value));
   EXPECT_GE(value.estimate, 10);
+  server.Stop();
+}
+
+TEST(EventLoopTest, TwoMiBRestoreInAnyPiecesIsServedByteIdentically) {
+  // A 2 MiB restore is received in place (straight into its frame's
+  // payload) once its header is in. Sent one byte per write, or in
+  // random pieces, with a ping pipelined behind it, the restored table
+  // must snapshot back to the very bytes sent.
+  SketchServer server({});
+  ASSERT_TRUE(server.Start());
+  CountMinSketch source(1 << 16, 4, 21);  // 2 MiB of counters
+  std::vector<StreamUpdate> updates;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    updates.push_back({i * 104729, static_cast<int64_t>(i % 13) - 6});
+  }
+  source.ApplyBatch(updates);
+  RestoreRequest restore;
+  restore.type = SketchType::kCountMin;
+  restore.blob = source.Serialize();
+  ASSERT_GT(restore.blob.size(), std::size_t{2} << 20);
+
+  Xoshiro256StarStar rng(7);
+  for (const bool one_byte : {true, false}) {
+    SCOPED_TRACE(one_byte ? "1-byte pieces" : "random pieces");
+    restore.name = one_byte ? "bytes" : "pieces";
+    std::vector<uint8_t> wire = EncodeRestore(restore);
+    const std::vector<uint8_t> ping = EncodePing();
+    wire.insert(wire.end(), ping.begin(), ping.end());
+    auto stream = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_NE(stream, nullptr);
+    std::size_t offset = 0;
+    while (offset < wire.size()) {
+      const std::size_t piece = one_byte ? 1 : 1 + rng.NextBounded(96 * 1024);
+      const std::size_t n = std::min(piece, wire.size() - offset);
+      ASSERT_TRUE(WriteAll(stream.get(), wire.data() + offset, n));
+      offset += n;
+    }
+    std::vector<Frame> responses;
+    ASSERT_TRUE(ReadResponses(stream.get(), 2, &responses));
+    EXPECT_EQ(responses[0].opcode, Opcode::kOk);
+    EXPECT_EQ(responses[1].opcode, Opcode::kPong);
+
+    SketchClient client(std::move(stream));
+    std::vector<uint8_t> snapshot;
+    ASSERT_TRUE(client.Snapshot(restore.name, &snapshot));
+    EXPECT_EQ(snapshot, restore.blob);
+  }
   server.Stop();
 }
 

@@ -6,8 +6,11 @@
 
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -81,6 +84,225 @@ TEST(FrameDecoderTest, NeedsMoreUntilPayloadComplete) {
   EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kNeedMore);
   decoder.Feed(bytes.data() + bytes.size() - 1, 1);
   EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
+}
+
+/// A restore frame whose payload is `payload_bytes` long (trace id
+/// included when `trace_id` is nonzero), with patterned blob bytes.
+std::vector<uint8_t> RestoreFrameOfSize(std::size_t payload_bytes,
+                                        uint64_t trace_id) {
+  RestoreRequest request;
+  request.name = "big";
+  request.type = SketchType::kCountSketch;
+  // name (2 + 3) + type (1) + blob length (4) precede the blob.
+  const std::size_t overhead = 10 + (trace_id != 0 ? kTraceIdBytes : 0);
+  request.blob.resize(payload_bytes - overhead);
+  for (std::size_t i = 0; i < request.blob.size(); ++i) {
+    request.blob[i] = static_cast<uint8_t>(i * 131 + (i >> 9));
+  }
+  std::vector<uint8_t> frame = EncodeRestore(request);
+  if (trace_id != 0) StampTraceId(&frame, trace_id);
+  EXPECT_EQ(frame.size(), kFrameHeaderBytes + payload_bytes);
+  return frame;
+}
+
+/// Drains every frame the decoder has ready into `out`; returns the
+/// status that stopped the drain.
+DecodeStatus DrainFrames(FrameDecoder* decoder, std::vector<Frame>* out) {
+  while (true) {
+    Frame frame;
+    const DecodeStatus status = decoder->Next(&frame);
+    if (status != DecodeStatus::kFrame) return status;
+    out->push_back(std::move(frame));
+  }
+}
+
+/// Frames a decoder yields for `bytes` fed whole, before any Next(): the
+/// fully buffered path, which copies each payload out of the buffer.
+std::vector<Frame> DecodeBuffered(const std::vector<uint8_t>& bytes) {
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  std::vector<Frame> frames;
+  EXPECT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kNeedMore);
+  return frames;
+}
+
+// A frame larger than one window, followed by a ping in the same feed,
+// split once at every offset around its header and around the window
+// edge, with the frames drained between the two feeds: whether the rest
+// of the frame was received in place or buffered, both frames come out
+// equal to the fully buffered decode.
+TEST(FrameDecoderTest, LargeFrameAtEverySplitOffsetMatchesBufferedDecode) {
+  constexpr std::size_t kWindow = FrameDecoder::kWindowBytes;
+  const std::vector<uint8_t> ping = EncodePing();
+  // 3 windows and a bit, and just over one window (in place only when
+  // the split leaves more than a window to come).
+  for (const std::size_t payload_bytes : {3 * kWindow + 5, kWindow + 64}) {
+    for (const uint64_t trace_id :
+         {uint64_t{0}, uint64_t{0x1122334455667788}}) {
+      std::vector<uint8_t> wire = RestoreFrameOfSize(payload_bytes, trace_id);
+      wire.insert(wire.end(), ping.begin(), ping.end());
+      const std::vector<Frame> expected = DecodeBuffered(wire);
+      ASSERT_EQ(expected.size(), 2u);
+      EXPECT_EQ(expected[0].trace_id, trace_id);
+      EXPECT_EQ(expected[0].payload.size(),
+                payload_bytes - (trace_id != 0 ? kTraceIdBytes : 0));
+
+      std::vector<std::size_t> splits;
+      for (std::size_t s = 0; s <= 80; ++s) splits.push_back(s);
+      for (std::size_t s = kWindow - 16; s <= kWindow + 80; ++s) {
+        splits.push_back(s);
+      }
+      splits.push_back(wire.size() - ping.size() - 1);
+      splits.push_back(wire.size() - 1);
+      for (const std::size_t split : splits) {
+        SCOPED_TRACE(testing::Message() << "payload " << payload_bytes
+                                        << " trace " << trace_id
+                                        << " split " << split);
+        FrameDecoder decoder;
+        std::vector<Frame> frames;
+        decoder.Feed(wire.data(), split);
+        ASSERT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kNeedMore);
+        decoder.Feed(wire.data() + split, wire.size() - split);
+        ASSERT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kNeedMore);
+        ASSERT_EQ(frames.size(), 2u);
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+          EXPECT_EQ(frames[i].opcode, expected[i].opcode);
+          EXPECT_EQ(frames[i].trace_id, expected[i].trace_id);
+          EXPECT_EQ(frames[i].payload, expected[i].payload);
+        }
+        EXPECT_EQ(decoder.buffered_bytes(), 0u);
+      }
+    }
+  }
+}
+
+// Small frames read a window at a time, drained after every read, as the
+// event loop does: the buffer grows, moves its unread tail to the front
+// and is reused, and every frame comes out whole and in order.
+TEST(FrameDecoderTest, SmallFramesDrainedBetweenWindowReads) {
+  std::vector<uint8_t> wire;
+  std::vector<uint64_t> items;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    PointQueryRequest request;
+    request.name = std::string(1 + i % 40, 'q');
+    request.item = i * 0x9E3779B97F4A7C15ULL;
+    const std::vector<uint8_t> frame = EncodePointQuery(request);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+    items.push_back(request.item);
+  }
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  std::size_t offset = 0;
+  for (std::size_t read = 0; offset < wire.size(); ++read) {
+    const std::span<uint8_t> window = decoder.WriteWindow();
+    ASSERT_EQ(window.size(), FrameDecoder::kWindowBytes);
+    // Reads of uneven sizes, so frames straddle every read boundary.
+    const std::size_t n = std::min({window.size(), wire.size() - offset,
+                                    std::size_t{1000} + read * 7919 % 60000});
+    std::copy_n(wire.data() + offset, n, window.data());
+    decoder.Commit(n);
+    offset += n;
+    ASSERT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kNeedMore);
+  }
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  ASSERT_EQ(frames.size(), items.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    PointQueryRequest decoded;
+    ASSERT_TRUE(DecodePointQuery(frames[i], &decoded));
+    EXPECT_EQ(decoded.item, items[i]);
+    EXPECT_EQ(decoded.name.size(), 1 + i % 40);
+  }
+}
+
+// The zero-copy property: once the header is in, every later transport
+// read of a large frame lands in the vector Next() hands out.
+TEST(FrameDecoderTest, LargeFramePayloadIsTheBufferTheTransportWrote) {
+  const std::vector<uint8_t> wire =
+      RestoreFrameOfSize(4 * FrameDecoder::kWindowBytes, 0);
+  constexpr std::size_t kFirstRead = kFrameHeaderBytes + 100;
+  FrameDecoder decoder;
+  Frame frame;
+  decoder.Feed(wire.data(), kFirstRead);
+  ASSERT_EQ(decoder.Next(&frame), DecodeStatus::kNeedMore);
+  std::vector<std::pair<const uint8_t*, std::size_t>> windows;
+  std::size_t offset = kFirstRead;
+  while (offset < wire.size()) {
+    const std::span<uint8_t> window = decoder.WriteWindow();
+    ASSERT_FALSE(window.empty());
+    ASSERT_LE(window.size(), FrameDecoder::kWindowBytes);
+    const std::size_t n = std::min(window.size(), wire.size() - offset);
+    std::copy_n(wire.data() + offset, n, window.data());
+    windows.emplace_back(window.data(), offset - kFrameHeaderBytes);
+    decoder.Commit(n);
+    offset += n;
+    EXPECT_EQ(decoder.buffered_bytes(), offset);
+  }
+  ASSERT_EQ(decoder.Next(&frame), DecodeStatus::kFrame);
+  ASSERT_GT(windows.size(), 1u);
+  for (const auto& [data, payload_offset] : windows) {
+    EXPECT_EQ(data, frame.payload.data() + payload_offset);
+  }
+  EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                         wire.begin() + kFrameHeaderBytes));
+  // A complete payload hands the window back to the buffer: never empty.
+  EXPECT_EQ(decoder.WriteWindow().size(), FrameDecoder::kWindowBytes);
+}
+
+// A maximal declared length drives neither a large window nor a large
+// count: both follow the bytes that arrived.
+TEST(FrameDecoderTest, MaximalDeclaredLengthKeepsTheWindowToOneStep) {
+  std::vector<uint8_t> wire = {0, 0, 0, 0, 0x03, kProtocolVersion, 0, 0};
+  StoreLittleEndian(kMaxFramePayloadBytes, wire.data());
+  wire.resize(kFrameHeaderBytes + 100, 0xab);
+  FrameDecoder decoder;
+  decoder.Feed(wire.data(), wire.size());
+  Frame frame;
+  ASSERT_EQ(decoder.Next(&frame), DecodeStatus::kNeedMore);
+  EXPECT_LE(decoder.WriteWindow().size(), FrameDecoder::kWindowBytes);
+  EXPECT_EQ(decoder.buffered_bytes(), wire.size());
+  decoder.Commit(7);
+  EXPECT_EQ(decoder.buffered_bytes(), wire.size() + 7);
+  EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kNeedMore);
+}
+
+// A bad header right after a large frame fails the stream with the same
+// code and message as the fully buffered decode, after the large frame.
+TEST(FrameDecoderTest, BadHeaderAfterLargeFrameFailsAsBuffered) {
+  const std::vector<uint8_t> large =
+      RestoreFrameOfSize(2 * FrameDecoder::kWindowBytes, 0);
+  const std::vector<std::vector<uint8_t>> bad_headers = {
+      {0, 0, 0, 0, 0x01, 2, 0, 0},                 // version 2
+      {0, 0, 0, 0, 0x01, kProtocolVersion, 2, 0},  // unknown flag bit
+      {4, 0, 0, 0, 0x01, kProtocolVersion, 1, 0},  // traced, short
+      {0xff, 0xff, 0xff, 0xff, 0x01, kProtocolVersion, 0, 0},  // too large
+  };
+  for (const std::vector<uint8_t>& bad : bad_headers) {
+    std::vector<uint8_t> wire = large;
+    wire.insert(wire.end(), bad.begin(), bad.end());
+    FrameDecoder buffered;
+    buffered.Feed(wire.data(), wire.size());
+    std::vector<Frame> expected;
+    ASSERT_EQ(DrainFrames(&buffered, &expected), DecodeStatus::kBadFrame);
+
+    FrameDecoder decoder;
+    std::vector<Frame> frames;
+    decoder.Feed(wire.data(), kFrameHeaderBytes + 1);
+    ASSERT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kNeedMore);
+    decoder.Feed(wire.data() + kFrameHeaderBytes + 1,
+                 wire.size() - kFrameHeaderBytes - 1);
+    ASSERT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kBadFrame);
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_EQ(expected.size(), 1u);
+    EXPECT_EQ(frames[0].payload, expected[0].payload);
+    EXPECT_EQ(decoder.error_code(), buffered.error_code());
+    EXPECT_EQ(decoder.error(), buffered.error());
+    EXPECT_NE(decoder.error_code(), ErrorCode::kNone);
+    // Sticky: more bytes and more calls change nothing.
+    decoder.Feed(large.data(), large.size());
+    Frame frame;
+    EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kBadFrame);
+    EXPECT_EQ(decoder.error(), buffered.error());
+  }
 }
 
 TEST(ProtocolTest, IngestRoundTrip) {

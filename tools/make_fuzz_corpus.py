@@ -228,6 +228,19 @@ def server_frame_seeds(out):
                   wire_frame(0x09, wire_string(sketch) + bytes([sketch_type]) +
                              struct.pack("<I", len(blob)) + blob) +
                   wire_frame(0x08, wire_string(sketch)))
+    # A restore frame larger than two of the decoder's 64 KiB windows,
+    # untraced and traced (flag bit 0 plus a trailing 8-byte id), then a
+    # snapshot of it: the harness drains frames after the first half of
+    # the input, so more than a window of this frame is still to come and
+    # the rest is received in place, straight into the frame's payload.
+    big = counter_sketch_buffer(MAGICS["count_min"], 4352, 4, 7)
+    big_restore = wire_string("w") + bytes([1]) + \
+        struct.pack("<I", len(big)) + big
+    snapshot_w = wire_frame(0x08, wire_string("w"))
+    write(d, "restore_in_place", wire_frame(0x09, big_restore) + snapshot_w)
+    write(d, "restore_in_place_traced",
+          wire_frame(0x09, big_restore + u64(0x0123456789ABCDEF),
+                     reserved=1) + snapshot_w)
     # Framing violations the decoder must reject from the header alone.
     write(d, "length_overflow", wire_frame(0x01, declared_len=2**32 - 1))
     write(d, "wrong_version", wire_frame(0x01, version=9))

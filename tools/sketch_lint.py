@@ -319,8 +319,10 @@ SL007_GUARD = re.compile(r"kMax\w+|\bremaining\s*\(|SKETCH_CHECK")
 
 
 # SL007 scope: path prefix -> names of the decode functions it polices.
+# Every FrameDecoder member is one: Next() reserves a frame's payload from
+# its declared length, and WriteWindow() grows it.
 SL007_DECODE_PATHS = (
-    ("src/server/", r"(?:Decode|TryRead|Next)\w*"),
+    ("src/server/", r"(?:(?:Decode|TryRead|Next)\w*|FrameDecoder::\w+)"),
     ("src/common/byte_buffer.h", r"Read\w*"),
 )
 

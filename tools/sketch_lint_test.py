@@ -268,6 +268,39 @@ bool TryReadChunk(std::vector<uint8_t>* out) {
         violations = self.lint({"src/server/thing.cc": source})
         self.assertEqual(violations, [])
 
+    FRAME_DECODER_TEMPLATE = """\
+namespace sketch::server {{
+DecodeStatus FrameDecoder::Receive(const FrameHeader& header) {{
+{body}
+  return DecodeStatus::kNeedMore;
+}}
+}}  // namespace sketch::server
+"""
+
+    def test_sl007_frame_decoder_member_reserve_before_cap_check(self):
+        # Any FrameDecoder member is a decode path, whatever its name: a
+        # declared length may not reserve a payload before the cap check.
+        source = self.FRAME_DECODER_TEMPLATE.format(
+            body="""\
+  in_place_.payload.reserve(header.payload_length);
+  if (header.payload_length > kMaxFramePayloadBytes) {
+    return Fail(ErrorCode::kFrameTooLarge, "too large");
+  }"""
+        )
+        violations = self.lint({"src/server/protocol.cc": source})
+        self.assertEqual(rules_found(violations), {"SL007"})
+
+    def test_sl007_frame_decoder_member_cap_check_first_passes(self):
+        source = self.FRAME_DECODER_TEMPLATE.format(
+            body="""\
+  if (header.payload_length > kMaxFramePayloadBytes) {
+    return Fail(ErrorCode::kFrameTooLarge, "too large");
+  }
+  in_place_.payload.reserve(header.payload_length);"""
+        )
+        violations = self.lint({"src/server/protocol.cc": source})
+        self.assertEqual(violations, [])
+
     def test_sl007_only_applies_to_server_decode_paths(self):
         # The same unvalidated resize outside src/server, or in a
         # non-decode function, is out of SL007's scope.
