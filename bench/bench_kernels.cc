@@ -1,6 +1,7 @@
 // E20 (substrate): microbenchmarks of the computational kernels every
 // algorithm above sits on — FFT variants, the Walsh-Hadamard butterfly,
-// JL applications, and peeling-structure inserts. google-benchmark.
+// JL applications, peeling-structure inserts, and the Count-Sketch F2
+// scan behind the served L2 bound (E32). google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,8 @@
 #include "fft/real_fft.h"
 #include "sfft/flat_filter.h"
 #include "sfft/sparse_wht.h"
+#include "sketch/count_sketch.h"
+#include "stream/generators.h"
 
 namespace sketch {
 namespace {
@@ -87,6 +90,27 @@ void BM_FjltApply(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(t.Apply(x));
 }
 BENCHMARK(BM_FjltApply);
+
+// The F2 scan over a 16384 x 4 Count-Sketch (the daemon's query_l2
+// geometry). Arg 0: a Zipf-fed table, every row sum below 2^53 (the
+// multi-accumulator pass). Arg 1: deltas of +-2^40, every row sum past
+// 2^53 (the pass gives up after its first block and rescans in order).
+void BM_CountSketchEstimateF2(benchmark::State& state) {
+  CountSketch sketch(16384, 4, 11);
+  if (state.range(0) == 0) {
+    sketch.UpdateAll(MakeZipfStream(1 << 20, 1.1, 1 << 18, 12));
+  } else {
+    Xoshiro256StarStar rng(13);
+    for (int i = 0; i < (1 << 16); ++i) {
+      const int64_t sign = (rng.Next() & 1) != 0 ? 1 : -1;
+      sketch.Update({rng.Next(), sign * (int64_t{1} << 40)});
+    }
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(sketch.EstimateF2());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(sketch.SizeInCounters()));
+}
+BENCHMARK(BM_CountSketchEstimateF2)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sketch

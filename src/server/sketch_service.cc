@@ -1,6 +1,5 @@
 #include "server/sketch_service.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -65,25 +64,6 @@ uint64_t RowZeroL1(const CountMinSketch& sketch) {
     l1 = SaturatingAdd(l1, Magnitude(sketch.CounterAt(0, b)));
   }
   return l1;
-}
-
-/// F2 estimate from a Count-Sketch's own counters: per row the sum of
-/// squared counters is an unbiased F2 estimator; the median over rows
-/// gives the usual high-probability bound. Used to scale the L2 error
-/// bound sqrt(3 * F2 / width) reported with point estimates.
-double EstimateF2FromCounters(const CountSketch& sketch) {
-  std::vector<double> rows;
-  rows.reserve(sketch.depth());
-  for (uint64_t j = 0; j < sketch.depth(); ++j) {
-    double sum = 0.0;
-    for (uint64_t b = 0; b < sketch.width(); ++b) {
-      const auto c = static_cast<double>(sketch.CounterAt(j, b));
-      sum += c * c;
-    }
-    rows.push_back(sum);
-  }
-  std::nth_element(rows.begin(), rows.begin() + rows.size() / 2, rows.end());
-  return rows[rows.size() / 2];
 }
 
 /// A scalar an entry derives from its whole state by a full scan (F2 from
@@ -290,7 +270,7 @@ class CountSketchEntry : public SketchEntry {
  private:
   /// sqrt(3 * F2 / width), with F2 from the cached counter-table scan.
   double L2Bound() {
-    const double f2 = f2_.Get([&] { return EstimateF2FromCounters(sketch_); });
+    const double f2 = f2_.Get([&] { return sketch_.EstimateF2(); });
     return std::sqrt(3.0 * f2 / static_cast<double>(sketch_.width()));
   }
 

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/prng.h"
 #include "common/wrapping.h"
+#include "sketch/sum_of_squares.h"
 #include "sketch/table_header.h"
 #include "telemetry/telemetry.h"
 
@@ -85,18 +86,7 @@ void AmsSketch::ApplyBatch(UpdateSpan updates) {
 }
 
 double AmsSketch::EstimateF2() const {
-  std::vector<double> row_estimates(depth_);
-  for (uint64_t j = 0; j < depth_; ++j) {
-    double sum = 0.0;
-    for (uint64_t b = 0; b < width_; ++b) {
-      const double c = static_cast<double>(counters_[j * width_ + b]);
-      sum += c * c;
-    }
-    row_estimates[j] = sum;
-  }
-  const auto mid = row_estimates.begin() + depth_ / 2;
-  std::nth_element(row_estimates.begin(), mid, row_estimates.end());
-  return *mid;
+  return MedianRowSumOfSquares(counters_, width_);
 }
 
 void AmsSketch::Merge(const AmsSketch& other) {

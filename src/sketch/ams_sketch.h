@@ -61,6 +61,10 @@ class AmsSketch {
   uint64_t depth() const { return depth_; }
   uint64_t seed() const { return seed_; }
 
+  int64_t CounterAt(uint64_t row, uint64_t bucket) const {
+    return counters_[row * width_ + bucket];
+  }
+
   /// Resident memory of this sketch: the object plus every owned heap
   /// allocation (counter table, bucket/sign hashers).
   uint64_t MemoryFootprintBytes() const;

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/prng.h"
 #include "common/wrapping.h"
+#include "sketch/sum_of_squares.h"
 #include "sketch/table_header.h"
 #include "telemetry/telemetry.h"
 
@@ -157,7 +158,10 @@ void CountSketch::EstimateBatch(const uint64_t* items, std::size_t n,
   uint64_t buckets[kBlock];
   int64_t signs[kBlock];
   const FastDiv64 div = width_div_;
-  std::vector<int64_t> pane(depth_ * kBlock);
+  // One column per key of the largest block, so a small batch allocates
+  // and zero-fills only what it uses.
+  const std::size_t pane_width = std::min(kBlock, n);
+  std::vector<int64_t> pane(depth_ * pane_width);
   std::vector<int64_t> row_estimates(depth_);
   for (std::size_t start = 0; start < n; start += kBlock) {
     const std::size_t block_n = std::min(kBlock, n - start);
@@ -170,14 +174,14 @@ void CountSketch::EstimateBatch(const uint64_t* items, std::size_t n,
       }
       sign_rows_[j].SignBlock(keys, block_n, signs);
       const int64_t* row = counters_.data() + j * width_;
-      int64_t* pane_row = pane.data() + j * kBlock;
+      int64_t* pane_row = pane.data() + j * pane_width;
       for (std::size_t i = 0; i < block_n; ++i) {
         pane_row[i] = WrapMul(signs[i], row[buckets[i]]);
       }
     }
     for (std::size_t i = 0; i < block_n; ++i) {
       for (uint64_t j = 0; j < depth_; ++j) {
-        row_estimates[j] = pane[j * kBlock + i];
+        row_estimates[j] = pane[j * pane_width + i];
       }
       out[start + i] = MedianOfRows(row_estimates);
     }
@@ -201,6 +205,10 @@ int64_t CountSketch::EstimateInnerProduct(const CountSketch& other) const {
   const auto mid = row_products.begin() + depth_ / 2;
   std::nth_element(row_products.begin(), mid, row_products.end());
   return *mid;
+}
+
+double CountSketch::EstimateF2() const {
+  return MedianRowSumOfSquares(counters_, width_);
 }
 
 void CountSketch::Merge(const CountSketch& other) {

@@ -72,6 +72,11 @@ class CountSketch {
   /// Requires identical geometry and seed.
   int64_t EstimateInnerProduct(const CountSketch& other) const;
 
+  /// Estimates F2 = ||x||_2^2 from the counters: per row the sum of
+  /// squared counters is an unbiased F2 estimator; the upper median over
+  /// rows concentrates. Scales the eps * ||x||_2 error bound.
+  double EstimateF2() const;
+
   /// Actual table width (already rounded in kPow2 mode).
   uint64_t width() const { return width_; }
   uint64_t depth() const { return depth_; }

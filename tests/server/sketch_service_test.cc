@@ -239,6 +239,33 @@ TEST(SketchServiceTest, StreamSummaryCachedBoundIsFreshScan) {
                                 FreshSummaryBound);
 }
 
+TEST(SketchServiceTest, CountSketchBoundPastTwoPow53IsFreshScan) {
+  // Deltas near +-2^40 and INT64_MAX push every row's sum of squared
+  // counters past 2^53, where the F2 scan falls back to summing in row
+  // order; the served bound must still equal the fresh row-order scan.
+  // The deltas' low bits and the 4000 of them make the summation order
+  // show in the bound, so a scan that skipped the fallback would fail.
+  std::vector<StreamUpdate> first;
+  for (uint64_t i = 0; i < 4000; ++i) {
+    const auto magnitude =
+        static_cast<int64_t>((uint64_t{1} << 40) + i * 0x9e3779bULL);
+    first.push_back({i, i % 2 == 0 ? magnitude : -magnitude});
+  }
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<StreamUpdate> second = {{7, kMax}, {8, kMax}};
+  const std::array<uint64_t, 5> params = {2048, 5, 11, 0, 0};
+  ExpectCachedBoundTracksWrites(SketchType::kCountSketch, params, first, second,
+                                FreshCountSketchBound);
+
+  SketchService service({});
+  Create(&service, "cs", SketchType::kCountSketch, params);
+  Ingest(&service, "cs", first);
+  const double bound =
+      ExpectServedBoundIsFreshScan(&service, "cs", FreshCountSketchBound);
+  // bound = sqrt(3 * F2 / width), so F2 = bound^2 * width / 3.
+  EXPECT_GE(bound * bound * 2048.0 / 3.0, 9007199254740992.0);
+}
+
 TEST(SketchServiceTest, ShardedCountMinMatchesPlainCountMin) {
   SketchService service({});
   Create(&service, "plain", SketchType::kCountMin, {1024, 4, 99, 0, 0});
