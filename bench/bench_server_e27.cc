@@ -82,7 +82,7 @@ struct RunResult {
 RunResult RunMixed(bool observability) {
   SketchServer::Options options;
   options.io_threads = 1;
-  options.enable_http = observability;
+  if (observability) options.http_port = 0;  // any free port
   options.health_period_ms = 50;
   options.slow_query_log_size = observability ? 8 : 0;
   SketchServer server(options);

@@ -41,8 +41,9 @@ void SendRemainder(int fd, const std::vector<uint8_t>& bytes,
 
 }  // namespace
 
-EventLoopPool::EventLoopPool(SketchService* service, const Options& options)
-    : service_(service), options_(options) {
+EventLoopPool::EventLoopPool(SketchService* service, const Options& options,
+                             const HttpExposition* http)
+    : service_(service), http_(http), options_(options) {
   if (options_.num_threads < 1) options_.num_threads = 1;
 }
 
@@ -78,7 +79,7 @@ bool EventLoopPool::Start() {
   return true;
 }
 
-void EventLoopPool::Adopt(int fd) {
+void EventLoopPool::Adopt(int fd, Protocol protocol) {
   if (fd < 0) return;
   if (loops_.empty()) {
     ::close(fd);
@@ -89,7 +90,7 @@ void EventLoopPool::Adopt(int fd) {
   Loop* loop = loops_[index].get();
   {
     MutexLock lock(loop->mailbox_mutex);
-    loop->pending.push_back(fd);
+    loop->pending.emplace_back(fd, protocol);
   }
   const uint64_t one = 1;
   (void)!::write(loop->wake_fd, &one, sizeof(one));
@@ -115,12 +116,12 @@ void EventLoopPool::Stop() {
 }
 
 void EventLoopPool::AdoptPending(Loop* loop) {
-  std::vector<int> adopted;
+  std::vector<std::pair<int, Protocol>> adopted;
   {
     MutexLock lock(loop->mailbox_mutex);
     adopted.swap(loop->pending);
   }
-  for (const int fd : adopted) {
+  for (const auto& [fd, protocol] : adopted) {
     epoll_event event{};
     event.events = EPOLLIN;
     event.data.fd = fd;
@@ -129,7 +130,7 @@ void EventLoopPool::AdoptPending(Loop* loop) {
       ::close(fd);
       continue;
     }
-    loop->conns.emplace(fd, std::make_unique<Conn>(fd));
+    loop->conns.emplace(fd, std::make_unique<Conn>(fd, protocol));
     connections_live_.fetch_add(1, std::memory_order_acq_rel);
     SKETCH_COUNTER_INC("server.epoll.connections_adopted");
   }
@@ -164,10 +165,7 @@ void EventLoopPool::Run(Loop* loop) {
       }
       if ((events[i].events & EPOLLIN) != 0) {
         if (!ServeReadable(conn)) {
-          const bool shutdown_flushed =
-              conn->shutdown_pending && conn->consumed >= conn->outbound.size();
           CloseConn(loop, fd);
-          if (shutdown_flushed) NotifyShutdown();
           continue;
         }
         UpdateInterest(loop, conn);
@@ -180,9 +178,8 @@ void EventLoopPool::Run(Loop* loop) {
         }
         const bool drained = conn->consumed >= conn->outbound.size();
         conn->want_write = !drained;
-        if (drained && conn->shutdown_pending) {
+        if (drained && conn->closing) {
           CloseConn(loop, fd);
-          NotifyShutdown();
           continue;
         }
         UpdateInterest(loop, conn);
@@ -205,6 +202,38 @@ void EventLoopPool::Run(Loop* loop) {
 }
 
 bool EventLoopPool::ServeReadable(Conn* conn) {
+  bool peer_closed = false;
+  uint64_t trace_id = 0;
+  const bool keep = conn->protocol == Protocol::kHttp
+                        ? ReadHttpRequest(conn, &peer_closed)
+                        : ReadFrames(conn, &peer_closed, &trace_id);
+  if (!keep) return false;
+  {
+    // Tag the inline flush with the run's trace id so a sampled request's
+    // timeline reaches the socket write. (Residual EPOLLOUT flushes are
+    // untagged; the inline path is the common case.)
+    SKETCH_TRACE_SPAN_ID("server.tx_write", trace_id);
+    if (!FlushOutbound(conn)) return false;
+  }
+  const std::size_t backlog = conn->outbound.size() - conn->consumed;
+  if (backlog == 0) {
+    conn->want_write = false;
+    return !conn->closing && !peer_closed;
+  }
+  if (backlog > options_.max_outbound_bytes) {
+    // Backpressure: the client is pipelining faster than it reads.
+    // Evicting it bounds response memory at max_outbound_bytes per
+    // connection instead of letting one slow reader pin the daemon.
+    SKETCH_COUNTER_INC("server.epoll.slow_clients_evicted");
+    return false;
+  }
+  if (peer_closed) return false;  // cannot deliver the rest anyway
+  conn->want_write = true;
+  return true;
+}
+
+bool EventLoopPool::ReadFrames(Conn* conn, bool* peer_closed,
+                               uint64_t* trace_id) {
   // Each read lands in the decoder's write window, and the frames it
   // completes are drained before the next read, so a frame whose rest is
   // larger than one window is received straight into its own payload.
@@ -212,15 +241,13 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
   // ingest frames share one lookup + one exclusive lock. Frames
   // pipelined after a kShutdown are dropped.
   const uint64_t rx_start_ns = MonotonicNowNs();
-  uint64_t run_trace_id = 0;  // first traced frame tags the rx/tx spans
   std::vector<Frame> frames;
   bool bad_frame = false;
-  bool peer_closed = false;
   while (!bad_frame) {
     const std::span<uint8_t> window = conn->decoder.WriteWindow();
     const ssize_t n = ::recv(conn->fd, window.data(), window.size(), 0);
     if (n == 0) {
-      peer_closed = true;
+      *peer_closed = true;
       break;
     }
     if (n < 0) {
@@ -229,7 +256,7 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
       return false;  // torn connection
     }
     conn->decoder.Commit(static_cast<std::size_t>(n));
-    while (!conn->shutdown_pending) {
+    while (!conn->closing) {
       Frame frame;
       const DecodeStatus status = conn->decoder.Next(&frame);
       if (status == DecodeStatus::kNeedMore) break;
@@ -237,16 +264,16 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
         bad_frame = true;
         break;
       }
-      if (frame.opcode == Opcode::kShutdown) conn->shutdown_pending = true;
-      if (run_trace_id == 0) run_trace_id = frame.trace_id;
+      if (frame.opcode == Opcode::kShutdown) conn->closing = true;
+      if (*trace_id == 0) *trace_id = frame.trace_id;
       frames.push_back(std::move(frame));
     }
     if (static_cast<std::size_t>(n) < window.size()) break;
   }
-  if (run_trace_id != 0) {
+  if (*trace_id != 0) {
     telemetry::TraceRecorder::Instance().RecordSpan(
         "server.rx_decode", rx_start_ns, MonotonicNowNs() - rx_start_ns,
-        run_trace_id);
+        *trace_id);
   }
 
   if (!frames.empty()) {
@@ -275,30 +302,42 @@ bool EventLoopPool::ServeReadable(Conn* conn) {
     FlushOutbound(conn);
     return false;
   }
-
-  {
-    // Tag the inline flush with the run's trace id so a sampled request's
-    // timeline reaches the socket write. (Residual EPOLLOUT flushes are
-    // untagged; the inline path is the common case.)
-    SKETCH_TRACE_SPAN_ID("server.tx_write", run_trace_id);
-    if (!FlushOutbound(conn)) return false;
-  }
-  const std::size_t backlog = conn->outbound.size() - conn->consumed;
-  if (backlog == 0) {
-    conn->want_write = false;
-    if (conn->shutdown_pending || peer_closed) return false;
-    return true;
-  }
-  if (backlog > options_.max_outbound_bytes) {
-    // Backpressure: the client is pipelining faster than it reads.
-    // Evicting it bounds response memory at max_outbound_bytes per
-    // connection instead of letting one slow reader pin the daemon.
-    SKETCH_COUNTER_INC("server.epoll.slow_clients_evicted");
-    return false;
-  }
-  if (peer_closed) return false;  // cannot deliver the rest anyway
-  conn->want_write = true;
   return true;
+}
+
+bool EventLoopPool::ReadHttpRequest(Conn* conn, bool* peer_closed) {
+  // HTTP/1.0 GETs have no body, so the head through "\r\n\r\n" is the
+  // whole request. Until it is answered, a read takes no more than the
+  // head cap leaves room for; after, bytes are read and dropped.
+  constexpr std::size_t kCap = HttpExposition::kMaxRequestBytes;
+  std::string& head = conn->request_head;
+  char chunk[kCap];
+  for (;;) {
+    const std::size_t room = conn->closing ? kCap : kCap - head.size();
+    const ssize_t n = ::recv(conn->fd, chunk, room, 0);
+    if (n == 0) {
+      *peer_closed = true;
+      return true;
+    }
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    if (!conn->closing) {
+      const std::size_t scan_from = head.size() < 3 ? 0 : head.size() - 3;
+      head.append(chunk, static_cast<std::size_t>(n));
+      if (head.find("\r\n\r\n", scan_from) != std::string::npos) {
+        const std::string response = http_->HandleHead(head);
+        conn->outbound.insert(conn->outbound.end(), response.begin(),
+                              response.end());
+        conn->closing = true;
+        head = {};
+      } else if (head.size() == kCap) {
+        return false;  // over the cap: close without a response
+      }
+    }
+    if (static_cast<std::size_t>(n) < room) return true;
+  }
 }
 
 bool EventLoopPool::FlushOutbound(Conn* conn) {
@@ -340,15 +379,18 @@ void EventLoopPool::CloseConn(Loop* loop, int fd) {
   ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
+  const Conn& conn = *it->second;
+  const bool shutdown_acked = conn.protocol == Protocol::kSketchwire &&
+                              conn.closing &&
+                              conn.consumed >= conn.outbound.size();
   loop->conns.erase(it);
   connections_live_.fetch_sub(1, std::memory_order_acq_rel);
   SKETCH_COUNTER_INC("server.epoll.connections_closed");
   SKETCH_COUNTER_INC("server.connections_served");
-}
-
-void EventLoopPool::NotifyShutdown() {
-  if (shutdown_notified_.exchange(true, std::memory_order_acq_rel)) return;
-  if (shutdown_callback_) shutdown_callback_();
+  if (shutdown_acked && shutdown_callback_ &&
+      !shutdown_notified_.exchange(true, std::memory_order_acq_rel)) {
+    shutdown_callback_();
+  }
 }
 
 }  // namespace sketch::server

@@ -1,16 +1,14 @@
 #ifndef SKETCH_SERVER_HTTP_EXPOSITION_H_
 #define SKETCH_SERVER_HTTP_EXPOSITION_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
-
-#include "server/transport.h"
+#include <string_view>
+#include <utility>
 
 /// \file
-/// Minimal HTTP/1.0 exposition listener for scrapers and humans.
+/// Minimal HTTP/1.0 exposition router for scrapers and humans.
 ///
 /// The sketchwire port speaks a binary protocol; Prometheus, curl, and
 /// load-balancer health checks speak HTTP. Rather than multiplex the two
@@ -23,22 +21,26 @@
 ///                 the slow-query log (load in Perfetto)
 ///   GET /healthz  {"status":"ok"|"degraded",...}; HTTP 503 when degraded
 ///
-/// Deliberately not a web server: one accept thread serves one request
-/// per connection, HTTP/1.0 close-delimited, GET only, no keep-alive, no
-/// TLS, no chunking. A scrape every few seconds and the occasional curl
-/// are the design load; anything heavier belongs behind a real proxy.
-/// Connections are served in turn, so each gets a fixed two seconds to
-/// send its request and two more to take its response: a silent client
-/// delays the scrapes behind it by at most that, and Stop() interrupts
-/// the connection being served instead of waiting for it.
-/// Handler callbacks run on the accept thread, so they must be safe to
-/// call from a non-request thread (all four producers here only take
-/// snapshots under their own locks).
+/// This class owns no socket, thread or deadline: it is a pure function
+/// from a request head to response bytes. The daemon's epoll event loop
+/// (event_loop.h) accepts HTTP connections on the same I/O threads as
+/// sketchwire ones, buffers each request head (at most kMaxRequestBytes),
+/// answers it through HandleHead, and closes once the response drains.
+/// Deliberately not a web server: one request per connection, HTTP/1.0
+/// close-delimited, GET only, no keep-alive, no TLS, no chunking.
+/// Handler callbacks run on an I/O thread that holds no lock, so they
+/// must only take snapshots under their own locks (all four producers
+/// here do).
 
 namespace sketch::server {
 
 class HttpExposition {
  public:
+  /// Largest request head the event loop buffers. Real scrapers send
+  /// well under 1 KiB; a connection whose head is not complete within
+  /// this many bytes is closed without a response.
+  static constexpr std::size_t kMaxRequestBytes = 8192;
+
   /// Response producers, one per endpoint. Unset handlers 404. `healthy`
   /// picks /healthz's status code (200 vs 503); defaults to healthy.
   struct Handlers {
@@ -51,38 +53,19 @@ class HttpExposition {
 
   explicit HttpExposition(Handlers handlers)
       : handlers_(std::move(handlers)) {}
-  ~HttpExposition() { Stop(); }
 
-  HttpExposition(const HttpExposition&) = delete;
-  HttpExposition& operator=(const HttpExposition&) = delete;
-
-  /// Binds 127.0.0.1:`port` (0 picks a free port; see port()) and starts
-  /// the accept thread. Returns false if the bind fails.
-  bool Start(uint16_t port);
-
-  /// Closes the listener, interrupts the connection being served, and
-  /// joins the accept thread (idempotent).
-  void Stop();
-
-  /// Bound port after a successful Start.
-  uint16_t port() const { return listener_ ? listener_->port() : 0; }
+  /// Answers one complete request head (request line through the blank
+  /// line): 400 if the request line is not METHOD SP PATH SP VERSION,
+  /// otherwise HandleRequest.
+  std::string HandleHead(std::string_view head) const;
 
   /// Dispatches one already-parsed request and returns the full HTTP
-  /// response bytes. Exposed for tests (no socket needed) and used
-  /// verbatim by the accept loop.
+  /// response bytes. Exposed for tests (no socket needed).
   std::string HandleRequest(const std::string& method,
                             const std::string& path) const;
 
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd) const;
-
   const Handlers handlers_;
-  std::unique_ptr<SocketListener> listener_;
-  // eventfd that Stop() makes readable; every wait on a connection polls
-  // it too. Set before the accept thread starts, closed after it joins.
-  int wake_fd_ = -1;
-  std::thread thread_;
 };
 
 }  // namespace sketch::server

@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "common/check.h"
 #include "telemetry/prometheus.h"
 #include "telemetry/trace.h"
 
@@ -19,35 +20,26 @@ bool SketchServer::Start() {
   listener_ = options_.unix_path.empty()
                   ? SocketListener::ListenTcp(options_.tcp_port)
                   : SocketListener::ListenUnix(options_.unix_path);
-  if (listener_ == nullptr) return false;
-  // A failed Start leaves nothing running: no I/O threads, no health
-  // sampler, no bound port.
+  if (options_.http_port.has_value() && listener_ != nullptr) {
+    http_listener_ = SocketListener::ListenTcp(*options_.http_port);
+  }
+  // Both listeners are bound before any thread starts, so a failed Start
+  // only has to release them: no thread runs and no port stays bound.
   const auto abandon = [this] {
-    if (health_monitor_ != nullptr) health_monitor_->Stop();
-    health_monitor_.reset();
-    http_.reset();
-    if (event_pool_ != nullptr) event_pool_->Stop();
-    event_pool_.reset();
-    listener_->Close();
     listener_.reset();
+    http_listener_.reset();
     return false;
   };
-  EventLoopPool::Options pool_options;
-  pool_options.num_threads = options_.io_threads;
-  pool_options.max_outbound_bytes = options_.max_outbound_bytes;
-  event_pool_ = std::make_unique<EventLoopPool>(&service_, pool_options);
-  // Once a kShutdown response has been delivered, closing the listener
-  // unblocks the accept loop so the daemon can drain and exit.
-  event_pool_->set_shutdown_callback([this] { listener_->Close(); });
-  // epoll/eventfd creation can fail (fd exhaustion); refuse to serve.
-  if (!event_pool_->Start()) return abandon();
-  if (options_.enable_http) {
+  if (listener_ == nullptr ||
+      (options_.http_port.has_value() && http_listener_ == nullptr)) {
+    return abandon();
+  }
+  if (http_listener_ != nullptr) {
+    SKETCH_CHECK(options_.health_period_ms >= 1);
     HealthMonitor::Options health_options;
-    health_options.period_ms =
-        options_.health_period_ms == 0 ? 1000 : options_.health_period_ms;
+    health_options.period_ms = options_.health_period_ms;
     health_monitor_ =
         std::make_unique<HealthMonitor>(&service_, health_options);
-    if (options_.health_period_ms != 0) health_monitor_->Start();
 
     HttpExposition::Handlers handlers;
     handlers.metrics = [this] {
@@ -69,8 +61,21 @@ bool SketchServer::Start() {
     handlers.healthz = [this] { return health_monitor_->HealthzJson(); };
     handlers.healthy = [this] { return !health_monitor_->degraded(); };
     http_ = std::make_unique<HttpExposition>(std::move(handlers));
-    if (!http_->Start(options_.http_port)) return abandon();
   }
+  EventLoopPool::Options pool_options;
+  pool_options.num_threads = options_.io_threads;
+  pool_options.max_outbound_bytes = options_.max_outbound_bytes;
+  event_pool_ =
+      std::make_unique<EventLoopPool>(&service_, pool_options, http_.get());
+  // Once a kShutdown response has been delivered, closing the listeners
+  // unblocks the accept loops so the daemon can drain and exit.
+  event_pool_->set_shutdown_callback([this] {
+    listener_->Close();
+    if (http_listener_ != nullptr) http_listener_->Close();
+  });
+  // epoll/eventfd creation can fail (fd exhaustion); refuse to serve.
+  if (!event_pool_->Start()) return abandon();
+  if (health_monitor_ != nullptr) health_monitor_->Start();
   // Registered only once Start cannot fail, so the gauge never outlives
   // the pool it reads.
   service_.RegisterGauge("server.connections_live",
@@ -78,24 +83,33 @@ bool SketchServer::Start() {
                            return pool->connections_live();
                          });
   started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this] {
+    AcceptLoop(listener_.get(), EventLoopPool::Protocol::kSketchwire);
+  });
+  if (http_listener_ != nullptr) {
+    http_accept_thread_ = std::thread([this] {
+      AcceptLoop(http_listener_.get(), EventLoopPool::Protocol::kHttp);
+    });
+  }
   return true;
 }
 
-void SketchServer::AcceptLoop() {
+void SketchServer::AcceptLoop(SocketListener* listener,
+                              EventLoopPool::Protocol protocol) {
   while (true) {
-    const int fd = listener_->AcceptRaw();
+    const int fd = listener->AcceptRaw();
     if (fd < 0) break;  // listener closed
     if (service_.shutdown_requested()) {
       ::close(fd);
       break;
     }
-    event_pool_->Adopt(fd);
+    event_pool_->Adopt(fd, protocol);
   }
 }
 
 void SketchServer::Wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (http_accept_thread_.joinable()) http_accept_thread_.join();
   // Flushes every connection's pending responses and joins the I/O
   // threads. The pool object stays alive (stopped) because the statsz
   // gauge registered in Start() reads its live-connection count.
@@ -104,9 +118,9 @@ void SketchServer::Wait() {
 
 void SketchServer::Stop() {
   if (!started_) return;
-  if (http_ != nullptr) http_->Stop();
   if (health_monitor_ != nullptr) health_monitor_->Stop();
-  if (listener_ != nullptr) listener_->Close();
+  listener_->Close();
+  if (http_listener_ != nullptr) http_listener_->Close();
   Wait();
   started_ = false;
 }
@@ -116,7 +130,7 @@ uint16_t SketchServer::port() const {
 }
 
 uint16_t SketchServer::http_port() const {
-  return http_ == nullptr ? 0 : http_->port();
+  return http_listener_ == nullptr ? 0 : http_listener_->port();
 }
 
 }  // namespace sketch::server

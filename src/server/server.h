@@ -2,6 +2,7 @@
 #define SKETCH_SERVER_SERVER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -13,10 +14,11 @@
 
 namespace sketch::server {
 
-/// The long-lived daemon: a listener (TCP or Unix-domain), an epoll
-/// event-loop pool that serves every accepted connection, and a shared
-/// SketchService. A kShutdown request from any client stops the accept
-/// loop and drains the connections.
+/// The long-lived daemon: a sketchwire listener (TCP or Unix-domain), an
+/// optional HTTP observability listener, one accept thread per listener,
+/// an epoll event-loop pool that serves every accepted connection of
+/// either protocol, and a shared SketchService. A kShutdown request from
+/// any client stops both accept loops and drains the connections.
 class SketchServer {
  public:
   struct Options {
@@ -30,16 +32,13 @@ class SketchServer {
     /// Per-connection outbound backlog cap before a slow client is
     /// evicted (see EventLoopPool::Options::max_outbound_bytes).
     std::size_t max_outbound_bytes = 4 * 1024 * 1024;
-    /// Serve the HTTP observability endpoints (/metrics /statsz /tracez
-    /// /healthz) on a second, local-only port. Off by default: the
+    /// When set, serve the HTTP observability endpoints (/metrics
+    /// /statsz /tracez /healthz) on this second, local-only 127.0.0.1
+    /// port; 0 picks a free port (see http_port()). Unset by default: the
     /// sketchwire port stays the only listener unless asked.
-    bool enable_http = false;
-    /// HTTP listen port on 127.0.0.1 when enable_http is set; 0 picks a
-    /// free port (see http_port()).
-    uint16_t http_port = 0;
-    /// Sketch health sampling period; 0 disables the background sampler
-    /// (the monitor still answers /healthz from its last — empty — pass).
-    /// Only meaningful with enable_http.
+    std::optional<uint16_t> http_port;
+    /// Sketch health sampling period, at least 1 ms. Only meaningful
+    /// with http_port.
     uint64_t health_period_ms = 1000;
     /// Slowest requests retained per opcode in the service's slow-query
     /// log; 0 disables it.
@@ -52,10 +51,10 @@ class SketchServer {
   SketchServer(const SketchServer&) = delete;
   SketchServer& operator=(const SketchServer&) = delete;
 
-  /// Binds the listener, starts the event loop and (with enable_http) the
-  /// observability plane, then the accept loop. False if an address
-  /// cannot be bound or the event loop cannot start; nothing is left
-  /// running in that case.
+  /// Binds the listeners, starts the event loop and (with http_port) the
+  /// health monitor, then one accept loop per listener. False if an
+  /// address cannot be bound or the event loop cannot start; nothing is
+  /// left running in that case.
   bool Start();
 
   /// Blocks until a shutdown request has been served and every
@@ -69,34 +68,39 @@ class SketchServer {
   /// Bound TCP port (valid after Start when listening on TCP).
   uint16_t port() const;
 
-  /// Bound HTTP exposition port (valid after Start with enable_http).
+  /// Bound HTTP exposition port (valid after Start with http_port).
   uint16_t http_port() const;
 
   SketchService* service() { return &service_; }
 
-  /// Non-null after Start when enable_http is set.
+  /// Non-null after Start when http_port is set.
   HealthMonitor* health_monitor() { return health_monitor_.get(); }
 
  private:
-  void AcceptLoop();
+  /// Adopts every connection `listener` accepts as `protocol` until the
+  /// listener closes.
+  void AcceptLoop(SocketListener* listener, EventLoopPool::Protocol protocol);
 
   Options options_;
   SketchService service_;
-  // Set in Start() before the accept thread is spawned and never
-  // reassigned, so I/O threads may call listener_->Close() without a lock
-  // (SocketListener::Close is itself race-safe).
+  // Set in Start() before the accept threads are spawned and never
+  // reassigned, so I/O threads may call Close() on them without a lock
+  // (SocketListener::Close is itself race-safe). http_listener_ is null
+  // without http_port.
   std::unique_ptr<SocketListener> listener_;
-  // Created in Start() before the accept thread exists and stopped in
-  // Wait() after it has joined, so the accept loop reads it without a
+  std::unique_ptr<SocketListener> http_listener_;
+  // Created in Start() before the accept threads exist and stopped in
+  // Wait() after they have joined, so the accept loops read it without a
   // lock. The object outlives Stop because the statsz gauge registered
   // in Start() reads its live-connection count.
   std::unique_ptr<EventLoopPool> event_pool_;
-  // Observability plane (non-null iff enable_http): both created in
-  // Start() before any request is served and stopped in Stop(). The
-  // monitor must stop before the service's registry is torn down.
+  // Observability plane (non-null iff http_port): both created in Start()
+  // before the pool that serves /metrics, and outliving its I/O threads.
+  // The monitor must stop before the service's registry is torn down.
   std::unique_ptr<HealthMonitor> health_monitor_;
   std::unique_ptr<HttpExposition> http_;
   std::thread accept_thread_;
+  std::thread http_accept_thread_;
   // Owner-thread only (Start/Stop/destructor share the owning thread by
   // the class contract), so unguarded.
   bool started_ = false;

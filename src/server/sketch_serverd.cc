@@ -10,20 +10,42 @@
 // the observability endpoints (/metrics /statsz /tracez /healthz) on a
 // second 127.0.0.1 listener and prints "metrics on 127.0.0.1:PORT" the
 // same way (0 picks a free port too).
+//
+// Every numeric flag must be a whole decimal number within its range
+// (ports 0..65535, --health-period-ms 1..3600000, --slow-log 0..65536);
+// anything else prints the usage line and exits 2.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "server/server.h"
 
 namespace {
+
+constexpr uint64_t kMaxHealthPeriodMs = 3'600'000;  // one hour
+constexpr uint64_t kMaxSlowLogSize = 65'536;
 
 bool ParseFlag(const std::string& arg, const std::string& name,
                std::string* value) {
   const std::string prefix = "--" + name + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
+  return true;
+}
+
+/// Parses all of `text` as a decimal integer in [min, max].
+bool ParseNumber(std::string_view text, uint64_t min, uint64_t max,
+                 uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 
@@ -34,24 +56,33 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
+    uint64_t number = 0;
+    bool ok = true;
     if (ParseFlag(arg, "port", &value)) {
-      options.tcp_port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      ok = ParseNumber(value, 0, UINT16_MAX, &number);
+      options.tcp_port = static_cast<uint16_t>(number);
     } else if (ParseFlag(arg, "unix", &value)) {
       options.unix_path = value;
     } else if (ParseFlag(arg, "http-port", &value)) {
-      options.enable_http = true;
-      options.http_port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      ok = ParseNumber(value, 0, UINT16_MAX, &number);
+      options.http_port = static_cast<uint16_t>(number);
     } else if (ParseFlag(arg, "health-period-ms", &value)) {
-      options.health_period_ms =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 1, kMaxHealthPeriodMs, &number);
+      options.health_period_ms = number;
     } else if (ParseFlag(arg, "slow-log", &value)) {
-      options.slow_query_log_size =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, kMaxSlowLogSize, &number);
+      options.slow_query_log_size = static_cast<std::size_t>(number);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: %s [--port=N] [--unix=PATH] [--http-port=N] "
-                   "[--health-period-ms=N] [--slow-log=N]\n",
-                   argv[0]);
+                   "[--health-period-ms=N] [--slow-log=N]\n"
+                   "  ports 0..65535, --health-period-ms 1..%llu, "
+                   "--slow-log 0..%llu\n",
+                   argv[0], static_cast<unsigned long long>(kMaxHealthPeriodMs),
+                   static_cast<unsigned long long>(kMaxSlowLogSize));
       return 2;
     }
   }
@@ -66,7 +97,7 @@ int main(int argc, char** argv) {
     std::printf("sketch_serverd: listening on %s\n",
                 options.unix_path.c_str());
   }
-  if (options.enable_http) {
+  if (options.http_port.has_value()) {
     std::printf("sketch_serverd: metrics on 127.0.0.1:%u\n",
                 server.http_port());
   }

@@ -15,9 +15,9 @@
 /// The client speaks to an abstract ByteStream: a kernel socket (TCP or
 /// Unix-domain), or a fault-injecting wrapper that deliberately
 /// fragments, stalls, and severs the client's side of a connection so the
-/// event loop sees every partial-read and disconnect path. The sketchwire
-/// server (see event_loop.h) and the HTTP exposition manage the raw
-/// descriptors SocketListener accepts.
+/// event loop sees every partial-read and disconnect path. The daemon's
+/// event loop (see event_loop.h) manages the raw descriptors
+/// SocketListener accepts, on the sketchwire and the HTTP port alike.
 
 namespace sketch::server {
 
@@ -130,7 +130,7 @@ class SocketListener {
 
   /// Blocks for the next connection and returns its raw descriptor (the
   /// caller owns it), or -1 once the listener is closed. The epoll event
-  /// loop and the HTTP exposition both manage descriptors directly.
+  /// loop manages the descriptors of both ports directly.
   int AcceptRaw();
 
   /// Unblocks AcceptRaw and closes the listening socket. Safe to call from

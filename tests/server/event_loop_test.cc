@@ -2,7 +2,8 @@
 // TCP sockets: many concurrent clients against one daemon, bit-identity
 // of the served sketch with a sequential replay, pipelined-frame
 // batching, slow-client backpressure/eviction, fragmented frames,
-// shutdown draining, and a failed Start that leaves nothing running.
+// shutdown draining, HTTP scrapes sharing an I/O thread with sketchwire
+// traffic, and a failed Start that leaves nothing running.
 
 #include <dirent.h>
 
@@ -386,6 +387,142 @@ TEST(EventLoopTest, FramingViolationGetsErrorThenClose) {
   server.Stop();
 }
 
+/// Everything the server sends on `stream` before it closes the
+/// connection (empty when it closes with no response).
+std::string ReadUntilClosed(ByteStream* stream) {
+  std::string received;
+  uint8_t chunk[4096];
+  std::ptrdiff_t n;
+  while ((n = stream->Read(chunk, sizeof(chunk))) > 0) {
+    received.append(reinterpret_cast<const char*>(chunk),
+                    static_cast<std::size_t>(n));
+  }
+  return received;
+}
+
+/// One HTTP/1.0 request head sent `piece` bytes per write; the response.
+std::string HttpGet(uint16_t port, const std::string& path,
+                    std::size_t piece) {
+  std::unique_ptr<ByteStream> stream = ConnectTcp("127.0.0.1", port);
+  if (stream == nullptr) return "";
+  const std::string head = "GET " + path + " HTTP/1.0\r\n\r\n";
+  const auto* bytes = reinterpret_cast<const uint8_t*>(head.data());
+  for (std::size_t at = 0; at < head.size(); at += piece) {
+    if (!WriteAll(stream.get(), bytes + at,
+                  std::min(piece, head.size() - at))) {
+      return "";
+    }
+    if (piece < head.size()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return ReadUntilClosed(stream.get());
+}
+
+/// `200 OK` whose Content-Length is exactly the body's length.
+void ExpectOkWithExactLength(const std::string& response) {
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << response;
+  const std::size_t split = response.find("\r\n\r\n");
+  ASSERT_NE(split, std::string::npos) << response;
+  const std::string length =
+      "\r\nContent-Length: " + std::to_string(response.size() - split - 4) +
+      "\r\n";
+  EXPECT_NE(response.substr(0, split + 2).find(length), std::string::npos)
+      << response;
+}
+
+TEST(EventLoopTest, HttpAndSketchwireShareALoop) {
+  // One I/O thread serves a pipelining sketchwire client and three HTTP
+  // clients at once: one sends its request head a byte at a time, one
+  // sends 9 KiB that never ends the head, and one scrapes /statsz and
+  // /healthz while the health monitor samples every 10 ms. Every
+  // complete head gets its 200, the oversized one is closed unanswered,
+  // and the ingests land exactly as a sequential replay.
+  SketchServer::Options options;
+  options.io_threads = 1;
+  options.http_port = 0;
+  options.health_period_ms = 10;
+  SketchServer server(options);
+  ASSERT_TRUE(server.Start());
+  const uint16_t http_port = server.http_port();
+  {
+    auto admin = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_NE(admin, nullptr);
+    SketchClient client(std::move(admin));
+    // Wide enough for the 4096-key universe to keep /healthz at "ok".
+    ASSERT_TRUE(client.CreateSketch("shared", SketchType::kCountMin,
+                                    {16384, 4, 77, 0, 0}));
+  }
+
+  constexpr uint64_t kWindows = 32;
+  constexpr uint64_t kFramesPerWindow = 8;
+  std::thread sketchwire([port = server.port()] {
+    auto stream = ConnectTcp("127.0.0.1", port);
+    ASSERT_NE(stream, nullptr);
+    for (uint64_t window = 0; window < kWindows; ++window) {
+      std::vector<uint8_t> wire;
+      for (uint64_t f = 0; f < kFramesPerWindow; ++f) {
+        const std::vector<StreamUpdate> batch =
+            BatchFor(0, window * kFramesPerWindow + f);
+        const std::vector<uint8_t> frame =
+            EncodeIngestSpan("shared", UpdateSpan(batch));
+        wire.insert(wire.end(), frame.begin(), frame.end());
+      }
+      ASSERT_TRUE(WriteAll(stream.get(), wire));
+      std::vector<Frame> acks;
+      ASSERT_TRUE(ReadResponses(stream.get(), kFramesPerWindow, &acks));
+      for (const Frame& frame : acks) {
+        IngestAckResponse ack;
+        ASSERT_TRUE(DecodeIngestAck(frame, &ack));
+        EXPECT_EQ(ack.accepted, kBatchSize);
+      }
+    }
+  });
+  std::string dribbled;
+  std::thread dribbler(
+      [&dribbled, http_port] { dribbled = HttpGet(http_port, "/metrics", 1); });
+  std::string oversized_reply = "not run";
+  std::thread oversized([&oversized_reply, http_port] {
+    auto stream = ConnectTcp("127.0.0.1", http_port);
+    ASSERT_NE(stream, nullptr);
+    const std::vector<uint8_t> junk(9 * 1024, 'a');
+    // The server may close mid-write once it has buffered its 8 KiB cap.
+    (void)WriteAll(stream.get(), junk);
+    oversized_reply = ReadUntilClosed(stream.get());
+  });
+  std::vector<std::string> scrapes;
+  std::thread scraper([&scrapes, http_port] {
+    for (int round = 0; round < 5; ++round) {
+      scrapes.push_back(HttpGet(http_port, "/statsz", 64));
+      scrapes.push_back(HttpGet(http_port, "/healthz", 64));
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  sketchwire.join();
+  dribbler.join();
+  oversized.join();
+  scraper.join();
+
+  ExpectOkWithExactLength(dribbled);
+  EXPECT_EQ(oversized_reply, "");
+  ASSERT_EQ(scrapes.size(), 10u);
+  for (const std::string& scrape : scrapes) ExpectOkWithExactLength(scrape);
+  EXPECT_NE(scrapes.back().find("\"status\":\"ok\""), std::string::npos)
+      << scrapes.back();
+
+  auto stream = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_NE(stream, nullptr);
+  SketchClient client(std::move(stream));
+  std::vector<uint8_t> served;
+  ASSERT_TRUE(client.Snapshot("shared", &served));
+  CountMinSketch replay(16384, 4, 77);
+  for (uint64_t step = 0; step < kWindows * kFramesPerWindow; ++step) {
+    replay.UpdateAll(BatchFor(0, step));
+  }
+  EXPECT_EQ(served, replay.Serialize());
+  server.Stop();
+}
+
 /// Threads in this process, counted from /proc/self/task. A joined
 /// thread can linger there for a moment after the join returns, so
 /// callers poll.
@@ -402,8 +539,8 @@ int ThreadCount() {
 
 TEST(EventLoopTest, FailedStartLeavesNothingRunning) {
   // The HTTP port is taken, so Start fails after the sketchwire listener
-  // and the event loop are already up. It must take both down again: no
-  // I/O thread left running and no sketchwire port accepting.
+  // is already bound. It must release it again: no thread left running
+  // and no sketchwire port accepting.
   const std::unique_ptr<SocketListener> occupied = SocketListener::ListenTcp(0);
   ASSERT_NE(occupied, nullptr);
   uint16_t sketchwire_port = 0;
@@ -414,7 +551,6 @@ TEST(EventLoopTest, FailedStartLeavesNothingRunning) {
   }
   SketchServer::Options options;
   options.tcp_port = sketchwire_port;
-  options.enable_http = true;
   options.http_port = occupied->port();
   options.io_threads = 2;
   SketchServer server(options);

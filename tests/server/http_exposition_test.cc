@@ -1,6 +1,7 @@
-// HTTP exposition listener: the request handler's routing/status/content
-// types (unit, no sockets), then real TCP round trips against the
-// background accept loop, including a client that never sends a request.
+// HTTP exposition: the request handler's routing/status/content types
+// (unit, no sockets), then real TCP round trips against a SketchServer's
+// HTTP port, served by its event loop, including a client that never
+// sends a request.
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,21 @@ TEST(HttpExpositionHandlerTest, ResponsesCarryExactContentLength) {
   EXPECT_EQ(response.substr(split + 4), body);
 }
 
+TEST(HttpExpositionHeadTest, RoutesTheRequestLineAndRejectsABadOne) {
+  HttpExposition http(TestHandlers());
+  // Header lines after the request line do not change the answer.
+  EXPECT_EQ(http.HandleHead("GET /statsz HTTP/1.0\r\nHost: x\r\n\r\n"),
+            http.HandleRequest("GET", "/statsz"));
+  EXPECT_EQ(http.HandleHead("POST /metrics HTTP/1.1\r\n\r\n"),
+            http.HandleRequest("POST", "/metrics"));
+  for (const char* bad : {"GARBAGE\r\n\r\n", "GET /metrics\r\n\r\n",
+                          "\r\n\r\n"}) {
+    const std::string response = http.HandleHead(bad);
+    EXPECT_EQ(response.rfind("HTTP/1.0 400 Bad Request\r\n", 0), 0u)
+        << bad << " -> " << response;
+  }
+}
+
 /// One HTTP/1.0 GET over a fresh connection; the whole response.
 std::string Get(uint16_t port, const std::string& path) {
   std::unique_ptr<ByteStream> stream = ConnectTcp("127.0.0.1", port);
@@ -114,49 +130,60 @@ std::string Get(uint16_t port, const std::string& path) {
 }
 
 TEST(HttpExpositionSocketTest, ServesOverRealTcp) {
-  HttpExposition http(TestHandlers());
-  ASSERT_TRUE(http.Start(0));  // 0 = pick any free port
-  ASSERT_NE(http.port(), 0);
+  SketchServer::Options options;
+  options.http_port = 0;  // 0 = pick any free port
+  SketchServer server(options);
+  ASSERT_TRUE(server.Start());
+  ASSERT_NE(server.http_port(), 0);
 
   // One request per connection, HTTP/1.0 style.
   for (int i = 0; i < 2; ++i) {
-    const std::string response = Get(http.port(), "/metrics");
-    EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
-    EXPECT_NE(response.find("metric_total 1\n"), std::string::npos);
+    const std::string response = Get(server.http_port(), "/metrics");
+    EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << response;
+    EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
+              std::string::npos);
+    // This very connection was adopted before its scrape was answered.
+    EXPECT_NE(response.find("server_epoll_connections_adopted_total "),
+              std::string::npos)
+        << response;
+    const std::size_t split = response.find("\r\n\r\n");
+    ASSERT_NE(split, std::string::npos);
+    const std::string length =
+        "Content-Length: " + std::to_string(response.size() - split - 4);
+    EXPECT_NE(response.find(length), std::string::npos) << response;
   }
 
-  http.Stop();
-  http.Stop();  // idempotent
+  server.Stop();
+  server.Stop();  // idempotent
 }
 
 TEST(HttpExpositionSocketTest, SilentClientStallsNeitherScrapesNorStop) {
   using Clock = std::chrono::steady_clock;
   SketchServer::Options options;
-  options.enable_http = true;
+  options.http_port = 0;
   options.io_threads = 1;
   SketchServer server(options);
   ASSERT_TRUE(server.Start());
 
   // A client that connects to the /metrics port and never sends a byte.
-  // Connections are served in turn, so the scrape waits behind it, but
-  // only for the bounded request-read time (two seconds).
+  // It shares the one I/O thread with the scrape, which the event loop
+  // answers without waiting on the silent connection at all.
   const std::unique_ptr<ByteStream> silent =
       ConnectTcp("127.0.0.1", server.http_port());
   ASSERT_NE(silent, nullptr);
   const Clock::time_point scrape_start = Clock::now();
   EXPECT_NE(Get(server.http_port(), "/metrics").find("HTTP/1.0 200 OK"),
             std::string::npos);
-  EXPECT_LT(Clock::now() - scrape_start, std::chrono::seconds(5));
+  EXPECT_LT(Clock::now() - scrape_start, std::chrono::milliseconds(500));
 
-  // Stop() interrupts the connection being served instead of waiting out
-  // its read bound.
+  // Stop() closes silent connections instead of waiting on them.
   const std::unique_ptr<ByteStream> another =
       ConnectTcp("127.0.0.1", server.http_port());
   ASSERT_NE(another, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const Clock::time_point stop_start = Clock::now();
   server.Stop();
-  EXPECT_LT(Clock::now() - stop_start, std::chrono::milliseconds(1500));
+  EXPECT_LT(Clock::now() - stop_start, std::chrono::milliseconds(500));
 }
 
 }  // namespace
