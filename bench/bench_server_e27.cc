@@ -1,13 +1,13 @@
-// E27: observability-plane overhead — tracing, slow-query log, health
-// monitor, and HTTP exposition must be near-free on the serving path and
+// E27: observability-plane overhead — tracing, slow-query log, sketch
+// health, and HTTP exposition must be near-free on the serving path and
 // must never perturb sketch state.
 //
 // Two claims, both checked here:
 //
 //  1. Bit-identity. The E26 mixed workload is run twice against a fresh
-//     daemon: once with the full observability plane ON (HTTP exposition
-//     + health monitor at 50ms, slow-query log, 1/1024 wire trace
-//     sampling) and once with everything OFF. Count-Min ingest is
+//     daemon: once with the full observability plane ON (HTTP exposition,
+//     slow-query log, 1/1024 wire trace sampling) and once with
+//     everything OFF. Count-Min ingest is
 //     commutative, so both runs must leave byte-identical sketch state:
 //     the Snapshot() blobs are digested with FNV-1a and compared. A
 //     mismatch exits nonzero unconditionally — observation must not
@@ -19,11 +19,12 @@
 //     reason as the E26 gate: a full mixed TCP workload on a shared
 //     runner swings ±10-20% run to run, and the gate exists to catch a
 //     collapsed plane (tracing accidentally unconditional, a runaway
-//     health period), not a few percent. The gate is opt-in via --gate
+//     health walk), not a few percent. The gate is opt-in via --gate
 //     so local runs don't fail on an unlucky box; CI passes --gate.
 //
 // During the ON run the /metrics endpoint is scraped once mid-flight to
-// confirm the exposition path serves under load.
+// confirm the exposition path serves under load; that scrape evaluates
+// the registry's health on the I/O thread serving the workload.
 //
 // Usage: bench_server_e27 [--gate] [--out PATH]
 
@@ -77,13 +78,12 @@ struct RunResult {
 };
 
 /// One E26-shaped mixed run. `observability` turns on every plane at
-/// once: HTTP exposition, health monitor, slow-query log, and client-side
-/// wire trace stamping at 1/kTraceEvery.
+/// once: HTTP exposition (whose /metrics scrape evaluates sketch health),
+/// slow-query log, and client-side wire trace stamping at 1/kTraceEvery.
 RunResult RunMixed(bool observability) {
   SketchServer::Options options;
   options.io_threads = 1;
   if (observability) options.http_port = 0;  // any free port
-  options.health_period_ms = 50;
   options.slow_query_log_size = observability ? 8 : 0;
   SketchServer server(options);
   RunResult result;
@@ -275,8 +275,8 @@ int Main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "E27: observability-plane overhead (tracing + slow log + health "
-      "monitor + /metrics)",
+      "E27: observability-plane overhead (tracing + slow log + sketch "
+      "health + /metrics)",
       "the full observability plane costs a few percent of mixed-workload "
       "throughput at most and leaves sketch state byte-identical",
       "16 connections x 32-op pipelined windows (E26 shape), one shared "
@@ -328,7 +328,7 @@ int Main(int argc, char** argv) {
 
   // Loose on purpose: mixed-TCP throughput on a shared box swings
   // ±10-20% run to run, so a tight gate would flake. 15% still catches
-  // a collapsed plane (unconditional tracing, a runaway health period).
+  // a collapsed plane (unconditional tracing, a runaway health walk).
   if (gate && overhead > 0.15) {
     bench::Row("E27: GATE FAILED: overhead %.2f%% > 15%%", overhead * 100.0);
     return 1;

@@ -16,27 +16,9 @@ namespace sketch::server {
 
 namespace {
 
-bool SetNonBlocking(int fd, bool nonblocking) {
+bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  const int wanted = nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  return ::fcntl(fd, F_SETFL, wanted) == 0;
-}
-
-/// Blocking best-effort send of a buffer tail (shutdown/stop paths, after
-/// the descriptor has been switched back to blocking mode).
-void SendRemainder(int fd, const std::vector<uint8_t>& bytes,
-                   std::size_t consumed) {
-  while (consumed < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + consumed,
-                             bytes.size() - consumed, MSG_NOSIGNAL);
-    if (n > 0) {
-      consumed += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;
-  }
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 }  // namespace
@@ -125,7 +107,7 @@ void EventLoopPool::AdoptPending(Loop* loop) {
     epoll_event event{};
     event.events = EPOLLIN;
     event.data.fd = fd;
-    if (!SetNonBlocking(fd, true) ||
+    if (!SetNonBlocking(fd) ||
         ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
       ::close(fd);
       continue;
@@ -186,13 +168,11 @@ void EventLoopPool::Run(Loop* loop) {
       }
     }
   }
-  // Deterministic teardown: whatever responses are still queued (most
-  // importantly kShutdown acks racing with Stop) are delivered with
-  // blocking writes before the descriptors close.
+  // Teardown: hand the kernel whatever queued bytes it takes without
+  // blocking, then close. A client that stopped reading cannot hold Stop
+  // up; a kShutdown ack has drained before the shutdown callback fires.
   for (const auto& [fd, conn] : loop->conns) {
-    if (conn->consumed < conn->outbound.size() && SetNonBlocking(fd, false)) {
-      SendRemainder(fd, conn->outbound, conn->consumed);
-    }
+    FlushOutbound(conn.get());
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
     connections_live_.fetch_sub(1, std::memory_order_acq_rel);

@@ -87,9 +87,10 @@ class EventLoopPool {
   /// the descriptor from here on (including on failure paths).
   void Adopt(int fd, Protocol protocol = Protocol::kSketchwire);
 
-  /// Flushes every connection's remaining outbound bytes (briefly
-  /// re-blocking the socket so the final writes are deterministic),
-  /// closes all connections, and joins the I/O threads. Idempotent.
+  /// Hands each connection's remaining outbound bytes to the kernel as
+  /// far as it takes them without blocking, closes all connections, and
+  /// joins the I/O threads. A client that stopped reading loses the rest
+  /// of its backlog instead of holding Stop up. Idempotent.
   void Stop();
 
   /// Currently-open adopted connections (statsz gauge).

@@ -1,10 +1,9 @@
 #include "server/health_monitor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <utility>
 
+#include "common/json_escape.h"
 #include "telemetry/telemetry.h"
 
 namespace sketch::server {
@@ -50,9 +49,8 @@ void AppendReason(std::string* reasons, const char* reason) {
 
 }  // namespace
 
-SketchHealth HealthMonitor::Evaluate(const std::string& name,
-                                     const StatsSnapshot& snapshot,
-                                     const Options& options) {
+SketchHealth EvaluateHealth(const std::string& name,
+                            const StatsSnapshot& snapshot) {
   TreeStats stats;
   Accumulate(snapshot, &stats);
 
@@ -72,86 +70,36 @@ SketchHealth HealthMonitor::Evaluate(const std::string& name,
                          ? 0.0
                          : stats.max_collision / (kEuler * stats.max_occupancy);
 
-  if (health.occupancy > options.max_occupancy) {
+  if (health.occupancy > kMaxHealthyOccupancy) {
     AppendReason(&health.reasons, "occupancy");
   }
-  if (health.collision_rate > options.max_collision_rate) {
+  if (health.collision_rate > kMaxHealthyCollisionRate) {
     AppendReason(&health.reasons, "collision_rate");
   }
-  if (health.saturation > options.max_saturation) {
+  if (health.saturation > kMaxHealthySaturation) {
     AppendReason(&health.reasons, "saturation");
   }
-  if (health.eps_drift > options.max_eps_drift) {
+  if (health.eps_drift > kMaxHealthyEpsDrift) {
     AppendReason(&health.reasons, "eps_drift");
   }
   health.degraded = !health.reasons.empty();
   return health;
 }
 
-void HealthMonitor::RunOnce() {
-  std::vector<SketchHealth> results;
-  service_->ForEachSketch(
-      [&results, this](const std::string& name,
-                       const internal::SketchEntry& entry) {
-        results.push_back(Evaluate(name, entry.Introspect(), options_));
-      });
-  bool any_degraded = false;
-  for (const SketchHealth& health : results) {
-    if (health.degraded) any_degraded = true;
-  }
+HealthReport CheckHealth(const SketchService& service) {
+  HealthReport report;
+  service.ForEachSketch([&report](const std::string& name,
+                                  const internal::SketchEntry& entry) {
+    report.sketches.push_back(EvaluateHealth(name, entry.Introspect()));
+    if (report.sketches.back().degraded) report.degraded = true;
+  });
   SKETCH_COUNTER_INC("server.health.passes");
-  {
-    MutexLock lock(mu_);
-    latest_ = std::move(results);
-  }
-  // relaxed: see degraded() — an independent advisory flag.
-  degraded_.store(any_degraded, std::memory_order_relaxed);
+  return report;
 }
 
-void HealthMonitor::Start() {
-  {
-    MutexLock lock(mu_);
-    if (running_) return;
-    running_ = true;
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { ThreadBody(); });
-}
-
-void HealthMonitor::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  wakeup_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  MutexLock lock(mu_);
-  running_ = false;
-}
-
-void HealthMonitor::ThreadBody() {
-  const auto period = std::chrono::milliseconds(options_.period_ms);
-  for (;;) {
-    RunOnce();
-    MutexLock lock(mu_);
-    if (stop_requested_) return;
-    // Single timed wait, not a deadline loop: waking early on a spurious
-    // signal only means one extra (cheap) pass.
-    if (!stop_requested_) wakeup_.WaitFor(mu_, period);
-    if (stop_requested_) return;
-  }
-}
-
-std::vector<SketchHealth> HealthMonitor::Snapshot() const {
-  MutexLock lock(mu_);
-  return latest_;
-}
-
-std::vector<telemetry::PromGauge> HealthMonitor::Gauges() const {
-  const std::vector<SketchHealth> latest = Snapshot();
+std::vector<telemetry::PromGauge> HealthReport::Gauges() const {
   std::vector<telemetry::PromGauge> gauges;
-  gauges.reserve(latest.size() * 5 + 1);
+  gauges.reserve(sketches.size() * 5 + 1);
   const auto add = [&gauges](const char* metric, const SketchHealth& health,
                              double value) {
     telemetry::PromGauge gauge;
@@ -162,51 +110,40 @@ std::vector<telemetry::PromGauge> HealthMonitor::Gauges() const {
   };
   // Grouped metric-major so each family's samples are contiguous, as the
   // exposition format requires.
-  for (const SketchHealth& h : latest) {
+  for (const SketchHealth& h : sketches) {
     add("sketch_health_occupancy", h, h.occupancy);
   }
-  for (const SketchHealth& h : latest) {
+  for (const SketchHealth& h : sketches) {
     add("sketch_health_collision_rate", h, h.collision_rate);
   }
-  for (const SketchHealth& h : latest) {
+  for (const SketchHealth& h : sketches) {
     add("sketch_health_saturation", h, h.saturation);
   }
-  for (const SketchHealth& h : latest) {
+  for (const SketchHealth& h : sketches) {
     add("sketch_health_eps_drift", h, h.eps_drift);
   }
-  for (const SketchHealth& h : latest) {
+  for (const SketchHealth& h : sketches) {
     add("sketch_health_degraded", h, h.degraded ? 1.0 : 0.0);
   }
   telemetry::PromGauge overall;
   overall.name = "server_health_degraded";
-  overall.value = degraded() ? 1.0 : 0.0;
+  overall.value = degraded ? 1.0 : 0.0;
   gauges.push_back(std::move(overall));
   return gauges;
 }
 
-std::string HealthMonitor::HealthzJson() const {
-  const std::vector<SketchHealth> latest = Snapshot();
+std::string HealthReport::HealthzJson() const {
   std::string out = "{\"status\":\"";
-  out += degraded() ? "degraded" : "ok";
+  out += degraded ? "degraded" : "ok";
   out += "\",\"sketches\":[";
   bool first = true;
-  for (const SketchHealth& health : latest) {
+  for (const SketchHealth& health : sketches) {
     if (!health.degraded) continue;
     if (!first) out += ",";
     first = false;
-    // Health names come from the registry (validated request strings);
-    // escape quotes/backslashes, drop control bytes.
-    std::string escaped;
-    for (char c : health.name) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-        escaped += c;
-      } else if (static_cast<unsigned char>(c) >= 0x20) {
-        escaped += c;
-      }
-    }
-    out += "{\"name\":\"" + escaped + "\",\"reasons\":\"" + health.reasons +
-           "\"}";
+    // Reasons are fixed threshold names; only the name needs escaping.
+    out += "{\"name\":\"" + EscapeJson(health.name) + "\",\"reasons\":\"" +
+           health.reasons + "\"}";
   }
   out += "]}";
   return out;

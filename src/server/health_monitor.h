@@ -1,22 +1,18 @@
 #ifndef SKETCH_SERVER_HEALTH_MONITOR_H_
 #define SKETCH_SERVER_HEALTH_MONITOR_H_
 
-#include <atomic>
-#include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "server/sketch_service.h"
 #include "telemetry/prometheus.h"
 
 /// \file
-/// Background sketch-accuracy monitor. The paper's error bounds are
-/// conditional — Count-Min's eps*||x||_1 assumes counters far from
-/// saturation and collision behavior near the design point — so a serving
-/// registry needs a live signal for when those assumptions stop holding.
-/// The monitor periodically walks the registry via
+/// Sketch-accuracy health, computed when it is read. The paper's error
+/// bounds are conditional — Count-Min's eps*||x||_1 assumes counters far
+/// from saturation and collision behavior near the design point — so a
+/// serving registry needs a signal for when those assumptions stop
+/// holding. CheckHealth walks the registry via
 /// `SketchService::ForEachSketch` (one shared entry lock at a time; see
 /// the lock-order note there and in DESIGN.md), runs `Introspect()`, and
 /// distills each snapshot into four scalars:
@@ -34,10 +30,17 @@
 ///     eps = e/width accounts for.
 ///
 /// Any scalar over its threshold marks the sketch degraded; any degraded
-/// sketch flips the process /healthz to degraded. Results are published
-/// as Prometheus gauges (sketch name as label) and as JSON for /healthz.
+/// sketch degrades the whole report. A report is published as Prometheus
+/// gauges (sketch name as label) on /metrics and as JSON on /healthz, and
+/// each scrape takes its own, so the status and body always agree.
 
 namespace sketch::server {
+
+/// Health thresholds: a scalar strictly above its limit degrades a sketch.
+inline constexpr double kMaxHealthyOccupancy = 0.95;
+inline constexpr double kMaxHealthyCollisionRate = 0.75;
+inline constexpr double kMaxHealthySaturation = 0.01;
+inline constexpr double kMaxHealthyEpsDrift = 1.0;
 
 /// One sketch's distilled health.
 struct SketchHealth {
@@ -52,73 +55,29 @@ struct SketchHealth {
   std::string reasons;
 };
 
-class HealthMonitor {
- public:
-  struct Options {
-    /// Sampling period. The walk is shared-lock-only and touches each
-    /// entry once, so 1 Hz is far from intrusive even on big registries.
-    uint64_t period_ms = 1000;
-    double max_occupancy = 0.95;
-    double max_collision_rate = 0.75;
-    double max_saturation = 0.01;
-    double max_eps_drift = 1.0;
-  };
-
-  /// The service must outlive the monitor.
-  HealthMonitor(SketchService* service, const Options& options)
-      : service_(service), options_(options) {}
-  ~HealthMonitor() { Stop(); }
-
-  HealthMonitor(const HealthMonitor&) = delete;
-  HealthMonitor& operator=(const HealthMonitor&) = delete;
-
-  /// Starts the background sampler thread (idempotent).
-  void Start();
-
-  /// Stops and joins the sampler (idempotent; safe without Start).
-  void Stop();
-
-  /// One synchronous sampling pass (the thread body calls this; tests
-  /// call it directly to avoid timing dependence).
-  void RunOnce();
-
-  /// True once any sketch exceeded a threshold on the latest pass.
-  bool degraded() const {
-    // relaxed: a point-in-time flag for /healthz; no other state is
-    // published through it.
-    return degraded_.load(std::memory_order_relaxed);
-  }
-
-  /// Latest per-sketch health, name-sorted (registry walk order).
-  std::vector<SketchHealth> Snapshot() const SKETCH_EXCLUDES(mu_);
+/// The registry's health at one walk.
+struct HealthReport {
+  /// Per-sketch health, name-sorted (registry walk order).
+  std::vector<SketchHealth> sketches;
+  /// True when any sketch exceeded a threshold.
+  bool degraded = false;
 
   /// Per-sketch gauges for /metrics: sketch_health_{occupancy,
-  /// collision_rate, saturation, eps_drift, degraded}{sketch="name"}.
+  /// collision_rate, saturation, eps_drift, degraded}{sketch="name"},
+  /// plus the unlabeled server_health_degraded.
   std::vector<telemetry::PromGauge> Gauges() const;
 
   /// /healthz body: {"status":"ok"|"degraded","sketches":[...]} listing
   /// only degraded sketches with their reasons.
   std::string HealthzJson() const;
-
-  /// Distills one introspection snapshot (exposed for unit tests).
-  static SketchHealth Evaluate(const std::string& name,
-                               const StatsSnapshot& snapshot,
-                               const Options& options);
-
- private:
-  void ThreadBody();
-
-  SketchService* const service_;
-  const Options options_;
-
-  mutable Mutex mu_;
-  std::vector<SketchHealth> latest_ SKETCH_GUARDED_BY(mu_);
-  bool running_ SKETCH_GUARDED_BY(mu_) = false;
-  bool stop_requested_ SKETCH_GUARDED_BY(mu_) = false;
-  CondVar wakeup_;
-  std::thread thread_;
-  std::atomic<bool> degraded_{false};
 };
+
+/// Distills one introspection snapshot.
+SketchHealth EvaluateHealth(const std::string& name,
+                            const StatsSnapshot& snapshot);
+
+/// Evaluates every registered sketch, one shared entry lock at a time.
+HealthReport CheckHealth(const SketchService& service);
 
 }  // namespace sketch::server
 

@@ -47,11 +47,11 @@ std::string HttpExposition::HandleRequest(const std::string& method,
     return MakeResponse(200, "OK", "application/json", handlers_.tracez());
   }
   if (bare == "/healthz" && handlers_.healthz) {
-    const bool healthy = handlers_.healthy ? handlers_.healthy() : true;
-    return healthy ? MakeResponse(200, "OK", "application/json",
-                                  handlers_.healthz())
-                   : MakeResponse(503, "Service Unavailable",
-                                  "application/json", handlers_.healthz());
+    const Health health = handlers_.healthz();
+    return health.healthy ? MakeResponse(200, "OK", "application/json",
+                                         health.body)
+                          : MakeResponse(503, "Service Unavailable",
+                                         "application/json", health.body);
   }
   return NotFound();
 }

@@ -28,9 +28,10 @@
 /// answers it through HandleHead, and closes once the response drains.
 /// Deliberately not a web server: one request per connection, HTTP/1.0
 /// close-delimited, GET only, no keep-alive, no TLS, no chunking.
-/// Handler callbacks run on an I/O thread that holds no lock, so they
-/// must only take snapshots under their own locks (all four producers
-/// here do).
+/// Handler callbacks run on the I/O thread serving the scrape, holding
+/// no lock, so they must only take snapshots under their own locks (all
+/// four producers here do: /metrics and /healthz evaluate sketch health
+/// by the same registry walk as /statsz).
 
 namespace sketch::server {
 
@@ -41,14 +42,19 @@ class HttpExposition {
   /// this many bytes is closed without a response.
   static constexpr std::size_t kMaxRequestBytes = 8192;
 
-  /// Response producers, one per endpoint. Unset handlers 404. `healthy`
-  /// picks /healthz's status code (200 vs 503); defaults to healthy.
+  /// What /healthz answers: its status (200 when healthy, else 503) and
+  /// its body, produced together so they always agree.
+  struct Health {
+    bool healthy = true;
+    std::string body;
+  };
+
+  /// Response producers, one per endpoint. Unset handlers 404.
   struct Handlers {
     std::function<std::string()> metrics;
     std::function<std::string()> statsz;
     std::function<std::string()> tracez;
-    std::function<std::string()> healthz;
-    std::function<bool()> healthy;
+    std::function<Health()> healthz;
   };
 
   explicit HttpExposition(Handlers handlers)

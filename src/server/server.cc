@@ -4,7 +4,7 @@
 
 #include <utility>
 
-#include "common/check.h"
+#include "server/health_monitor.h"
 #include "telemetry/prometheus.h"
 #include "telemetry/trace.h"
 
@@ -35,15 +35,9 @@ bool SketchServer::Start() {
     return abandon();
   }
   if (http_listener_ != nullptr) {
-    SKETCH_CHECK(options_.health_period_ms >= 1);
-    HealthMonitor::Options health_options;
-    health_options.period_ms = options_.health_period_ms;
-    health_monitor_ =
-        std::make_unique<HealthMonitor>(&service_, health_options);
-
     HttpExposition::Handlers handlers;
     handlers.metrics = [this] {
-      return telemetry::DumpPrometheus(health_monitor_->Gauges());
+      return telemetry::DumpPrometheus(CheckHealth(service_).Gauges());
     };
     handlers.statsz = [this] { return service_.StatszJson(); };
     handlers.tracez = [this] {
@@ -58,8 +52,10 @@ bool SketchServer::Start() {
       trace += "}";
       return trace;
     };
-    handlers.healthz = [this] { return health_monitor_->HealthzJson(); };
-    handlers.healthy = [this] { return !health_monitor_->degraded(); };
+    handlers.healthz = [this] {
+      const HealthReport report = CheckHealth(service_);
+      return HttpExposition::Health{!report.degraded, report.HealthzJson()};
+    };
     http_ = std::make_unique<HttpExposition>(std::move(handlers));
   }
   EventLoopPool::Options pool_options;
@@ -75,7 +71,6 @@ bool SketchServer::Start() {
   });
   // epoll/eventfd creation can fail (fd exhaustion); refuse to serve.
   if (!event_pool_->Start()) return abandon();
-  if (health_monitor_ != nullptr) health_monitor_->Start();
   // Registered only once Start cannot fail, so the gauge never outlives
   // the pool it reads.
   service_.RegisterGauge("server.connections_live",
@@ -118,7 +113,6 @@ void SketchServer::Wait() {
 
 void SketchServer::Stop() {
   if (!started_) return;
-  if (health_monitor_ != nullptr) health_monitor_->Stop();
   listener_->Close();
   if (http_listener_ != nullptr) http_listener_->Close();
   Wait();

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "server/event_loop.h"
-#include "server/health_monitor.h"
 #include "server/http_exposition.h"
 #include "server/sketch_service.h"
 #include "server/transport.h"
@@ -37,9 +36,6 @@ class SketchServer {
     /// port; 0 picks a free port (see http_port()). Unset by default: the
     /// sketchwire port stays the only listener unless asked.
     std::optional<uint16_t> http_port;
-    /// Sketch health sampling period, at least 1 ms. Only meaningful
-    /// with http_port.
-    uint64_t health_period_ms = 1000;
     /// Slowest requests retained per opcode in the service's slow-query
     /// log; 0 disables it.
     std::size_t slow_query_log_size = 8;
@@ -51,10 +47,9 @@ class SketchServer {
   SketchServer(const SketchServer&) = delete;
   SketchServer& operator=(const SketchServer&) = delete;
 
-  /// Binds the listeners, starts the event loop and (with http_port) the
-  /// health monitor, then one accept loop per listener. False if an
-  /// address cannot be bound or the event loop cannot start; nothing is
-  /// left running in that case.
+  /// Binds the listeners, starts the event loop, then one accept loop
+  /// per listener. False if an address cannot be bound or the event loop
+  /// cannot start; nothing is left running in that case.
   bool Start();
 
   /// Blocks until a shutdown request has been served and every
@@ -72,9 +67,6 @@ class SketchServer {
   uint16_t http_port() const;
 
   SketchService* service() { return &service_; }
-
-  /// Non-null after Start when http_port is set.
-  HealthMonitor* health_monitor() { return health_monitor_.get(); }
 
  private:
   /// Adopts every connection `listener` accepts as `protocol` until the
@@ -94,10 +86,10 @@ class SketchServer {
   // lock. The object outlives Stop because the statsz gauge registered
   // in Start() reads its live-connection count.
   std::unique_ptr<EventLoopPool> event_pool_;
-  // Observability plane (non-null iff http_port): both created in Start()
-  // before the pool that serves /metrics, and outliving its I/O threads.
-  // The monitor must stop before the service's registry is torn down.
-  std::unique_ptr<HealthMonitor> health_monitor_;
+  // Observability router (non-null iff http_port): created in Start()
+  // before the pool that serves it, and outliving its I/O threads. Its
+  // /metrics and /healthz handlers evaluate sketch health on the I/O
+  // thread that serves the scrape.
   std::unique_ptr<HttpExposition> http_;
   std::thread accept_thread_;
   std::thread http_accept_thread_;

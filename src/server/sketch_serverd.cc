@@ -2,8 +2,7 @@
 // and serves the sketchwire/1 protocol until a client sends Shutdown.
 //
 // Usage:
-//   sketch_serverd [--port=N] [--unix=PATH] [--http-port=N]
-//                  [--health-period-ms=N] [--slow-log=N]
+//   sketch_serverd [--port=N] [--unix=PATH] [--http-port=N] [--slow-log=N]
 //
 // With --port=0 (the default) a free port is picked and printed, so
 // scripts can parse "listening on 127.0.0.1:PORT". --http-port enables
@@ -12,8 +11,8 @@
 // same way (0 picks a free port too).
 //
 // Every numeric flag must be a whole decimal number within its range
-// (ports 0..65535, --health-period-ms 1..3600000, --slow-log 0..65536);
-// anything else prints the usage line and exits 2.
+// (ports 0..65535, --slow-log 0..65536); anything else prints the usage
+// line and exits 2.
 
 #include <charconv>
 #include <cstdint>
@@ -25,7 +24,6 @@
 
 namespace {
 
-constexpr uint64_t kMaxHealthPeriodMs = 3'600'000;  // one hour
 constexpr uint64_t kMaxSlowLogSize = 65'536;
 
 bool ParseFlag(const std::string& arg, const std::string& name,
@@ -66,9 +64,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "http-port", &value)) {
       ok = ParseNumber(value, 0, UINT16_MAX, &number);
       options.http_port = static_cast<uint16_t>(number);
-    } else if (ParseFlag(arg, "health-period-ms", &value)) {
-      ok = ParseNumber(value, 1, kMaxHealthPeriodMs, &number);
-      options.health_period_ms = number;
     } else if (ParseFlag(arg, "slow-log", &value)) {
       ok = ParseNumber(value, 0, kMaxSlowLogSize, &number);
       options.slow_query_log_size = static_cast<std::size_t>(number);
@@ -78,11 +73,9 @@ int main(int argc, char** argv) {
     if (!ok) {
       std::fprintf(stderr,
                    "usage: %s [--port=N] [--unix=PATH] [--http-port=N] "
-                   "[--health-period-ms=N] [--slow-log=N]\n"
-                   "  ports 0..65535, --health-period-ms 1..%llu, "
-                   "--slow-log 0..%llu\n",
-                   argv[0], static_cast<unsigned long long>(kMaxHealthPeriodMs),
-                   static_cast<unsigned long long>(kMaxSlowLogSize));
+                   "[--slow-log=N]\n"
+                   "  ports 0..65535, --slow-log 0..%llu\n",
+                   argv[0], static_cast<unsigned long long>(kMaxSlowLogSize));
       return 2;
     }
   }

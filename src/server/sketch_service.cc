@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/json_escape.h"
 #include "common/timer.h"
 #include "common/wrapping.h"
 #include "telemetry/metric_registry.h"
@@ -97,27 +98,6 @@ class CachedScan {
   double value_ SKETCH_GUARDED_BY(mutex_) = 0.0;
   bool valid_ SKETCH_GUARDED_BY(mutex_) = false;
 };
-
-/// JSON string escaping for sketch names (arbitrary client bytes).
-std::string EscapeJson(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (const char c : raw) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (byte < 0x20) {
-      static const char* kHex = "0123456789abcdef";
-      out += "\\u00";
-      out.push_back(kHex[byte >> 4]);
-      out.push_back(kHex[byte & 0xf]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 using internal::SketchEntry;
 

@@ -112,7 +112,7 @@ class SketchEntry {
 
   /// Structured self-description of the wrapped sketch (occupancy,
   /// collision estimates, geometry — see telemetry/stats.h). Called under
-  /// a shared lock by statsz and the health monitor, so implementations
+  /// a shared lock by statsz and the health check, so implementations
   /// must not mutate entry state.
   virtual StatsSnapshot Introspect() const = 0;
 
@@ -188,7 +188,7 @@ class SketchService {
 
   /// Calls `fn(name, entry)` for every registered sketch, one entry
   /// shared lock at a time (never a stripe mutex and an entry lock
-  /// together — the documented health-monitor lock order). `fn` must not
+  /// together — the documented statsz/health lock order). `fn` must not
   /// mutate the entry.
   void ForEachSketch(
       const std::function<void(const std::string&,

@@ -201,8 +201,8 @@ void DrawFrame(const Config& config, const std::vector<Sample>& samples,
                 Find(samples, family, "quantile=\"0.99\"", 0.0) / 1e3);
   }
 
-  // Per-sketch health gauges (absent until the daemon's health monitor
-  // has completed a pass).
+  // Per-sketch health gauges, evaluated by the daemon for this scrape (one
+  // row per registered sketch).
   std::printf("\n  %-20s %10s %10s %10s %10s  %s\n", "sketch", "occup",
               "collide", "saturate", "drift", "state");
   for (const Sample& s : samples) {

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json_escape.h"
 #include "common/timer.h"
 
 namespace sketch::server {
@@ -68,33 +69,22 @@ std::string SlowQueryLog::ToJson() const {
   const std::vector<Entry> entries = SnapshotSorted();
   const uint64_t now_ns = MonotonicNowNs();
   std::string out = "[";
-  // Large enough for a fully-escaped kMaxNameBytes name plus the numeric
-  // fields; snprintf truncation would emit invalid JSON.
-  char buffer[kMaxNameBytes * 2 + 192];
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& entry = entries[i];
     if (i > 0) out += ",";
-    // Sketch names are validated request strings but may still hold JSON
-    // metacharacters; keep this quoting in sync with the service's
-    // EscapeJson (simple backslash quoting of " and \, controls dropped).
-    std::string escaped_name;
-    for (char c : entry.sketch_name) {
-      if (c == '"' || c == '\\') {
-        escaped_name += '\\';
-        escaped_name += c;
-      } else if (static_cast<unsigned char>(c) >= 0x20) {
-        escaped_name += c;
-      }
-    }
-    const int written = std::snprintf(
-        buffer, sizeof(buffer),
-        "{\"opcode\":\"%s\",\"latency_ns\":%" PRIu64
-        ",\"sketch\":\"%s\",\"payload_bytes\":%" PRIu64
-        ",\"trace_id\":\"%016" PRIx64 "\",\"age_ns\":%" PRIu64 "}",
-        OpcodeName(entry.opcode), entry.latency_ns, escaped_name.c_str(),
-        entry.payload_bytes, entry.trace_id,
+    char trace_id[17];
+    std::snprintf(trace_id, sizeof(trace_id), "%016" PRIx64, entry.trace_id);
+    out += "{\"opcode\":\"";
+    out += OpcodeName(entry.opcode);
+    out += "\",\"latency_ns\":" + std::to_string(entry.latency_ns);
+    out += ",\"sketch\":\"" + EscapeJson(entry.sketch_name);
+    out += "\",\"payload_bytes\":" + std::to_string(entry.payload_bytes);
+    out += ",\"trace_id\":\"";
+    out += trace_id;
+    out += "\",\"age_ns\":";
+    out += std::to_string(
         now_ns >= entry.timestamp_ns ? now_ns - entry.timestamp_ns : 0);
-    if (written > 0) out.append(buffer, static_cast<std::size_t>(written));
+    out += "}";
   }
   out += "]";
   return out;

@@ -2,8 +2,10 @@
 // TCP sockets: many concurrent clients against one daemon, bit-identity
 // of the served sketch with a sequential replay, pipelined-frame
 // batching, slow-client backpressure/eviction, fragmented frames,
-// shutdown draining, HTTP scrapes sharing an I/O thread with sketchwire
-// traffic, and a failed Start that leaves nothing running.
+// shutdown draining, a Stop that does not wait on a client that stopped
+// reading, HTTP scrapes sharing an I/O thread with sketchwire traffic,
+// the threads a started server runs, and a failed Start that leaves
+// nothing running.
 
 #include <dirent.h>
 
@@ -24,6 +26,7 @@
 #include "server/transport.h"
 #include "sketch/count_min.h"
 #include "stream/update.h"
+#include "telemetry/metric_registry.h"
 
 namespace sketch::server {
 namespace {
@@ -363,6 +366,50 @@ TEST(EventLoopTest, ShutdownFrameDrainsAndStopsTheServer) {
   server.Wait();                   // must return: the daemon drained
 }
 
+TEST(EventLoopTest, StopDoesNotWaitForANonReadingClient) {
+  // A client pipelines a create and six snapshots of a 1 MiB table and
+  // never reads, so megabytes of responses stay queued for it; it closes
+  // only after 3 s. Stop must hand the kernel what it takes without
+  // blocking and close, not wait for that client.
+  using Clock = std::chrono::steady_clock;
+  SketchServer::Options options;
+  options.io_threads = 1;
+  options.max_outbound_bytes = 64 * 1024 * 1024;  // queue, never evict
+  SketchServer server(options);
+  ASSERT_TRUE(server.Start());
+  constexpr uint64_t kSnapshots = 6;
+  telemetry::Counter& snapshots =
+      telemetry::MetricRegistry::Instance().GetCounter("server.snapshots");
+  const uint64_t snapshots_before = snapshots.Value();
+
+  CreateSketchRequest create;
+  create.name = "mib";
+  create.type = SketchType::kCountMin;
+  create.params = {1 << 15, 4, 3, 0, 0};  // 4 x 32768 counters = 1 MiB
+  std::vector<uint8_t> wire = EncodeCreateSketch(create);
+  const std::vector<uint8_t> snapshot = EncodeSnapshot({"mib"});
+  for (uint64_t i = 0; i < kSnapshots; ++i) {
+    wire.insert(wire.end(), snapshot.begin(), snapshot.end());
+  }
+  std::thread client([port = server.port(), &wire] {
+    auto stream = ConnectTcp("127.0.0.1", port);
+    ASSERT_NE(stream, nullptr);
+    ASSERT_TRUE(WriteAll(stream.get(), wire));
+    std::this_thread::sleep_for(std::chrono::seconds(3));
+  });
+  // Every snapshot has been served (its response queued) before Stop.
+  for (int i = 0; i < 5000; ++i) {
+    if (snapshots.Value() - snapshots_before >= kSnapshots) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(snapshots.Value() - snapshots_before, kSnapshots);
+
+  const Clock::time_point stop_start = Clock::now();
+  server.Stop();
+  EXPECT_LT(Clock::now() - stop_start, std::chrono::milliseconds(500));
+  client.join();
+}
+
 TEST(EventLoopTest, FramingViolationGetsErrorThenClose) {
   SketchServer server({});
   ASSERT_TRUE(server.Start());
@@ -435,13 +482,12 @@ TEST(EventLoopTest, HttpAndSketchwireShareALoop) {
   // One I/O thread serves a pipelining sketchwire client and three HTTP
   // clients at once: one sends its request head a byte at a time, one
   // sends 9 KiB that never ends the head, and one scrapes /statsz and
-  // /healthz while the health monitor samples every 10 ms. Every
+  // /healthz, each of which walks the registry on that thread. Every
   // complete head gets its 200, the oversized one is closed unanswered,
   // and the ingests land exactly as a sequential replay.
   SketchServer::Options options;
   options.io_threads = 1;
   options.http_port = 0;
-  options.health_period_ms = 10;
   SketchServer server(options);
   ASSERT_TRUE(server.Start());
   const uint16_t http_port = server.http_port();
@@ -535,6 +581,35 @@ int ThreadCount() {
   }
   ::closedir(dir);
   return count;
+}
+
+/// ThreadCount once it has held still for 10 ms, so threads that earlier
+/// tests joined have left /proc/self/task.
+int SettledThreadCount() {
+  int count = ThreadCount();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int again = ThreadCount();
+    if (again == count) break;
+    count = again;
+  }
+  return count;
+}
+
+TEST(EventLoopTest, StartRunsIoAndAcceptThreadsOnly) {
+  // With an HTTP port, Start adds the I/O threads and one accept thread
+  // per listener, nothing more: sketch health is evaluated by the scrape
+  // that reads it, on an I/O thread.
+  SketchServer::Options options;
+  options.http_port = 0;
+  options.io_threads = 2;
+  SketchServer server(options);
+  const int threads_before = SettledThreadCount();
+  ASSERT_GT(threads_before, 0);
+  ASSERT_TRUE(server.Start());
+  EXPECT_EQ(ThreadCount() - threads_before,
+            static_cast<int>(options.io_threads) + 2);
+  server.Stop();
 }
 
 TEST(EventLoopTest, FailedStartLeavesNothingRunning) {

@@ -1,6 +1,7 @@
-// Health monitor: Evaluate's distillation of an introspection snapshot
-// into the four health scalars and their thresholds, plus RunOnce against
-// a live registry (gauges, /healthz JSON, degraded flag).
+// Sketch health: EvaluateHealth's distillation of an introspection
+// snapshot into the four health scalars and their thresholds, plus
+// CheckHealth against a live registry (gauges, /healthz JSON, degraded
+// flag).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "json_check.h"
 #include "server/health_monitor.h"
 #include "server/protocol.h"
 #include "server/sketch_service.h"
@@ -28,8 +30,7 @@ StatsSnapshot MakeSnapshot(double occupancy, double collision) {
 }
 
 TEST(HealthMonitorEvaluateTest, HealthySnapshotIsNotDegraded) {
-  const SketchHealth h = HealthMonitor::Evaluate(
-      "s", MakeSnapshot(0.5, 0.3), HealthMonitor::Options{});
+  const SketchHealth h = EvaluateHealth("s", MakeSnapshot(0.5, 0.3));
   EXPECT_FALSE(h.degraded);
   EXPECT_TRUE(h.reasons.empty());
   EXPECT_EQ(h.name, "s");
@@ -41,29 +42,24 @@ TEST(HealthMonitorEvaluateTest, HealthySnapshotIsNotDegraded) {
 }
 
 TEST(HealthMonitorEvaluateTest, OccupancyThreshold) {
-  HealthMonitor::Options options;
-  options.max_occupancy = 0.95;
-  EXPECT_FALSE(
-      HealthMonitor::Evaluate("s", MakeSnapshot(0.95, 0.0), options).degraded);
-  const SketchHealth h =
-      HealthMonitor::Evaluate("s", MakeSnapshot(0.96, 0.0), options);
+  static_assert(kMaxHealthyOccupancy == 0.95);
+  EXPECT_FALSE(EvaluateHealth("s", MakeSnapshot(0.95, 0.0)).degraded);
+  const SketchHealth h = EvaluateHealth("s", MakeSnapshot(0.96, 0.0));
   EXPECT_TRUE(h.degraded);
   EXPECT_EQ(h.reasons, "occupancy");
 }
 
 TEST(HealthMonitorEvaluateTest, CollisionRateThresholdAndBloomSpelling) {
-  HealthMonitor::Options options;
   // Bloom filters report "fill_ratio" instead of "occupied_fraction";
   // both must feed the occupancy scalar.
   StatsSnapshot bloom;
   bloom.type = "Bloom";
   bloom.AddField("fill_ratio", 0.97);
-  const SketchHealth bh = HealthMonitor::Evaluate("b", bloom, options);
+  const SketchHealth bh = EvaluateHealth("b", bloom);
   EXPECT_DOUBLE_EQ(bh.occupancy, 0.97);
   EXPECT_TRUE(bh.degraded);
 
-  const SketchHealth ch =
-      HealthMonitor::Evaluate("s", MakeSnapshot(0.2, 0.8), options);
+  const SketchHealth ch = EvaluateHealth("s", MakeSnapshot(0.2, 0.8));
   EXPECT_NE(ch.reasons.find("collision_rate"), std::string::npos);
   // 0.8 / (e * 0.2) = 1.47 > 1, so eps_drift trips alongside it.
   EXPECT_NE(ch.reasons.find("eps_drift"), std::string::npos);
@@ -71,7 +67,6 @@ TEST(HealthMonitorEvaluateTest, CollisionRateThresholdAndBloomSpelling) {
 }
 
 TEST(HealthMonitorEvaluateTest, SaturationFromOccupancyLog2) {
-  HealthMonitor::Options options;
   StatsSnapshot s = MakeSnapshot(0.5, 0.1);
   // 100 nonzero cells, 2 of them within 2 bits of the int64 limit.
   s.occupancy_log2.assign(65, 0);
@@ -79,21 +74,20 @@ TEST(HealthMonitorEvaluateTest, SaturationFromOccupancyLog2) {
   s.occupancy_log2[5] = 98;
   s.occupancy_log2[62] = 1;
   s.occupancy_log2[63] = 1;
-  const SketchHealth h = HealthMonitor::Evaluate("s", s, options);
+  const SketchHealth h = EvaluateHealth("s", s);
   EXPECT_DOUBLE_EQ(h.saturation, 0.02);
-  EXPECT_TRUE(h.degraded);  // 0.02 > default max_saturation 0.01
+  EXPECT_TRUE(h.degraded);  // 0.02 > kMaxHealthySaturation 0.01
   EXPECT_EQ(h.reasons, "saturation");
   // Bit width 61 is still two doublings away — not saturated.
   s.occupancy_log2[62] = 0;
   s.occupancy_log2[63] = 0;
   s.occupancy_log2[61] = 2;
-  EXPECT_FALSE(HealthMonitor::Evaluate("s", s, options).degraded);
+  EXPECT_FALSE(EvaluateHealth("s", s).degraded);
 }
 
 TEST(HealthMonitorEvaluateTest, EmptySketchHasNoDrift) {
   // occupancy == 0 would divide by zero; the contract is drift 0.
-  const SketchHealth h = HealthMonitor::Evaluate(
-      "s", MakeSnapshot(0.0, 0.0), HealthMonitor::Options{});
+  const SketchHealth h = EvaluateHealth("s", MakeSnapshot(0.0, 0.0));
   EXPECT_DOUBLE_EQ(h.eps_drift, 0.0);
   EXPECT_FALSE(h.degraded);
 }
@@ -104,8 +98,7 @@ TEST(HealthMonitorEvaluateTest, WorstChildDominatesTree) {
   root.children.push_back(MakeSnapshot(0.1, 0.05));
   root.children.push_back(MakeSnapshot(0.99, 0.1));
   root.children.push_back(MakeSnapshot(0.3, 0.2));
-  const SketchHealth h =
-      HealthMonitor::Evaluate("s", root, HealthMonitor::Options{});
+  const SketchHealth h = EvaluateHealth("s", root);
   EXPECT_DOUBLE_EQ(h.occupancy, 0.99);
   EXPECT_DOUBLE_EQ(h.collision_rate, 0.2);
   EXPECT_TRUE(h.degraded);
@@ -144,21 +137,20 @@ class HealthMonitorServiceTest : public ::testing::Test {
   }
 };
 
-TEST_F(HealthMonitorServiceTest, RunOncePublishesGaugesAndHealthz) {
+TEST_F(HealthMonitorServiceTest, CheckHealthPublishesGaugesAndHealthz) {
   Create("wide", 1u << 16);
   IngestDistinct("wide", 64);  // near-empty: healthy
 
-  HealthMonitor monitor(&service_, HealthMonitor::Options{});
-  monitor.RunOnce();
+  const HealthReport report = CheckHealth(service_);
 
-  EXPECT_FALSE(monitor.degraded());
-  const std::vector<SketchHealth> snapshot = monitor.Snapshot();
+  EXPECT_FALSE(report.degraded);
+  const std::vector<SketchHealth> snapshot = report.sketches;
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].name, "wide");
   EXPECT_FALSE(snapshot[0].degraded);
 
   // Gauges: all five families, labeled by sketch, plus the process flag.
-  const std::vector<telemetry::PromGauge> gauges = monitor.Gauges();
+  const std::vector<telemetry::PromGauge> gauges = report.Gauges();
   bool found_occupancy = false;
   bool found_process_flag = false;
   for (const telemetry::PromGauge& g : gauges) {
@@ -177,41 +169,43 @@ TEST_F(HealthMonitorServiceTest, RunOncePublishesGaugesAndHealthz) {
   EXPECT_TRUE(found_occupancy);
   EXPECT_TRUE(found_process_flag);
 
-  const std::string healthz = monitor.HealthzJson();
+  const std::string healthz = report.HealthzJson();
   EXPECT_NE(healthz.find("\"status\":\"ok\""), std::string::npos) << healthz;
 }
 
 TEST_F(HealthMonitorServiceTest, OverfilledSketchDegradesHealthz) {
   // Width 16, 4096 distinct keys: every bucket occupied, every key
-  // colliding — the monitor must flag it.
+  // colliding — the check must flag it.
   Create("tiny", 16);
   IngestDistinct("tiny", 4096);
 
-  HealthMonitor monitor(&service_, HealthMonitor::Options{});
-  monitor.RunOnce();
+  const HealthReport report = CheckHealth(service_);
 
-  EXPECT_TRUE(monitor.degraded());
-  const std::string healthz = monitor.HealthzJson();
+  EXPECT_TRUE(report.degraded);
+  const std::string healthz = report.HealthzJson();
   EXPECT_NE(healthz.find("\"status\":\"degraded\""), std::string::npos)
       << healthz;
   EXPECT_NE(healthz.find("\"tiny\""), std::string::npos) << healthz;
   EXPECT_NE(healthz.find("occupancy"), std::string::npos) << healthz;
 }
 
-TEST_F(HealthMonitorServiceTest, StartStopIsIdempotent) {
-  Create("wide", 1u << 12);
-  HealthMonitor::Options options;
-  options.period_ms = 5;
-  HealthMonitor monitor(&service_, options);
-  monitor.Start();
-  monitor.Start();  // second Start is a no-op
-  monitor.Stop();
-  monitor.Stop();  // second Stop is a no-op
-  // The first pass runs synchronously at thread start, so a started
-  // monitor has a snapshot even if stopped immediately.
-  EXPECT_EQ(monitor.Snapshot().size(), 1u);
-  monitor.Start();  // restart after stop works
-  monitor.Stop();
+TEST_F(HealthMonitorServiceTest, HostileNameEscapesAlikeInEveryJsonBody) {
+  // One escaper serves /healthz, /statsz and the slow-query log: a name
+  // holding a quote, a backslash and a control byte must come out as
+  // valid JSON in all three, the control byte as \u0001 (not dropped, so
+  // "a\x01" and "a" stay distinguishable).
+  const std::string name = "q\"b\\c\x01";
+  const std::string escaped = "q\\\"b\\\\c\\u0001";
+  Create(name, 16);
+  IngestDistinct(name, 4096);  // overfilled: listed in /healthz
+
+  const std::string healthz = CheckHealth(service_).HealthzJson();
+  const std::string statsz = service_.StatszJson();
+  const std::string slow_log = service_.slow_query_log().ToJson();
+  for (const std::string* json : {&healthz, &statsz, &slow_log}) {
+    EXPECT_TRUE(JsonCheck::Valid(*json)) << *json;
+    EXPECT_NE(json->find("\"" + escaped + "\""), std::string::npos) << *json;
+  }
 }
 
 }  // namespace

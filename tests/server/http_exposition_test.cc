@@ -1,7 +1,8 @@
 // HTTP exposition: the request handler's routing/status/content types
 // (unit, no sockets), then real TCP round trips against a SketchServer's
 // HTTP port, served by its event loop, including a client that never
-// sends a request.
+// sends a request and a /healthz scrape that sees the registry as it is
+// at that moment.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,11 @@
 #include <string>
 #include <thread>
 
+#include "server/client.h"
 #include "server/http_exposition.h"
 #include "server/server.h"
 #include "server/transport.h"
+#include "stream/update.h"
 
 namespace sketch::server {
 namespace {
@@ -24,10 +27,10 @@ HttpExposition::Handlers TestHandlers(bool healthy = true) {
   handlers.statsz = [] { return std::string("{\"sketches\":[]}"); };
   handlers.tracez = [] { return std::string("{\"traceEvents\":[]}"); };
   handlers.healthz = [healthy] {
-    return healthy ? std::string("{\"status\":\"ok\"}")
-                   : std::string("{\"status\":\"degraded\"}");
+    return HttpExposition::Health{
+        healthy,
+        healthy ? "{\"status\":\"ok\"}" : "{\"status\":\"degraded\"}"};
   };
-  handlers.healthy = [healthy] { return healthy; };
   return handlers;
 }
 
@@ -184,6 +187,40 @@ TEST(HttpExpositionSocketTest, SilentClientStallsNeitherScrapesNorStop) {
   const Clock::time_point stop_start = Clock::now();
   server.Stop();
   EXPECT_LT(Clock::now() - stop_start, std::chrono::milliseconds(500));
+}
+
+TEST(HttpExpositionSocketTest, HealthzSeesTheRegistryAtScrapeTime) {
+  // /healthz evaluates the registry when it is scraped: a sketch overfilled
+  // just before the scrape degrades it at once, and dropping the sketch
+  // restores it at once. The status line and the body agree each time.
+  SketchServer::Options options;
+  options.http_port = 0;
+  SketchServer server(options);
+  ASSERT_TRUE(server.Start());
+  auto stream = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_NE(stream, nullptr);
+  SketchClient client(std::move(stream));
+  ASSERT_TRUE(client.CreateSketch("tiny", SketchType::kCountMin,
+                                  {16, 4, 42, 0, 0}));
+  std::vector<StreamUpdate> updates;
+  for (uint64_t key = 0; key < 4096; ++key) updates.push_back({key, 1});
+  uint64_t accepted = 0;
+  ASSERT_TRUE(client.Ingest("tiny", UpdateSpan(updates), &accepted));
+  ASSERT_EQ(accepted, updates.size());
+
+  const std::string degraded = Get(server.http_port(), "/healthz");
+  EXPECT_EQ(degraded.rfind("HTTP/1.0 503 Service Unavailable\r\n", 0), 0u)
+      << degraded;
+  EXPECT_NE(degraded.find("\"status\":\"degraded\""), std::string::npos)
+      << degraded;
+  EXPECT_NE(degraded.find("\"name\":\"tiny\""), std::string::npos) << degraded;
+
+  ASSERT_TRUE(client.DropSketch("tiny"));
+  const std::string ok = Get(server.http_port(), "/healthz");
+  EXPECT_EQ(ok.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << ok;
+  EXPECT_NE(ok.find("\"status\":\"ok\""), std::string::npos) << ok;
+  EXPECT_EQ(ok.find("tiny"), std::string::npos) << ok;
+  server.Stop();
 }
 
 }  // namespace
