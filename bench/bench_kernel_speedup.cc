@@ -5,6 +5,10 @@
 // E25 extends the table with the dispatched SIMD tier (the kernel column
 // rides the AVX2 lanes when the host has them) and power-of-two width rows
 // where the bucket reduction is a mask instead of a FastDiv64 multiply.
+// The kernel reduces by width, not by WidthMode: the original division
+// rows (widths 2^12 and 2^10, 2^18 Bloom bits) are powers of two and take
+// the masked lanes too. The rows named by their width (4093, 262139) are
+// the ones that time the FastDiv64 path.
 //
 // For each sketch, ingests the same Zipf(1.1) stream twice into two
 // identically-seeded instances: once through the scalar per-item path
@@ -67,7 +71,7 @@ double BestMups(const S& empty, IngestFn ingest, uint64_t n, S* out) {
 void Report(bench::BenchReporter* reporter, const char* name,
             const char* key, double scalar_mups, double kernel_mups,
             bool exact) {
-  bench::Row("%-20s %14.1f %14.1f %9.2fx %8s", name, scalar_mups,
+  bench::Row("%-22s %14.1f %14.1f %9.2fx %8s", name, scalar_mups,
              kernel_mups, kernel_mups / scalar_mups, exact ? "yes" : "NO");
   const std::string label =
       std::string(exact ? "exact=yes" : "exact=NO") + " tier=" +
@@ -158,7 +162,7 @@ void Run(const std::string& out_path) {
               "to pin scalar)\n",
               simd::SimdTierName(simd::ActiveSimdTier()),
               simd::Avx2KernelsCompiled() ? "yes" : "no");
-  bench::Row("%-20s %14s %14s %10s %8s", "sketch", "scalar Mup/s",
+  bench::Row("%-22s %14s %14s %10s %8s", "sketch", "scalar Mup/s",
              "kernel Mup/s", "speedup", "exact");
   bench::BenchReporter reporter;
   const std::vector<StreamUpdate> stream =
@@ -180,6 +184,14 @@ void Run(const std::string& out_path) {
   RunBloomCase("Bloom k=7 pow2", "kernel_speedup/Bloom_k7_pow2",
                BloomFilter(1 << 18, 7, kSeed, WidthMode::kPow2), stream,
                &reporter);
+  RunCase("CountMin d=5 w=4093", "kernel_speedup/CountMin_d5_w4093",
+          CountMinSketch(4093, 5, kSeed), stream, &reporter);
+  RunCase("CountSketch d=5 w=4093", "kernel_speedup/CountSketch_d5_w4093",
+          CountSketch(4093, 5, kSeed), stream, &reporter);
+  RunCase("AMS d=5 w=4093", "kernel_speedup/AMS_d5_w4093",
+          AmsSketch(4093, 5, kSeed), stream, &reporter);
+  RunBloomCase("Bloom k=7 m=262139", "kernel_speedup/Bloom_k7_m262139",
+               BloomFilter(262139, 7, kSeed), stream, &reporter);
   RunDyadicCase("Dyadic L=20 d=3", "kernel_speedup/Dyadic_L20_d3",
                 DyadicCountMin(20, 1 << 10, 3, kSeed), stream, &reporter);
   if (!out_path.empty()) reporter.WriteSnapshot(out_path);

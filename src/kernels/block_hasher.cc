@@ -55,6 +55,22 @@ void BlockHasher::HashBlock(const uint64_t* keys, std::size_t n,
 
 void BlockHasher::BucketBlock(const uint64_t* keys, std::size_t n,
                               const FastDiv64& w, uint64_t* out) const {
+  if (w.is_pow2()) {
+    const uint64_t mask = w.divisor() - 1;
+    if (UseAvx2(k_)) {
+      SKETCH_COUNTER_ADD("kernels.block_hasher.keys_hashed", n);
+      if (k_ == 2) {
+        simd::BucketBlockPow2K2Avx2(c_[0], c_[1], keys, n, mask, out);
+      } else {
+        simd::BucketBlockPow2K4Avx2(c_[0], c_[1], c_[2], c_[3], keys, n,
+                                    mask, out);
+      }
+      return;
+    }
+    ForEachHash(keys, n,
+                [out, mask](std::size_t i, uint64_t h) { out[i] = h & mask; });
+    return;
+  }
   if (UseAvx2(k_)) {
     SKETCH_COUNTER_ADD("kernels.block_hasher.keys_hashed", n);
     if (k_ == 2) {
@@ -66,22 +82,6 @@ void BlockHasher::BucketBlock(const uint64_t* keys, std::size_t n,
   }
   ForEachHash(keys, n,
               [out, &w](std::size_t i, uint64_t h) { out[i] = w.Mod(h); });
-}
-
-void BlockHasher::BucketBlockPow2(const uint64_t* keys, std::size_t n,
-                                  uint64_t mask, uint64_t* out) const {
-  if (UseAvx2(k_)) {
-    SKETCH_COUNTER_ADD("kernels.block_hasher.keys_hashed", n);
-    if (k_ == 2) {
-      simd::BucketBlockPow2K2Avx2(c_[0], c_[1], keys, n, mask, out);
-    } else {
-      simd::BucketBlockPow2K4Avx2(c_[0], c_[1], c_[2], c_[3], keys, n, mask,
-                                  out);
-    }
-    return;
-  }
-  ForEachHash(keys, n,
-              [out, mask](std::size_t i, uint64_t h) { out[i] = h & mask; });
 }
 
 void BlockHasher::SignBlock(const uint64_t* keys, std::size_t n,

@@ -19,9 +19,10 @@
 /// polynomial — bit-identically, including the Mersenne fold order — over a
 /// block of keys at once, with the coefficients hoisted into locals (k=2 and
 /// k=4 get fully unrolled Horner chains) and the bucket reduction replaced
-/// by `FastDiv64`. Every sketch's `ApplyBatch` routes through this layer;
-/// the scalar `Update`/`Hash` path remains the reference the property tests
-/// compare against.
+/// by a mask (power-of-two widths) or `FastDiv64` (every other width).
+/// Every sketch's `ApplyBatch` routes through this layer; the scalar
+/// `Update`/`Hash` path remains the reference the property tests compare
+/// against.
 
 namespace sketch {
 
@@ -146,17 +147,13 @@ class BlockHasher {
   /// out[i] = Hash(keys[i]) for i < n.
   void HashBlock(const uint64_t* keys, std::size_t n, uint64_t* out) const;
 
-  /// out[i] = Hash(keys[i]) % w.divisor() for i < n.
+  /// out[i] = Hash(keys[i]) % w.divisor() for i < n. The width picks the
+  /// reduction: at a power-of-two width `%` is the mask `w.divisor() - 1`,
+  /// which fuses into the hash lanes; any other width stages the hashes
+  /// through `FastDiv64::Mod`. Both give the same buckets, so callers
+  /// never branch on how their width was chosen.
   void BucketBlock(const uint64_t* keys, std::size_t n, const FastDiv64& w,
                    uint64_t* out) const;
-
-  /// out[i] = Hash(keys[i]) & mask for i < n, where mask = width - 1 for a
-  /// power-of-two width. Bit-identical to BucketBlock with the same width
-  /// (for pow2 divisors `FastDiv64::Mod` and the mask agree exactly), but
-  /// the reduction fuses into the SIMD lanes — this is the
-  /// `WidthMode::kPow2` hot path.
-  void BucketBlockPow2(const uint64_t* keys, std::size_t n, uint64_t mask,
-                       uint64_t* out) const;
 
   /// out[i] = ±1 sign of keys[i] for i < n.
   void SignBlock(const uint64_t* keys, std::size_t n, int64_t* out) const;

@@ -1,6 +1,7 @@
 #ifndef SKETCH_KERNELS_FAST_DIV_H_
 #define SKETCH_KERNELS_FAST_DIV_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "common/check.h"
@@ -60,6 +61,10 @@ class FastDiv64 {
   }
 
   uint64_t divisor() const { return divisor_; }
+
+  /// True iff the divisor is a power of two, where Mod(x) is exactly
+  /// x & (divisor() - 1) and a caller may reduce with the mask instead.
+  bool is_pow2() const { return std::has_single_bit(divisor_); }
 
  private:
   static uint64_t MulHi(uint64_t a, uint64_t b) {

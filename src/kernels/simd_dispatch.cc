@@ -42,10 +42,10 @@ const char* SimdTierName(SimdTier tier) {
 
 namespace {
 
-// The division-mode bucket reduction stays scalar even on the AVX2 tier:
-// FastDiv64's exactness argument needs the full 128-bit high product,
-// which AVX2 cannot form in-register without a partial-product cascade
-// that costs more than it saves. The hash — the dominant cost — is still
+// At a width that is not a power of two the bucket reduction stays scalar
+// even on the AVX2 tier: FastDiv64's exactness argument needs the full
+// 128-bit high product, which AVX2 cannot form in-register without a
+// partial-product cascade that costs more than it saves. The hash — the dominant cost — is still
 // vectorized; the Mod runs over a cache-resident scratch block. This TU
 // is compiled without -mavx2, so the FastDiv64 inline code stays portable.
 constexpr std::size_t kModChunk = 256;

@@ -63,11 +63,15 @@ bool Avx2Supported();
 // block_hasher.h — bit-identically, producing the canonical mod-(2^61-1)
 // residue — over blocks of keys, 4 lanes at a time, with the remainder tail
 // handled by the scalar helpers. `K2` is the degree-1 chain (pairwise
-// independence: buckets and signs), `K4` the degree-3 chain (AMS). The
-// `Pow2` bucket variants fuse the power-of-two width mask into the lanes;
-// the division variants apply `FastDiv64::Mod` per element after the
-// vectorized hash, since an exact 64-bit magic-multiply reduction needs the
-// full 128-bit high product that AVX2 cannot form in-register cheaply.
+// independence: buckets and signs), `K4` the degree-3 chain (AMS).
+// `BlockHasher::BucketBlock` picks the bucket variant by width, not by
+// `WidthMode`: any power-of-two width — in division mode as much as in
+// kPow2 mode, which only rounds the width up and writes the v2 header —
+// takes the `Pow2` variants, which fuse the mask width - 1 into the lanes.
+// Every other width takes the plain variants, which apply
+// `FastDiv64::Mod` per element after the vectorized hash, since an exact
+// 64-bit magic-multiply reduction needs the full 128-bit high product that
+// AVX2 cannot form in-register cheaply.
 //
 // Safe to call only when Avx2Supported() (they execute AVX2 instructions
 // when Avx2KernelsCompiled()); BlockHasher guards every call site through

@@ -292,8 +292,8 @@ class FrameDecoder {
 ///
 /// `width_mode` is a sketch::WidthMode value: 0 (division, the default —
 /// the slot was previously reserved-zero, so old clients are unchanged)
-/// or 1 (pow2: width/num_bits rounds up to the next power of two and the
-/// bucket reduction is a mask). Responses that report geometry or error
+/// or 1 (pow2: width/num_bits rounds up to the next power of two; any
+/// power-of-two width, in either mode, reduces with a mask). Responses that report geometry or error
 /// bounds always reflect the *rounded* width. Any other value is
 /// kBadGeometry. `num_shards` must be 1 to 256; the server keeps one
 /// Count-Min table whatever its value (sharding is exact by linearity).

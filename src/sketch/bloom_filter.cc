@@ -24,7 +24,6 @@ BloomFilter::BloomFilter(uint64_t num_bits, int num_hashes, uint64_t seed,
     : num_bits_(ApplyWidthMode(mode, num_bits)),
       seed_(seed),
       width_mode_(mode),
-      bit_mask_(WidthModeMask(mode, num_bits_)),
       bits_div_(num_bits_) {
   SKETCH_CHECK(num_bits >= 1);
   SKETCH_CHECK(num_hashes >= 1);
@@ -90,11 +89,7 @@ void BloomFilter::ApplyBatch(UpdateSpan updates) {
       // fusing the store into the hash loop) so the probe hash goes
       // through the dispatched SIMD bucket kernels like the counting
       // sketches' rows do; the stores stay a separate cheap sweep.
-      if (width_mode_ == WidthMode::kPow2) {
-        h.BucketBlockPow2(keys, n, bit_mask_, positions);
-      } else {
-        h.BucketBlock(keys, n, div, positions);
-      }
+      h.BucketBlock(keys, n, div, positions);
       for (std::size_t i = 0; i < n; ++i) {
         const uint64_t bit = positions[i];
         bits[bit >> 6] |= (1ULL << (bit & 63));

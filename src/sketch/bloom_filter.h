@@ -27,7 +27,8 @@ class BloomFilter {
  public:
   /// In `WidthMode::kPow2` the requested bit count is rounded up to the
   /// next power of two (num_bits() reports the rounded value; the FPR
-  /// formulas already use it) and the probe reduction becomes a mask.
+  /// formulas already use it). Any power-of-two bit count, in either
+  /// mode, reduces probes with a mask on the hot loop.
   BloomFilter(uint64_t num_bits, int num_hashes, uint64_t seed,
               WidthMode mode = WidthMode::kDivision);
 
@@ -93,9 +94,8 @@ class BloomFilter {
   uint64_t num_bits_;
   uint64_t seed_;
   WidthMode width_mode_;
-  uint64_t bit_mask_;                // num_bits_ - 1 in kPow2 mode, else 0
-  FastDiv64 bits_div_;               // divide-free `% num_bits_`; equals
-                                     // the mask for pow2 bit counts
+  FastDiv64 bits_div_;               // divide-free `% num_bits_`;
+                                     // BucketBlock masks at pow2 counts
   std::vector<BlockHasher> probes_;  // one 2-wise hash per probe
   std::vector<uint64_t> bits_;       // packed, 64 bits per word
   SketchOpCounters ops_;  // lifetime insert/merge counts

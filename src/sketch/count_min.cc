@@ -26,7 +26,6 @@ CountMinSketch::CountMinSketch(uint64_t width, uint64_t depth, uint64_t seed,
       depth_(depth),
       seed_(seed),
       width_mode_(mode),
-      bucket_mask_(WidthModeMask(mode, width_)),
       width_div_(width_) {
   SKETCH_CHECK(width >= 1);
   SKETCH_CHECK(depth >= 1);
@@ -88,11 +87,7 @@ void CountMinSketch::ApplyBatch(UpdateSpan updates) {
     const StreamUpdate* block = updates.data() + start;
     for (std::size_t i = 0; i < n; ++i) keys[i] = block[i].item;
     for (uint64_t j = 0; j < depth_; ++j) {
-      if (width_mode_ == WidthMode::kPow2) {
-        rows_[j].BucketBlockPow2(keys, n, bucket_mask_, buckets);
-      } else {
-        rows_[j].BucketBlock(keys, n, div, buckets);
-      }
+      rows_[j].BucketBlock(keys, n, div, buckets);
       int64_t* row = counters_.data() + j * width_;
       for (std::size_t i = 0; i < n; ++i) {
         if (i + kPrefetchAhead < n) {
@@ -148,11 +143,7 @@ void CountMinSketch::EstimateBatch(const uint64_t* items, std::size_t n,
     const uint64_t* keys = items + start;
     int64_t* block_out = out + start;
     for (uint64_t j = 0; j < depth_; ++j) {
-      if (width_mode_ == WidthMode::kPow2) {
-        rows_[j].BucketBlockPow2(keys, block_n, bucket_mask_, buckets);
-      } else {
-        rows_[j].BucketBlock(keys, block_n, div, buckets);
-      }
+      rows_[j].BucketBlock(keys, block_n, div, buckets);
       const int64_t* row = counters_.data() + j * width_;
       if (j == 0) {
         for (std::size_t i = 0; i < block_n; ++i) {

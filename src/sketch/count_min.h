@@ -34,8 +34,9 @@ class CountMinSketch {
   /// Constructs with explicit geometry. Hash functions for the rows are
   /// derived deterministically from `seed`. In `WidthMode::kPow2` the
   /// requested width is rounded up to the next power of two (width()
-  /// reports the rounded value; error bounds must be computed from it) and
-  /// the hot-loop bucket reduction becomes a mask — see width_mode.h.
+  /// reports the rounded value; error bounds must be computed from it).
+  /// Any power-of-two width, in either mode, reduces buckets with a mask
+  /// on the hot loop — see width_mode.h.
   CountMinSketch(uint64_t width, uint64_t depth, uint64_t seed,
                  WidthMode mode = WidthMode::kDivision);
 
@@ -134,10 +135,8 @@ class CountMinSketch {
   uint64_t depth_;
   uint64_t seed_;
   WidthMode width_mode_;
-  uint64_t bucket_mask_;            // width_ - 1 in kPow2 mode, else 0
-  FastDiv64 width_div_;             // divide-free `% width_`; for pow2
-                                    // widths it equals the mask reduction,
-                                    // so single-item paths are mode-free
+  FastDiv64 width_div_;             // divide-free `% width_`; BucketBlock
+                                    // masks with it at pow2 widths
   std::vector<BlockHasher> rows_;   // one 2-wise hash per row, batched form
   std::vector<int64_t> counters_;   // row-major depth x width
   std::vector<uint64_t> bucket_scratch_;  // per-row buckets of one item

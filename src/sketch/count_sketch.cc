@@ -27,7 +27,6 @@ CountSketch::CountSketch(uint64_t width, uint64_t depth, uint64_t seed,
       depth_(depth),
       seed_(seed),
       width_mode_(mode),
-      bucket_mask_(WidthModeMask(mode, width_)),
       width_div_(width_) {
   SKETCH_CHECK(width >= 1);
   SKETCH_CHECK(depth >= 1);
@@ -90,11 +89,7 @@ void CountSketch::ApplyBatch(UpdateSpan updates) {
     const StreamUpdate* block = updates.data() + start;
     for (std::size_t i = 0; i < n; ++i) keys[i] = block[i].item;
     for (uint64_t j = 0; j < depth_; ++j) {
-      if (width_mode_ == WidthMode::kPow2) {
-        bucket_rows_[j].BucketBlockPow2(keys, n, bucket_mask_, buckets);
-      } else {
-        bucket_rows_[j].BucketBlock(keys, n, div, buckets);
-      }
+      bucket_rows_[j].BucketBlock(keys, n, div, buckets);
       sign_rows_[j].SignBlock(keys, n, signs);
       int64_t* row = counters_.data() + j * width_;
       for (std::size_t i = 0; i < n; ++i) {
@@ -167,11 +162,7 @@ void CountSketch::EstimateBatch(const uint64_t* items, std::size_t n,
     const std::size_t block_n = std::min(kBlock, n - start);
     const uint64_t* keys = items + start;
     for (uint64_t j = 0; j < depth_; ++j) {
-      if (width_mode_ == WidthMode::kPow2) {
-        bucket_rows_[j].BucketBlockPow2(keys, block_n, bucket_mask_, buckets);
-      } else {
-        bucket_rows_[j].BucketBlock(keys, block_n, div, buckets);
-      }
+      bucket_rows_[j].BucketBlock(keys, block_n, div, buckets);
       sign_rows_[j].SignBlock(keys, block_n, signs);
       const int64_t* row = counters_.data() + j * width_;
       int64_t* pane_row = pane.data() + j * pane_width;

@@ -31,7 +31,8 @@ class CountSketch {
  public:
   /// In `WidthMode::kPow2` the requested width is rounded up to the next
   /// power of two (width() reports the rounded value; the L2 bound must be
-  /// computed from it) and the hot-loop bucket reduction becomes a mask.
+  /// computed from it). Any power-of-two width, in either mode, reduces
+  /// buckets with a mask on the hot loop.
   CountSketch(uint64_t width, uint64_t depth, uint64_t seed,
               WidthMode mode = WidthMode::kDivision);
 
@@ -125,9 +126,8 @@ class CountSketch {
   uint64_t depth_;
   uint64_t seed_;
   WidthMode width_mode_;
-  uint64_t bucket_mask_;                  // width_ - 1 in kPow2 mode, else 0
-  FastDiv64 width_div_;                  // divide-free `% width_`; equals
-                                         // the mask for pow2 widths
+  FastDiv64 width_div_;                  // divide-free `% width_`;
+                                         // BucketBlock masks at pow2 widths
   std::vector<BlockHasher> bucket_rows_;  // one 2-wise bucket hash per row
   std::vector<BlockHasher> sign_rows_;    // one 2-wise sign hash per row
   std::vector<int64_t> counters_;

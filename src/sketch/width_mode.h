@@ -9,13 +9,15 @@
 /// \file
 /// Bucket-geometry policy for the hashed-counter sketches.
 ///
-/// Every sketch row maps a 61-bit hash onto [0, width). The default
-/// (`kDivision`) honors the requested width exactly and reduces with
-/// `FastDiv64::Mod`. The opt-in `kPow2` mode rounds the width up to the
-/// next power of two at construction and reduces with a bit mask — the
-/// layout both exemplar Count-Min codebases use — which lets the SIMD tier
-/// fuse the bucket reduction into the hash lanes instead of staging hashes
-/// through a scratch block.
+/// Every sketch row maps a 61-bit hash onto [0, width). The width alone
+/// picks how: `BlockHasher::BucketBlock` masks with width - 1 inside the
+/// SIMD hash lanes when the width is a power of two, and reduces with
+/// `FastDiv64::Mod` otherwise — in either mode. The mode decides only the
+/// width itself and the blob header. The default (`kDivision`) honors the
+/// requested width exactly and writes the v1 header; the opt-in `kPow2`
+/// rounds the width up to the next power of two at construction — the
+/// layout both exemplar Count-Min codebases use, and a way to guarantee
+/// the masked lanes for any request — and writes the v2 header.
 ///
 /// Accuracy caveat: rounding the width changes the error bound. A sketch
 /// asked for width w in kPow2 mode actually has bit_ceil(w) >= w buckets,
@@ -24,17 +26,16 @@
 /// from the rounded width the sketch really has, not the requested one.
 ///
 /// The two modes agree bit-for-bit at equal width: for a power-of-two w,
-/// `FastDiv64::Mod(h)` and `h & (w - 1)` are the same function, which is
-/// why the single-item paths (Estimate, Insert, UpdateConservative) need
-/// no mode branch and why the property tests can compare the modes on
-/// identical streams.
+/// `FastDiv64::Mod(h)` and `h & (w - 1)` are the same function, so the
+/// counters, snapshots' counter payloads and answers of a division-mode
+/// and a pow2-mode sketch of width w match; only the header differs.
 
 namespace sketch {
 
-/// How a sketch row reduces hashes onto [0, width).
+/// How a sketch sizes its rows: the requested width, or its bit_ceil.
 enum class WidthMode : uint64_t {
-  kDivision = 0,  ///< exact requested width, FastDiv64 reduction (default)
-  kPow2 = 1,      ///< width rounded up to a power of two, mask reduction
+  kDivision = 0,  ///< exact requested width, v1 header (default)
+  kPow2 = 1,      ///< width rounded up to a power of two, v2 header
 };
 
 inline const char* WidthModeName(WidthMode mode) {
@@ -50,15 +51,6 @@ inline uint64_t ApplyWidthMode(WidthMode mode, uint64_t width) {
   SKETCH_CHECK_MSG(width >= 1 && width <= (1ULL << 63),
                    "pow2 width mode: requested width not representable");
   return std::bit_ceil(width);
-}
-
-/// Mask for the hot-loop bucket reduction: width - 1 in kPow2 mode (where
-/// `width` is already rounded), unused (0) in division mode.
-inline uint64_t WidthModeMask(WidthMode mode, uint64_t rounded_width) {
-  if (mode != WidthMode::kPow2) return 0;
-  SKETCH_CHECK_MSG(std::has_single_bit(rounded_width),
-                   "pow2 width mode: width must be a power of two");
-  return rounded_width - 1;
 }
 
 }  // namespace sketch

@@ -120,10 +120,16 @@ TEST(SimdDispatchTest, BucketBlockMatchesKWiseReference) {
 }
 
 TEST(SimdDispatchTest, BucketBlockPow2MatchesDivision) {
-  // For power-of-two widths the mask path must agree with FastDiv64
-  // division exactly — this is the invariant that lets WidthMode::kPow2
-  // skip the divide without changing any bucket.
-  const uint64_t widths[] = {1, 2, 4, 64, 4096, 1ULL << 20, 1ULL << 40};
+  // BucketBlock takes the masked lanes at every power-of-two width and
+  // FastDiv64 at every other width; both must equal the `%` reference.
+  // The 2^k ± 1 neighbours pin the switch between the two paths.
+  const uint64_t pow2_widths[] = {1, 2, 4, 64, 4096, 1ULL << 20, 1ULL << 40};
+  std::vector<uint64_t> widths;
+  for (uint64_t w : pow2_widths) {
+    if (w > 1) widths.push_back(w - 1);
+    widths.push_back(w);
+    widths.push_back(w + 1);
+  }
   for (int k : {1, 2, 4, 5}) {
     const KWiseHash hash(k, 0x5555u + static_cast<uint64_t>(k));
     const BlockHasher hasher(hash);
@@ -131,12 +137,15 @@ TEST(SimdDispatchTest, BucketBlockPow2MatchesDivision) {
       const FastDiv64 div(w);
       for (std::size_t n : kLengths) {
         const std::vector<uint64_t> keys = KeyBlock(n, w % 97 + n);
-        std::vector<uint64_t> via_div(n + 4, kSentinel);
-        std::vector<uint64_t> via_mask(n + 4, kSentinel);
-        hasher.BucketBlock(keys.data(), n, div, via_div.data());
-        hasher.BucketBlockPow2(keys.data(), n, w - 1, via_mask.data());
-        ASSERT_EQ(via_div, via_mask) << "k=" << k << " w=" << w
-                                     << " n=" << n;
+        std::vector<uint64_t> out(n + 4, kSentinel);
+        hasher.BucketBlock(keys.data(), n, div, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], hash.Bucket(keys[i], w))
+              << "k=" << k << " w=" << w << " n=" << n << " i=" << i;
+        }
+        for (std::size_t i = n; i < out.size(); ++i) {
+          ASSERT_EQ(out[i], kSentinel) << "k=" << k << " w=" << w;
+        }
       }
     }
   }

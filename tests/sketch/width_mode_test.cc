@@ -1,4 +1,4 @@
-// WidthMode::kPow2 property tests: the rounded-width mask mode must agree
+// WidthMode::kPow2 property tests: the rounded-width mode must agree
 // bucket-for-bucket with a division-mode sketch of the same (power-of-two)
 // width, round-trip through the v2 serialization format, refuse to merge
 // or inner-product across modes, and abort on malformed v2 buffers —
@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/prng.h"
+#include "kernels/fast_div.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
@@ -26,6 +28,30 @@ std::vector<StreamUpdate> TestStream(uint64_t seed) {
                              seed);
 }
 
+/// What `sketch.AppendSerialized` writes after its header: the v1 header
+/// is (magic, size, depth, seed), v2 appends the mode word.
+template <typename Sketch>
+std::vector<uint8_t> CounterPayload(const Sketch& sketch) {
+  std::vector<uint8_t> bytes;
+  sketch.AppendSerialized(&bytes);
+  const std::size_t header_words =
+      sketch.width_mode() == WidthMode::kPow2 ? 5 : 4;
+  return {bytes.begin() + static_cast<std::ptrdiff_t>(header_words * 8),
+          bytes.end()};
+}
+
+/// EstimateBatch over `items`, checked against Estimate item by item.
+template <typename Sketch>
+std::vector<int64_t> BatchEstimates(const Sketch& sketch,
+                                    const std::vector<uint64_t>& items) {
+  std::vector<int64_t> out(items.size());
+  sketch.EstimateBatch(items.data(), items.size(), out.data());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(out[i], sketch.Estimate(items[i])) << items[i];
+  }
+  return out;
+}
+
 TEST(WidthModeTest, ApplyWidthModeRoundsUpOnlyInPow2) {
   EXPECT_EQ(ApplyWidthMode(WidthMode::kDivision, 1000), 1000u);
   EXPECT_EQ(ApplyWidthMode(WidthMode::kPow2, 1000), 1024u);
@@ -33,8 +59,10 @@ TEST(WidthModeTest, ApplyWidthModeRoundsUpOnlyInPow2) {
   EXPECT_EQ(ApplyWidthMode(WidthMode::kPow2, 1), 1u);
   EXPECT_EQ(ApplyWidthMode(WidthMode::kPow2, (1ULL << 40) + 1),
             1ULL << 41);
-  EXPECT_EQ(WidthModeMask(WidthMode::kDivision, 1000), 0u);
-  EXPECT_EQ(WidthModeMask(WidthMode::kPow2, 1024), 1023u);
+  // A kPow2 width always takes BucketBlock's masked lanes; a division
+  // width takes them only when it happens to be a power of two.
+  EXPECT_TRUE(FastDiv64(ApplyWidthMode(WidthMode::kPow2, 1000)).is_pow2());
+  EXPECT_FALSE(FastDiv64(ApplyWidthMode(WidthMode::kDivision, 1000)).is_pow2());
 }
 
 TEST(WidthModeTest, WidthModeNames) {
@@ -43,29 +71,39 @@ TEST(WidthModeTest, WidthModeNames) {
 }
 
 // At an already-power-of-two width, division mode and pow2 mode hash every
-// key to the same bucket (FastDiv64::Mod == mask there), so the counter
-// arrays must match exactly; only the serialized header differs.
+// key to the same bucket (both take BucketBlock's masked lanes, and the
+// single-item FastDiv64::Mod equals the mask there), so the counter
+// arrays, batch answers and serialized counter payloads must match
+// exactly; only the serialized header differs.
 TEST(WidthModeTest, Pow2MatchesDivisionAtPow2Width) {
   const std::vector<StreamUpdate> stream = TestStream(3);
+  Xoshiro256StarStar rng(9);
+  std::vector<uint64_t> probes(2000);
+  for (uint64_t& item : probes) item = rng.Next();
+  for (const StreamUpdate& u : stream) {
+    if (probes.size() < 4000) probes.push_back(u.item);
+  }
+
   CountMinSketch cm_div(4096, 5, 17);
   CountMinSketch cm_pow2(4096, 5, 17, WidthMode::kPow2);
   cm_div.ApplyBatch(stream);
   cm_pow2.ApplyBatch(stream);
   EXPECT_EQ(cm_pow2.width(), 4096u);
-  Xoshiro256StarStar rng(9);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t item = rng.Next();
+  for (uint64_t item : probes) {
     ASSERT_EQ(cm_div.Estimate(item), cm_pow2.Estimate(item)) << item;
   }
+  EXPECT_EQ(BatchEstimates(cm_div, probes), BatchEstimates(cm_pow2, probes));
+  EXPECT_EQ(CounterPayload(cm_div), CounterPayload(cm_pow2));
 
   CountSketch cs_div(4096, 5, 19);
   CountSketch cs_pow2(4096, 5, 19, WidthMode::kPow2);
   cs_div.ApplyBatch(stream);
   cs_pow2.ApplyBatch(stream);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t item = rng.Next();
+  for (uint64_t item : probes) {
     ASSERT_EQ(cs_div.Estimate(item), cs_pow2.Estimate(item)) << item;
   }
+  EXPECT_EQ(BatchEstimates(cs_div, probes), BatchEstimates(cs_pow2, probes));
+  EXPECT_EQ(CounterPayload(cs_div), CounterPayload(cs_pow2));
 
   BloomFilter bf_div(1 << 16, 5, 23);
   BloomFilter bf_pow2(1 << 16, 5, 23, WidthMode::kPow2);
@@ -73,10 +111,17 @@ TEST(WidthModeTest, Pow2MatchesDivisionAtPow2Width) {
     bf_div.Insert(u.item);
     bf_pow2.Insert(u.item);
   }
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t item = rng.Next();
+  for (uint64_t item : probes) {
     ASSERT_EQ(bf_div.MayContain(item), bf_pow2.MayContain(item)) << item;
   }
+  EXPECT_EQ(CounterPayload(bf_div), CounterPayload(bf_pow2));
+
+  BloomFilter bf_div_batch(1 << 16, 5, 23);
+  BloomFilter bf_pow2_batch(1 << 16, 5, 23, WidthMode::kPow2);
+  bf_div_batch.ApplyBatch(stream);
+  bf_pow2_batch.ApplyBatch(stream);
+  EXPECT_EQ(CounterPayload(bf_div_batch), CounterPayload(bf_div));
+  EXPECT_EQ(CounterPayload(bf_pow2_batch), CounterPayload(bf_div));
 }
 
 TEST(WidthModeTest, NonPow2RequestIsRoundedUp) {
