@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/prng.h"
+#include "sketch/counter_table.h"
 
 namespace sketch {
 
@@ -17,8 +17,8 @@ BitTestRecovery::BitTestRecovery(uint64_t width, uint64_t depth,
   bucket_hashes_.reserve(depth);
   sign_hashes_.reserve(depth);
   for (uint64_t j = 0; j < depth; ++j) {
-    bucket_hashes_.emplace_back(2, SplitMix64Once(seed * 2 + j));
-    sign_hashes_.emplace_back(2, SplitMix64Once(~seed * 2 + j + 0x9e37ULL));
+    bucket_hashes_.emplace_back(2, RowBucketSeed(seed, j));
+    sign_hashes_.emplace_back(2, RowSignSeed(seed, j));
   }
 }
 

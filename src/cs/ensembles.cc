@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/prng.h"
 #include "hash/kwise_hash.h"
+#include "sketch/counter_table.h"
 
 namespace sketch {
 
@@ -37,8 +38,8 @@ CsrMatrix MakeHashedBlockMatrix(uint64_t width, uint64_t depth, uint64_t cols,
   std::vector<Triplet> triplets;
   triplets.reserve(cols * depth);
   for (uint64_t j = 0; j < depth; ++j) {
-    const KWiseHash bucket_hash(2, SplitMix64Once(seed * 2 + j));
-    const KWiseHash sign_hash(2, SplitMix64Once(~seed * 2 + j + 0x9e37ULL));
+    const KWiseHash bucket_hash(2, RowBucketSeed(seed, j));
+    const KWiseHash sign_hash(2, RowSignSeed(seed, j));
     for (uint64_t c = 0; c < cols; ++c) {
       const uint64_t r = j * width + bucket_hash.Bucket(c, width);
       const double v = signed_entries

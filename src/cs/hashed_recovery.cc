@@ -5,7 +5,7 @@
 #include <cstddef>
 
 #include "common/check.h"
-#include "common/prng.h"
+#include "sketch/counter_table.h"
 
 namespace sketch {
 
@@ -18,8 +18,8 @@ HashedRecovery::HashedRecovery(Variant variant, uint64_t width, uint64_t depth,
   bucket_hashes_.reserve(depth);
   sign_hashes_.reserve(depth);
   for (uint64_t j = 0; j < depth; ++j) {
-    bucket_hashes_.emplace_back(2, SplitMix64Once(seed * 2 + j));
-    sign_hashes_.emplace_back(2, SplitMix64Once(~seed * 2 + j + 0x9e37ULL));
+    bucket_hashes_.emplace_back(2, RowBucketSeed(seed, j));
+    sign_hashes_.emplace_back(2, RowSignSeed(seed, j));
   }
 }
 

@@ -30,11 +30,14 @@
 // export sampled request timelines from /tracez. --out writes a
 // sketch-bench-snapshot-v1 JSON of the run's throughput and latency
 // percentiles, comparable with committed baselines via
-// tools/bench_compare.py.
+// tools/bench_compare.py. Integer flags must be whole decimal numbers in
+// range (--writers, --readers and --connections at most 1024, one client
+// thread each); anything else prints the usage line and exits 2.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -46,6 +49,7 @@
 #include "common/prng.h"
 #include "common/timer.h"
 #include "server/client.h"
+#include "server/flags.h"
 #include "stream/generators.h"
 
 namespace {
@@ -56,6 +60,8 @@ using sketch::Xoshiro256StarStar;
 using sketch::UpdateSpan;
 using sketch::server::ConnectTcp;
 using sketch::server::ConnectUnix;
+using sketch::server::ParseFlag;
+using sketch::server::ParseNumber;
 using sketch::server::PointValueResponse;
 using sketch::server::SketchClient;
 using sketch::server::SketchType;
@@ -80,13 +86,9 @@ struct Config {
   bool shutdown = false;
 };
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
+/// Most connections a thread-count flag may ask for: each is one client
+/// thread.
+constexpr uint64_t kMaxThreads = 1024;
 
 std::unique_ptr<SketchClient> Connect(const Config& config,
                                       uint64_t trace_seed = 0) {
@@ -254,40 +256,53 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
+    bool ok = true;
     if (ParseFlag(arg, "host", &value)) {
       config.host = value;
     } else if (ParseFlag(arg, "port", &value)) {
-      config.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      ok = ParseNumber(value, 0, UINT16_MAX, &config.port);
     } else if (ParseFlag(arg, "unix", &value)) {
       config.unix_path = value;
     } else if (ParseFlag(arg, "writers", &value)) {
-      config.writers = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, kMaxThreads, &config.writers);
     } else if (ParseFlag(arg, "readers", &value)) {
-      config.readers = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, kMaxThreads, &config.readers);
     } else if (ParseFlag(arg, "batches", &value)) {
-      config.batches = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, SIZE_MAX, &config.batches);
     } else if (ParseFlag(arg, "batch-size", &value)) {
-      config.batch_size = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, SIZE_MAX, &config.batch_size);
     } else if (ParseFlag(arg, "queries", &value)) {
-      config.queries = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, SIZE_MAX, &config.queries);
     } else if (ParseFlag(arg, "connections", &value)) {
-      config.connections = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, kMaxThreads, &config.connections);
     } else if (ParseFlag(arg, "read-fraction", &value)) {
       config.read_fraction = std::atof(value.c_str());
     } else if (ParseFlag(arg, "ops", &value)) {
-      config.ops = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, SIZE_MAX, &config.ops);
     } else if (ParseFlag(arg, "rate", &value)) {
       config.rate = std::atof(value.c_str());
     } else if (ParseFlag(arg, "query-batch", &value)) {
-      config.query_batch = static_cast<std::size_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, SIZE_MAX, &config.query_batch);
     } else if (ParseFlag(arg, "trace-every", &value)) {
-      config.trace_every = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, UINT64_MAX, &config.trace_every);
     } else if (ParseFlag(arg, "out", &value)) {
       config.out_path = value;
     } else if (arg == "--shutdown") {
       config.shutdown = true;
     } else {
-      std::fprintf(stderr, "sketch_loadgen: unknown flag %s\n", arg.c_str());
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "usage: %s --port=N [--host=H] [--unix=PATH] "
+                   "[--writers=N] [--readers=N] [--batches=N] "
+                   "[--batch-size=N] [--queries=N] [--connections=N] "
+                   "[--read-fraction=F] [--ops=N] [--rate=F] "
+                   "[--query-batch=N] [--trace-every=N] [--out=PATH] "
+                   "[--shutdown]\n"
+                   "  port 0..65535, --writers/--readers/--connections "
+                   "0..%llu\n",
+                   argv[0], static_cast<unsigned long long>(kMaxThreads));
       return 2;
     }
   }

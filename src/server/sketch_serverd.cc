@@ -14,42 +14,22 @@
 // (ports 0..65535, --slow-log 0..65536); anything else prints the usage
 // line and exits 2.
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
+#include "server/flags.h"
 #include "server/server.h"
 
 namespace {
 
 constexpr uint64_t kMaxSlowLogSize = 65'536;
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-/// Parses all of `text` as a decimal integer in [min, max].
-bool ParseNumber(std::string_view text, uint64_t min, uint64_t max,
-                 uint64_t* out) {
-  uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < min || value > max) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using sketch::server::ParseFlag;
+  using sketch::server::ParseNumber;
   sketch::server::SketchServer::Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -57,16 +37,15 @@ int main(int argc, char** argv) {
     uint64_t number = 0;
     bool ok = true;
     if (ParseFlag(arg, "port", &value)) {
-      ok = ParseNumber(value, 0, UINT16_MAX, &number);
-      options.tcp_port = static_cast<uint16_t>(number);
+      ok = ParseNumber(value, 0, UINT16_MAX, &options.tcp_port);
     } else if (ParseFlag(arg, "unix", &value)) {
       options.unix_path = value;
     } else if (ParseFlag(arg, "http-port", &value)) {
       ok = ParseNumber(value, 0, UINT16_MAX, &number);
       options.http_port = static_cast<uint16_t>(number);
     } else if (ParseFlag(arg, "slow-log", &value)) {
-      ok = ParseNumber(value, 0, kMaxSlowLogSize, &number);
-      options.slow_query_log_size = static_cast<std::size_t>(number);
+      ok = ParseNumber(value, 0, kMaxSlowLogSize,
+                       &options.slow_query_log_size);
     } else {
       ok = false;
     }

@@ -11,7 +11,9 @@
 //              [--iterations=0] [--plain]
 //
 // --iterations=N exits after N polls (0 = run until interrupted); the
-// smoke test runs one iteration in --plain mode.
+// smoke test runs one iteration in --plain mode. Numeric flags must be
+// whole decimal numbers in range (--interval-ms at most one hour);
+// anything else prints the usage line and exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -24,13 +26,19 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "server/flags.h"
 #include "server/transport.h"
 
 namespace {
 
 using sketch::server::ByteStream;
 using sketch::server::ConnectTcp;
+using sketch::server::ParseFlag;
+using sketch::server::ParseNumber;
 using sketch::server::WriteAll;
+
+/// Longest poll interval, one hour.
+constexpr uint64_t kMaxIntervalMs = 3'600'000;
 
 struct Config {
   std::string host = "127.0.0.1";
@@ -39,14 +47,6 @@ struct Config {
   uint64_t iterations = 0;  // 0 = forever
   bool plain = false;
 };
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
 
 /// One parsed exposition sample: metric name, raw label block (without
 /// braces, escapes left as-is), value.
@@ -231,21 +231,26 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
+    bool ok = true;
     if (ParseFlag(arg, "host", &value)) {
       config.host = value;
     } else if (ParseFlag(arg, "port", &value)) {
-      config.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      ok = ParseNumber(value, 1, UINT16_MAX, &config.port);
     } else if (ParseFlag(arg, "interval-ms", &value)) {
-      config.interval_ms = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, kMaxIntervalMs, &config.interval_ms);
     } else if (ParseFlag(arg, "iterations", &value)) {
-      config.iterations = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseNumber(value, 0, UINT64_MAX, &config.iterations);
     } else if (arg == "--plain") {
       config.plain = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: %s --port=N [--host=H] [--interval-ms=N] "
-                   "[--iterations=N] [--plain]\n",
-                   argv[0]);
+                   "[--iterations=N] [--plain]\n"
+                   "  port 1..65535, --interval-ms 0..%llu\n",
+                   argv[0], static_cast<unsigned long long>(kMaxIntervalMs));
       return 2;
     }
   }

@@ -7,9 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "hash/kwise_hash.h"
-#include "kernels/block_hasher.h"
-#include "kernels/fast_div.h"
+#include "common/byte_buffer.h"
+#include "sketch/counter_table.h"
 #include "stream/update.h"
 #include "telemetry/stats.h"
 
@@ -24,15 +23,21 @@ namespace sketch {
 /// Count-Sketch and the simplest instance of "sketching as dimensionality
 /// reduction" (§3): a Count-Sketch row is an ℓ2-norm-preserving random
 /// projection.
+///
+/// The table is a signed `CounterTable` with its own row seeds and 4-wise
+/// signs (the variance bound needs them; they take the unrolled k=4
+/// kernel); this class adds only the F2 estimator.
 class AmsSketch {
  public:
   AmsSketch(uint64_t width, uint64_t depth, uint64_t seed);
 
   /// Applies an update (any delta; linear sketch).
-  void Update(const StreamUpdate& update);
+  void Update(const StreamUpdate& update) { table_.Update(update); }
 
   /// Applies every update.
-  void UpdateAll(const std::vector<StreamUpdate>& updates);
+  void UpdateAll(const std::vector<StreamUpdate>& updates) {
+    ApplyBatch(updates);
+  }
 
   /// Batched entry point: applies a contiguous block of updates (the unit
   /// of work for the sharded ingestion engine in `src/parallel`).
@@ -48,7 +53,7 @@ class AmsSketch {
   /// little-endian blob (hash functions are rebuilt from the seed on
   /// load). Serialize() returns the same bytes in a fresh buffer.
   void AppendSerialized(std::vector<uint8_t>* out) const;
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const { return SerializedBytes(*this); }
 
   /// Reconstructs a sketch from Serialize() output. Malformed or
   /// untrusted bytes yield std::nullopt and a reason in *error (if
@@ -57,12 +62,12 @@ class AmsSketch {
   static std::optional<AmsSketch> TryDeserialize(
       std::span<const uint8_t> bytes, std::string* error);
 
-  uint64_t width() const { return width_; }
-  uint64_t depth() const { return depth_; }
-  uint64_t seed() const { return seed_; }
+  uint64_t width() const { return table_.width(); }
+  uint64_t depth() const { return table_.depth(); }
+  uint64_t seed() const { return table_.seed(); }
 
   int64_t CounterAt(uint64_t row, uint64_t bucket) const {
-    return counters_[row * width_ + bucket];
+    return table_.CounterAt(row, bucket);
   }
 
   /// Resident memory of this sketch: the object plus every owned heap
@@ -76,16 +81,7 @@ class AmsSketch {
   std::string DebugString() const { return Introspect().DebugString(); }
 
  private:
-  uint64_t width_;
-  uint64_t depth_;
-  uint64_t seed_;
-  FastDiv64 width_div_;                   // divide-free `% width_`
-  std::vector<BlockHasher> bucket_rows_;  // 2-wise
-  std::vector<BlockHasher> sign_rows_;    // 4-wise (needed for variance
-                                          // bound); hits the unrolled k=4
-                                          // kernel path
-  std::vector<int64_t> counters_;
-  SketchOpCounters ops_;  // lifetime update/merge counts
+  CounterTable table_;
 };
 
 }  // namespace sketch

@@ -7,9 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "hash/kwise_hash.h"
-#include "kernels/block_hasher.h"
-#include "kernels/fast_div.h"
+#include "common/byte_buffer.h"
+#include "sketch/counter_table.h"
 #include "sketch/width_mode.h"
 #include "stream/update.h"
 #include "telemetry/stats.h"
@@ -28,7 +27,10 @@ namespace sketch {
 ///
 /// The sketch is a *linear* function of the frequency vector, so it
 /// supports deletions and merging, and doubles as the measurement map in
-/// the compressed-sensing connection [CM06] (see `src/cs`).
+/// the compressed-sensing connection [CM06] (see `src/cs`). The table,
+/// its hashers, batched updates, merging, serialization and introspection
+/// are the unsigned `CounterTable`; this class adds the min estimator and
+/// the conservative update.
 class CountMinSketch {
  public:
   /// Constructs with explicit geometry. Hash functions for the rows are
@@ -45,10 +47,12 @@ class CountMinSketch {
                                         uint64_t seed);
 
   /// Applies an update (works for any delta; linear sketch).
-  void Update(const StreamUpdate& update);
+  void Update(const StreamUpdate& update) { table_.Update(update); }
 
   /// Applies every update in `updates`.
-  void UpdateAll(const std::vector<StreamUpdate>& updates);
+  void UpdateAll(const std::vector<StreamUpdate>& updates) {
+    ApplyBatch(updates);
+  }
 
   /// Batched entry point: applies a contiguous block of updates.
   /// Equivalent to Update() on each element — this is the unit of work the
@@ -85,31 +89,31 @@ class CountMinSketch {
   int64_t EstimateInnerProduct(const CountMinSketch& other) const;
 
   /// Actual table width (already rounded in kPow2 mode).
-  uint64_t width() const { return width_; }
-  uint64_t depth() const { return depth_; }
-  uint64_t seed() const { return seed_; }
-  WidthMode width_mode() const { return width_mode_; }
+  uint64_t width() const { return table_.width(); }
+  uint64_t depth() const { return table_.depth(); }
+  uint64_t seed() const { return table_.seed(); }
+  WidthMode width_mode() const { return table_.width_mode(); }
 
   /// Total number of counters (the sketch's space cost).
-  uint64_t SizeInCounters() const { return width_ * depth_; }
+  uint64_t SizeInCounters() const { return table_.SizeInCounters(); }
 
   /// Bucket index of `item` in row `row` — exposed so the compressed-
   /// sensing layer can reconstruct the measurement matrix this sketch
   /// implements.
   uint64_t BucketOf(uint64_t row, uint64_t item) const {
-    return rows_[row].BucketOne(item, width_div_);
+    return table_.BucketOf(row, item);
   }
 
   /// Raw counter (row-major); exposed for tests and recovery algorithms.
   int64_t CounterAt(uint64_t row, uint64_t bucket) const {
-    return counters_[row * width_ + bucket];
+    return table_.CounterAt(row, bucket);
   }
 
   /// Appends geometry, seed, and counters to `out` as a portable
   /// little-endian blob (hash functions are rebuilt from the seed on
   /// load). Serialize() returns the same bytes in a fresh buffer.
   void AppendSerialized(std::vector<uint8_t>* out) const;
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const { return SerializedBytes(*this); }
 
   /// Reconstructs a sketch from Serialize() output. Malformed or
   /// untrusted bytes yield std::nullopt and a reason in *error (if
@@ -131,17 +135,9 @@ class CountMinSketch {
   std::string DebugString() const { return Introspect().DebugString(); }
 
  private:
-  uint64_t width_;
-  uint64_t depth_;
-  uint64_t seed_;
-  WidthMode width_mode_;
-  FastDiv64 width_div_;             // divide-free `% width_`; BucketBlock
-                                    // masks with it at pow2 widths
-  std::vector<BlockHasher> rows_;   // one 2-wise hash per row, batched form
-  std::vector<int64_t> counters_;   // row-major depth x width
+  CounterTable table_;
   std::vector<uint64_t> bucket_scratch_;  // per-row buckets of one item
                                           // (UpdateConservative)
-  SketchOpCounters ops_;            // lifetime update/merge counts
 };
 
 }  // namespace sketch

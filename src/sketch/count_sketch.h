@@ -7,9 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "hash/kwise_hash.h"
-#include "kernels/block_hasher.h"
-#include "kernels/fast_div.h"
+#include "common/byte_buffer.h"
+#include "sketch/counter_table.h"
 #include "sketch/width_mode.h"
 #include "stream/update.h"
 #include "telemetry/stats.h"
@@ -27,6 +26,11 @@ namespace sketch {
 /// within eps * ||x||_2 of the truth with prob >= 1 - delta when
 /// width = O(1/eps^2), depth = O(log(1/delta)) — an L2 guarantee, stronger
 /// than Count-Min's L1 bound on skewed data.
+///
+/// The table, its bucket and sign hashers, batched updates, merging,
+/// serialization and introspection are the signed `CounterTable`, the map
+/// Count-Min uses plus a 2-wise sign per row; this class adds the median
+/// estimators and F2.
 class CountSketch {
  public:
   /// In `WidthMode::kPow2` the requested width is rounded up to the next
@@ -41,10 +45,12 @@ class CountSketch {
   static CountSketch FromErrorBounds(double eps, double delta, uint64_t seed);
 
   /// Applies an update (any delta; linear sketch).
-  void Update(const StreamUpdate& update);
+  void Update(const StreamUpdate& update) { table_.Update(update); }
 
   /// Applies every update in `updates`.
-  void UpdateAll(const std::vector<StreamUpdate>& updates);
+  void UpdateAll(const std::vector<StreamUpdate>& updates) {
+    ApplyBatch(updates);
+  }
 
   /// Batched entry point: applies a contiguous block of updates (the unit
   /// of work for the sharded ingestion engine in `src/parallel`).
@@ -79,30 +85,30 @@ class CountSketch {
   double EstimateF2() const;
 
   /// Actual table width (already rounded in kPow2 mode).
-  uint64_t width() const { return width_; }
-  uint64_t depth() const { return depth_; }
-  uint64_t seed() const { return seed_; }
-  WidthMode width_mode() const { return width_mode_; }
-  uint64_t SizeInCounters() const { return width_ * depth_; }
+  uint64_t width() const { return table_.width(); }
+  uint64_t depth() const { return table_.depth(); }
+  uint64_t seed() const { return table_.seed(); }
+  WidthMode width_mode() const { return table_.width_mode(); }
+  uint64_t SizeInCounters() const { return table_.SizeInCounters(); }
 
   /// Bucket / sign of an item in a row; exposed for the measurement-matrix
   /// view used by `src/cs` and `src/dimred`.
   uint64_t BucketOf(uint64_t row, uint64_t item) const {
-    return bucket_rows_[row].BucketOne(item, width_div_);
+    return table_.BucketOf(row, item);
   }
   int SignOf(uint64_t row, uint64_t item) const {
-    return static_cast<int>(sign_rows_[row].SignOne(item));
+    return static_cast<int>(table_.SignOf(row, item));
   }
 
   int64_t CounterAt(uint64_t row, uint64_t bucket) const {
-    return counters_[row * width_ + bucket];
+    return table_.CounterAt(row, bucket);
   }
 
   /// Appends geometry, seed, and counters to `out` as a portable
   /// little-endian blob (hash functions are rebuilt from the seed on
   /// load). Serialize() returns the same bytes in a fresh buffer.
   void AppendSerialized(std::vector<uint8_t>* out) const;
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const { return SerializedBytes(*this); }
 
   /// Reconstructs a sketch from Serialize() output. Malformed or
   /// untrusted bytes yield std::nullopt and a reason in *error (if
@@ -122,16 +128,7 @@ class CountSketch {
   std::string DebugString() const { return Introspect().DebugString(); }
 
  private:
-  uint64_t width_;
-  uint64_t depth_;
-  uint64_t seed_;
-  WidthMode width_mode_;
-  FastDiv64 width_div_;                  // divide-free `% width_`;
-                                         // BucketBlock masks at pow2 widths
-  std::vector<BlockHasher> bucket_rows_;  // one 2-wise bucket hash per row
-  std::vector<BlockHasher> sign_rows_;    // one 2-wise sign hash per row
-  std::vector<int64_t> counters_;
-  SketchOpCounters ops_;  // lifetime update/merge counts
+  CounterTable table_;
 };
 
 }  // namespace sketch

@@ -29,6 +29,9 @@ struct TableFormat {
   uint64_t magic_v2;      ///< magic_v1 again for a family with no v2
   const char* family;     ///< e.g. "CountMinSketch"
   const char* size_noun;  ///< what `size` is called: "width" or "bit count"
+
+  /// False for a family with no pow2 mode (and so no v2 header).
+  constexpr bool has_width_mode() const { return magic_v2 != magic_v1; }
 };
 
 struct TableHeader {

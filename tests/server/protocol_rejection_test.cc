@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "server/protocol.h"
 #include "server/sketch_service.h"
+#include "sketch/ams_sketch.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
@@ -310,6 +311,35 @@ TEST(ServiceRejectionTest, DeepNarrowCreateIsChargedForItsHashers) {
                        {40, 1, 12000, 1, 1}),
             ErrorCode::kBadGeometry);
   EXPECT_EQ(service.sketch_count(), 2u);
+}
+
+TEST(ServiceRejectionTest, RowWordsOfTheCreateBudgetArePinned) {
+  // The create budget derives its per-row words from the sketches'
+  // MemoryFootprintBytes(), so a change to a table's layout would move the
+  // served budget silently. Pin the words measured with g++ (Release):
+  // a bucket hasher per row, plus one scratch bucket for Count-Min's
+  // conservative update, a 2-wise sign hasher for Count-Sketch, and a
+  // 4-wise sign hasher for AMS.
+  EXPECT_EQ(RowWords<CountMinSketch>(), 11u);
+  EXPECT_EQ(RowWords<CountSketch>(), 20u);
+  EXPECT_EQ(RowWords<AmsSketch>(), 22u);
+
+  // The service charges exactly these words per one-counter row.
+  SketchService service({});
+  const uint64_t cm_depth = kMaxSketchCounters / (1 + 11);
+  EXPECT_EQ(CreateCode(&service, "cm", SketchType::kCountMin,
+                       {1, cm_depth + 1, 1, 0, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "cm", SketchType::kCountMin,
+                       {1, cm_depth, 1, 0, 0}),
+            ErrorCode::kNone);
+  const uint64_t cs_depth = kMaxSketchCounters / (1 + 20);
+  EXPECT_EQ(CreateCode(&service, "cs", SketchType::kCountSketch,
+                       {1, cs_depth + 1, 1, 0, 0}),
+            ErrorCode::kBadGeometry);
+  EXPECT_EQ(CreateCode(&service, "cs", SketchType::kCountSketch,
+                       {1, cs_depth, 1, 0, 0}),
+            ErrorCode::kNone);
 }
 
 TEST(ServiceRejectionTest, ShardedCreateIsChargedForEveryTable) {
