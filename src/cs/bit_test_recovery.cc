@@ -1,42 +1,37 @@
 #include "cs/bit_test_recovery.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 
 #include "common/check.h"
-#include "sketch/counter_table.h"
 
 namespace sketch {
 
 BitTestRecovery::BitTestRecovery(uint64_t width, uint64_t depth,
                                  uint64_t dimension, uint64_t seed)
-    : width_(width), depth_(depth), dimension_(dimension) {
-  SKETCH_CHECK(width >= 1 && depth >= 1 && dimension >= 2);
-  log_n_ = 0;
-  while ((1ULL << log_n_) < dimension) ++log_n_;
-  bucket_hashes_.reserve(depth);
-  sign_hashes_.reserve(depth);
-  for (uint64_t j = 0; j < depth; ++j) {
-    bucket_hashes_.emplace_back(2, RowBucketSeed(seed, j));
-    sign_hashes_.emplace_back(2, RowSignSeed(seed, j));
-  }
+    : dimension_(dimension),
+      log_n_(std::bit_width(dimension - 1)),
+      rows_(width, depth, seed, kCountSketchRows) {
+  SKETCH_CHECK(dimension >= 2);
 }
 
 std::vector<double> BitTestRecovery::Measure(const SparseVector& x) const {
   SKETCH_CHECK(x.dimension() == dimension_);
   std::vector<double> y(NumMeasurements(), 0.0);
-  for (const SparseEntry& e : x.entries()) {
-    for (uint64_t j = 0; j < depth_; ++j) {
-      const uint64_t b = bucket_hashes_[j].Bucket(e.index, width_);
-      const double signed_value = sign_hashes_[j].Sign(e.index) * e.value;
-      y[CellIndex(j, b, 0)] += signed_value;
-      for (uint64_t t = 0; t < log_n_; ++t) {
-        if (e.index & (1ULL << t)) {
-          y[CellIndex(j, b, 1 + t)] += signed_value;
+  const std::vector<SparseEntry>& entries = x.entries();
+  rows_.ForEachCellOf(
+      entries.size(), [&](uint64_t p) { return entries[p].index; },
+      [&](uint64_t j, uint64_t p, uint64_t b, int64_t sign) {
+        const double signed_value =
+            static_cast<double>(sign) * entries[p].value;
+        double* cells = y.data() + CellIndex(j, b, 0);
+        cells[0] += signed_value;
+        for (uint64_t t = 0; t < log_n_; ++t) {
+          if (entries[p].index & (1ULL << t)) cells[1 + t] += signed_value;
         }
-      }
-    }
-  }
+      });
   return y;
 }
 
@@ -60,8 +55,8 @@ BitTestRecovery::Result BitTestRecovery::Recover(const std::vector<double>& y,
   Result result;
   for (int round = 0; round < max_rounds; ++round) {
     bool progressed = false;
-    for (uint64_t j = 0; j < depth_; ++j) {
-      for (uint64_t b = 0; b < width_; ++b) {
+    for (uint64_t j = 0; j < depth(); ++j) {
+      for (uint64_t b = 0; b < width(); ++b) {
         const double a0 = work[CellIndex(j, b, 0)];
         if (std::abs(a0) <= empty_threshold) continue;
         // Read the index bits; any intermediate counter value means a
@@ -79,15 +74,16 @@ BitTestRecovery::Result BitTestRecovery::Recover(const std::vector<double>& y,
         }
         if (!clean || index >= dimension_) continue;
         // Validate against this row's own hash (cheap consistency check).
-        if (bucket_hashes_[j].Bucket(index, width_) != b) continue;
+        if (rows_.BucketOf(j, index) != b) continue;
 
-        const double value = sign_hashes_[j].Sign(index) * a0;
+        const double value = static_cast<double>(rows_.SignOf(j, index)) * a0;
         found[index] += value;
         if (std::abs(found[index]) <= empty_threshold) found.erase(index);
         // Peel from every row.
-        for (uint64_t jj = 0; jj < depth_; ++jj) {
-          const uint64_t bb = bucket_hashes_[jj].Bucket(index, width_);
-          const double sv = sign_hashes_[jj].Sign(index) * value;
+        for (uint64_t jj = 0; jj < depth(); ++jj) {
+          const uint64_t bb = rows_.BucketOf(jj, index);
+          const double sv =
+              static_cast<double>(rows_.SignOf(jj, index)) * value;
           work[CellIndex(jj, bb, 0)] -= sv;
           for (uint64_t t = 0; t < log_n_; ++t) {
             if (index & (1ULL << t)) work[CellIndex(jj, bb, 1 + t)] -= sv;
@@ -101,8 +97,8 @@ BitTestRecovery::Result BitTestRecovery::Recover(const std::vector<double>& y,
   }
 
   double residual = 0.0;
-  for (uint64_t j = 0; j < depth_; ++j) {
-    for (uint64_t b = 0; b < width_; ++b) {
+  for (uint64_t j = 0; j < depth(); ++j) {
+    for (uint64_t b = 0; b < width(); ++b) {
       residual = std::max(residual, std::abs(work[CellIndex(j, b, 0)]));
     }
   }

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "hash/kwise_hash.h"
+#include "kernels/hashed_rows.h"
 #include "linalg/sparse_vector.h"
 
 namespace sketch {
@@ -35,7 +35,7 @@ class BitTestRecovery {
 
   /// Number of scalar measurements (depth * width * (1 + log2 n)).
   uint64_t NumMeasurements() const {
-    return width_ * depth_ * (1 + log_n_);
+    return width() * depth() * (1 + log_n_);
   }
 
   /// y = A x for a sparse signal; O(nnz(x) * depth * log n).
@@ -57,21 +57,18 @@ class BitTestRecovery {
   Result Recover(const std::vector<double>& y, int max_rounds = 16,
                  double tolerance = 1e-6) const;
 
-  uint64_t width() const { return width_; }
-  uint64_t depth() const { return depth_; }
+  uint64_t width() const { return rows_.width(); }
+  uint64_t depth() const { return rows_.depth(); }
   uint64_t dimension() const { return dimension_; }
 
  private:
   uint64_t CellIndex(uint64_t row, uint64_t bucket, uint64_t cell) const {
-    return (row * width_ + bucket) * (1 + log_n_) + cell;
+    return (row * width() + bucket) * (1 + log_n_) + cell;
   }
 
-  uint64_t width_;
-  uint64_t depth_;
   uint64_t dimension_;
   uint64_t log_n_;  // ceil(log2(dimension))
-  std::vector<KWiseHash> bucket_hashes_;
-  std::vector<KWiseHash> sign_hashes_;
+  HashedRows rows_;
 };
 
 }  // namespace sketch

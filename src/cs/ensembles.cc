@@ -4,8 +4,7 @@
 
 #include "common/check.h"
 #include "common/prng.h"
-#include "hash/kwise_hash.h"
-#include "sketch/counter_table.h"
+#include "kernels/hashed_rows.h"
 
 namespace sketch {
 
@@ -30,39 +29,29 @@ CsrMatrix MakeSparseBinaryMatrix(uint64_t rows, uint64_t cols,
   return CsrMatrix::FromTriplets(rows, cols, std::move(triplets));
 }
 
-namespace {
-
-CsrMatrix MakeHashedBlockMatrix(uint64_t width, uint64_t depth, uint64_t cols,
-                                uint64_t seed, bool signed_entries) {
-  SKETCH_CHECK(width >= 1 && depth >= 1);
+CsrMatrix MakeHashedBlockMatrix(const HashedRows& rows, uint64_t cols) {
   std::vector<Triplet> triplets;
-  triplets.reserve(cols * depth);
-  for (uint64_t j = 0; j < depth; ++j) {
-    const KWiseHash bucket_hash(2, RowBucketSeed(seed, j));
-    const KWiseHash sign_hash(2, RowSignSeed(seed, j));
-    for (uint64_t c = 0; c < cols; ++c) {
-      const uint64_t r = j * width + bucket_hash.Bucket(c, width);
-      const double v = signed_entries
-                           ? static_cast<double>(sign_hash.Sign(c))
-                           : 1.0;
-      triplets.push_back({r, c, v});
-    }
-  }
-  return CsrMatrix::FromTriplets(width * depth, cols, std::move(triplets));
+  triplets.reserve(cols * rows.depth());
+  rows.ForEachCellOf(
+      cols, [](uint64_t c) { return c; },
+      [&](uint64_t j, uint64_t c, uint64_t bucket, int64_t sign) {
+        triplets.push_back(
+            {j * rows.width() + bucket, c, static_cast<double>(sign)});
+      });
+  return CsrMatrix::FromTriplets(rows.width() * rows.depth(), cols,
+                                 std::move(triplets));
 }
-
-}  // namespace
 
 CsrMatrix MakeCountSketchMatrix(uint64_t width, uint64_t depth, uint64_t cols,
                                 uint64_t seed) {
-  return MakeHashedBlockMatrix(width, depth, cols, seed,
-                               /*signed_entries=*/true);
+  return MakeHashedBlockMatrix(
+      HashedRows(width, depth, seed, kCountSketchRows), cols);
 }
 
 CsrMatrix MakeCountMinMatrix(uint64_t width, uint64_t depth, uint64_t cols,
                              uint64_t seed) {
-  return MakeHashedBlockMatrix(width, depth, cols, seed,
-                               /*signed_entries=*/false);
+  return MakeHashedBlockMatrix(HashedRows(width, depth, seed, kCountMinRows),
+                               cols);
 }
 
 DenseMatrix MakeGaussianMatrix(uint64_t rows, uint64_t cols, uint64_t seed) {

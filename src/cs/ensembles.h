@@ -8,6 +8,8 @@
 
 namespace sketch {
 
+class HashedRows;
+
 /// Measurement-matrix ensembles for compressed sensing (§2).
 ///
 /// The survey's dichotomy: dense i.i.d. matrices (Gaussian / Bernoulli)
@@ -22,6 +24,11 @@ namespace sketch {
 /// expander w.h.p.). Entries are 1.0 (unnormalized, as in [BIR08]).
 CsrMatrix MakeSparseBinaryMatrix(uint64_t rows, uint64_t cols,
                                  int ones_per_column, uint64_t seed);
+
+/// The explicit matrix of a hashed map: `rows.depth()` blocks of
+/// `rows.width()` rows; in block j, column c has the entry g_j(c) (or 1 in
+/// an unsigned map) at row h_j(c).
+CsrMatrix MakeHashedBlockMatrix(const HashedRows& rows, uint64_t cols);
 
 /// Count-Sketch measurement matrix: `depth` blocks of `width` rows; in
 /// each block every column has a single ±1 entry at a hashed row. This is

@@ -2,79 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 
 #include "common/check.h"
-#include "sketch/counter_table.h"
+#include "cs/ensembles.h"
 
 namespace sketch {
 
 HashedRecovery::HashedRecovery(Variant variant, uint64_t width, uint64_t depth,
                                uint64_t dimension, uint64_t seed)
-    : variant_(variant), width_(width), depth_(depth), dimension_(dimension) {
-  SKETCH_CHECK(width >= 1 && depth >= 1 && dimension >= 1);
-  SKETCH_CHECK_MSG(width <= UINT64_MAX / depth,
-                   "measurement count width * depth overflows");
-  bucket_hashes_.reserve(depth);
-  sign_hashes_.reserve(depth);
-  for (uint64_t j = 0; j < depth; ++j) {
-    bucket_hashes_.emplace_back(2, RowBucketSeed(seed, j));
-    sign_hashes_.emplace_back(2, RowSignSeed(seed, j));
-  }
-}
-
-int HashedRecovery::SignOf(uint64_t row, uint64_t i) const {
-  return variant_ == Variant::kCountSketch ? sign_hashes_[row].Sign(i) : 1;
+    : dimension_(dimension),
+      rows_(width, depth, seed,
+            variant == Variant::kCountSketch ? kCountSketchRows
+                                             : kCountMinRows) {
+  SKETCH_CHECK(dimension >= 1);
+  SKETCH_CHECK_MSG(depth <= kMaxDepth, "hashed recovery depth exceeds 64");
 }
 
 std::vector<double> HashedRecovery::Measure(
     const std::vector<double>& x) const {
   SKETCH_CHECK(x.size() == dimension_);
-  std::vector<double> y(NumMeasurements(), 0.0);
-  for (uint64_t i = 0; i < dimension_; ++i) {
-    if (x[i] == 0.0) continue;
-    for (uint64_t j = 0; j < depth_; ++j) {
-      y[j * width_ + BucketOf(j, i)] += SignOf(j, i) * x[i];
-    }
-  }
-  return y;
+  return rows_.Apply(x);
 }
 
 std::vector<double> HashedRecovery::Measure(const SparseVector& x) const {
   SKETCH_CHECK(x.dimension() == dimension_);
-  std::vector<double> y(NumMeasurements(), 0.0);
-  for (const SparseEntry& e : x.entries()) {
-    for (uint64_t j = 0; j < depth_; ++j) {
-      y[j * width_ + BucketOf(j, e.index)] += SignOf(j, e.index) * e.value;
-    }
+  return rows_.ApplySparse(x.entries());
+}
+
+void HashedRecovery::RowEstimates(const std::vector<double>& y,
+                                  const uint64_t* keys, std::size_t n,
+                                  double* estimates) const {
+  for (uint64_t j = 0; j < depth(); ++j) {
+    const double* row = y.data() + j * width();
+    rows_.ForEachCell(j, keys, n,
+                      [&](std::size_t i, uint64_t bucket, int64_t sign) {
+                        estimates[i * depth() + j] =
+                            static_cast<double>(sign) * row[bucket];
+                      });
   }
-  return y;
+}
+
+double HashedRecovery::Combine(double* row_estimates) const {
+  double* const end = row_estimates + depth();
+  if (!rows_.is_signed()) {
+    // Min estimator (assumes a nonnegative signal; for general signals the
+    // median of rows is used instead, giving a weaker two-sided bound).
+    return *std::min_element(row_estimates, end);
+  }
+  double* const mid = row_estimates + depth() / 2;
+  std::nth_element(row_estimates, mid, end);
+  return *mid;
 }
 
 double HashedRecovery::EstimateCoordinate(const std::vector<double>& y,
                                           uint64_t i) const {
   SKETCH_CHECK(y.size() == NumMeasurements());
-  std::vector<double> row_estimates(depth_);
-  for (uint64_t j = 0; j < depth_; ++j) {
-    row_estimates[j] = SignOf(j, i) * y[j * width_ + BucketOf(j, i)];
-  }
-  if (variant_ == Variant::kCountMin) {
-    // Min estimator (assumes a nonnegative signal; for general signals the
-    // median of rows is used instead, giving a weaker two-sided bound).
-    return *std::min_element(row_estimates.begin(), row_estimates.end());
-  }
-  const auto mid = row_estimates.begin() + depth_ / 2;
-  std::nth_element(row_estimates.begin(), mid, row_estimates.end());
-  return *mid;
+  double row_estimates[kMaxDepth];
+  RowEstimates(y, &i, 1, row_estimates);
+  return Combine(row_estimates);
 }
 
 SparseVector HashedRecovery::RecoverTopK(const std::vector<double>& y,
                                          uint64_t k) const {
+  SKETCH_CHECK(y.size() == NumMeasurements());
   std::vector<SparseEntry> estimates;
   estimates.reserve(dimension_);
-  for (uint64_t i = 0; i < dimension_; ++i) {
-    const double v = EstimateCoordinate(y, i);
-    if (v != 0.0) estimates.push_back({i, v});
+  std::vector<double> row_estimates(HashedRows::kBlock * depth());
+  uint64_t keys[HashedRows::kBlock];
+  for (uint64_t start = 0; start < dimension_; start += HashedRows::kBlock) {
+    const std::size_t n = std::min<uint64_t>(HashedRows::kBlock,
+                                             dimension_ - start);
+    for (std::size_t i = 0; i < n; ++i) keys[i] = start + i;
+    RowEstimates(y, keys, n, row_estimates.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = Combine(row_estimates.data() + i * depth());
+      if (v != 0.0) estimates.push_back({keys[i], v});
+    }
   }
   if (estimates.size() > k) {
     // NaN measurements (possible with untrusted y) would break the strict
@@ -96,17 +99,7 @@ SparseVector HashedRecovery::RecoverTopK(const std::vector<double>& y,
 }
 
 CsrMatrix HashedRecovery::ToMatrix() const {
-  std::vector<Triplet> triplets;
-  triplets.reserve(dimension_ * depth_);
-  for (uint64_t j = 0; j < depth_; ++j) {
-    for (uint64_t i = 0; i < dimension_; ++i) {
-      triplets.push_back({j * width_ + BucketOf(j, i),
-                          i,
-                          static_cast<double>(SignOf(j, i))});
-    }
-  }
-  return CsrMatrix::FromTriplets(NumMeasurements(), dimension_,
-                                 std::move(triplets));
+  return MakeHashedBlockMatrix(rows_, dimension_);
 }
 
 }  // namespace sketch

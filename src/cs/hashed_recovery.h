@@ -1,10 +1,11 @@
 #ifndef SKETCH_CS_HASHED_RECOVERY_H_
 #define SKETCH_CS_HASHED_RECOVERY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "hash/kwise_hash.h"
+#include "kernels/hashed_rows.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/sparse_vector.h"
 
@@ -19,7 +20,7 @@ namespace sketch {
 /// guarantee, in O(n log n) decode time — versus Ω(nm) for dense-matrix
 /// algorithms.
 ///
-/// This class owns the hash functions, so measuring and recovering are
+/// This class owns the hashed rows, so measuring and recovering are
 /// guaranteed to agree. `variant` selects the sign behaviour:
 ///  - kCountSketch: ±1 entries, median estimator (unbiased; any signal);
 ///  - kCountMin:    +1 entries, min estimator (nonnegative signals) or
@@ -28,13 +29,18 @@ class HashedRecovery {
  public:
   enum class Variant { kCountSketch, kCountMin };
 
+  /// Most rows a map may have: a coordinate's row estimates live on the
+  /// stack. The failure probability falls as 2^-Ω(depth), so O(log n) rows
+  /// stay far below it.
+  static constexpr uint64_t kMaxDepth = 64;
+
   /// \param width  buckets per row; O(k/eps) gives the (1+eps) guarantee.
   /// \param depth  rows; O(log n) drives the failure probability down.
   HashedRecovery(Variant variant, uint64_t width, uint64_t depth,
                  uint64_t dimension, uint64_t seed);
 
   /// Number of measurements m = width * depth.
-  uint64_t NumMeasurements() const { return width_ * depth_; }
+  uint64_t NumMeasurements() const { return width() * depth(); }
 
   /// y = A x for a dense signal. O(n * depth).
   std::vector<double> Measure(const std::vector<double>& x) const;
@@ -53,23 +59,24 @@ class HashedRecovery {
   /// feeding the same ensemble to generic algorithms).
   CsrMatrix ToMatrix() const;
 
-  Variant variant() const { return variant_; }
-  uint64_t width() const { return width_; }
-  uint64_t depth() const { return depth_; }
+  Variant variant() const {
+    return rows_.is_signed() ? Variant::kCountSketch : Variant::kCountMin;
+  }
+  uint64_t width() const { return rows_.width(); }
+  uint64_t depth() const { return rows_.depth(); }
   uint64_t dimension() const { return dimension_; }
 
  private:
-  int SignOf(uint64_t row, uint64_t i) const;
-  uint64_t BucketOf(uint64_t row, uint64_t i) const {
-    return bucket_hashes_[row].Bucket(i, width_);
-  }
+  /// estimates[i * depth() + j] = row j's estimate of coordinate keys[i],
+  /// for i < n <= HashedRows::kBlock.
+  void RowEstimates(const std::vector<double>& y, const uint64_t* keys,
+                    std::size_t n, double* estimates) const;
+  /// The min (Count-Min) or median (Count-Sketch) of one coordinate's
+  /// depth() row estimates, in row order; reorders them.
+  double Combine(double* row_estimates) const;
 
-  Variant variant_;
-  uint64_t width_;
-  uint64_t depth_;
   uint64_t dimension_;
-  std::vector<KWiseHash> bucket_hashes_;
-  std::vector<KWiseHash> sign_hashes_;
+  HashedRows rows_;
 };
 
 }  // namespace sketch

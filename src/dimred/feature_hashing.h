@@ -5,7 +5,7 @@
 #include <string_view>
 #include <vector>
 
-#include "hash/kwise_hash.h"
+#include "kernels/hashed_rows.h"
 
 namespace sketch {
 
@@ -33,12 +33,10 @@ class FeatureHasher {
   /// pre-tokenize.
   static uint64_t FeatureId(std::string_view name);
 
-  uint64_t output_dim() const { return output_dim_; }
+  uint64_t output_dim() const { return rows_.width(); }
 
  private:
-  uint64_t output_dim_;
-  KWiseHash bucket_hash_;
-  KWiseHash sign_hash_;
+  HashedRows rows_;  // one row of output_dim buckets
 };
 
 }  // namespace sketch

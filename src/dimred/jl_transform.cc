@@ -29,47 +29,43 @@ std::vector<double> DenseJlTransform::Apply(
 // ---------------------------------------------------------------------------
 // SparseJlTransform
 
-SparseJlTransform::SparseJlTransform(uint64_t input_dim, uint64_t output_dim,
-                                     int sparsity, uint64_t seed)
-    : input_dim_(input_dim), blocks_(sparsity) {
+namespace {
+
+constexpr RowHashing kSparseJlRows = {
+    [](uint64_t s, uint64_t j) { return SplitMix64Once(s * 3 + j); },
+    [](uint64_t s, uint64_t j) { return SplitMix64Once(~s * 3 + j + 0x51); },
+    2};
+
+constexpr RowHashing kCountSketchTransformRows = {
+    [](uint64_t s, uint64_t) { return SplitMix64Once(s * 5 + 1); },
+    [](uint64_t s, uint64_t) { return SplitMix64Once(~s * 5 + 2); },
+    2};
+
+// Rows per block; checked before the division.
+uint64_t SparseJlBlockSize(uint64_t output_dim, int sparsity) {
   SKETCH_CHECK(sparsity >= 1);
   SKETCH_CHECK(output_dim >= static_cast<uint64_t>(sparsity));
-  block_size_ = output_dim / sparsity;
-  scale_ = 1.0 / std::sqrt(static_cast<double>(sparsity));
-  bucket_hashes_.reserve(sparsity);
-  sign_hashes_.reserve(sparsity);
-  for (int b = 0; b < sparsity; ++b) {
-    bucket_hashes_.emplace_back(2, SplitMix64Once(seed * 3 + b));
-    sign_hashes_.emplace_back(2, SplitMix64Once(~seed * 3 + b + 0x51ULL));
-  }
+  return output_dim / static_cast<uint64_t>(sparsity);
 }
+
+}  // namespace
+
+SparseJlTransform::SparseJlTransform(uint64_t input_dim, uint64_t output_dim,
+                                     int sparsity, uint64_t seed)
+    : input_dim_(input_dim),
+      scale_(1.0 / std::sqrt(static_cast<double>(sparsity))),
+      rows_(SparseJlBlockSize(output_dim, sparsity),
+            static_cast<uint64_t>(sparsity), seed, kSparseJlRows) {}
 
 std::vector<double> SparseJlTransform::Apply(
     const std::vector<double>& x) const {
   SKETCH_CHECK(x.size() == input_dim_);
-  std::vector<double> y(output_dimension(), 0.0);
-  for (uint64_t i = 0; i < input_dim_; ++i) {
-    if (x[i] == 0.0) continue;
-    for (int b = 0; b < blocks_; ++b) {
-      const uint64_t row = b * block_size_ +
-                           bucket_hashes_[b].Bucket(i, block_size_);
-      y[row] += sign_hashes_[b].Sign(i) * scale_ * x[i];
-    }
-  }
-  return y;
+  return rows_.Apply(x, scale_);
 }
 
 std::vector<double> SparseJlTransform::Apply(const SparseVector& x) const {
   SKETCH_CHECK(x.dimension() == input_dim_);
-  std::vector<double> y(output_dimension(), 0.0);
-  for (const SparseEntry& e : x.entries()) {
-    for (int b = 0; b < blocks_; ++b) {
-      const uint64_t row = b * block_size_ +
-                           bucket_hashes_[b].Bucket(e.index, block_size_);
-      y[row] += sign_hashes_[b].Sign(e.index) * scale_ * e.value;
-    }
-  }
-  return y;
+  return rows_.ApplySparse(x.entries(), scale_);
 }
 
 // ---------------------------------------------------------------------------
@@ -78,31 +74,19 @@ std::vector<double> SparseJlTransform::Apply(const SparseVector& x) const {
 CountSketchTransform::CountSketchTransform(uint64_t input_dim,
                                            uint64_t output_dim, uint64_t seed)
     : input_dim_(input_dim),
-      output_dim_(output_dim),
-      bucket_hash_(2, SplitMix64Once(seed * 5 + 1)),
-      sign_hash_(2, SplitMix64Once(~seed * 5 + 2)) {
-  SKETCH_CHECK(input_dim >= 1 && output_dim >= 1);
+      rows_(output_dim, 1, seed, kCountSketchTransformRows) {
+  SKETCH_CHECK(input_dim >= 1);
 }
 
 std::vector<double> CountSketchTransform::Apply(
     const std::vector<double>& x) const {
   SKETCH_CHECK(x.size() == input_dim_);
-  std::vector<double> y(output_dim_, 0.0);
-  for (uint64_t i = 0; i < input_dim_; ++i) {
-    if (x[i] == 0.0) continue;
-    y[bucket_hash_.Bucket(i, output_dim_)] += sign_hash_.Sign(i) * x[i];
-  }
-  return y;
+  return rows_.Apply(x);
 }
 
 std::vector<double> CountSketchTransform::Apply(const SparseVector& x) const {
   SKETCH_CHECK(x.dimension() == input_dim_);
-  std::vector<double> y(output_dim_, 0.0);
-  for (const SparseEntry& e : x.entries()) {
-    y[bucket_hash_.Bucket(e.index, output_dim_)] +=
-        sign_hash_.Sign(e.index) * e.value;
-  }
-  return y;
+  return rows_.ApplySparse(x.entries());
 }
 
 // ---------------------------------------------------------------------------

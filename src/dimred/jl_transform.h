@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "hash/kwise_hash.h"
+#include "kernels/hashed_rows.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_vector.h"
 
@@ -66,18 +66,17 @@ class SparseJlTransform final : public JlTransform {
   std::vector<double> Apply(const std::vector<double>& x) const override;
   std::vector<double> Apply(const SparseVector& x) const override;
   uint64_t input_dimension() const override { return input_dim_; }
-  uint64_t output_dimension() const override { return block_size_ * blocks_; }
+  uint64_t output_dimension() const override {
+    return rows_.width() * rows_.depth();
+  }
   const char* Name() const override { return "sparse-jl"; }
 
-  int sparsity() const { return blocks_; }
+  int sparsity() const { return static_cast<int>(rows_.depth()); }
 
  private:
   uint64_t input_dim_;
-  uint64_t block_size_;
-  int blocks_;
   double scale_;
-  std::vector<KWiseHash> bucket_hashes_;  // one per block
-  std::vector<KWiseHash> sign_hashes_;
+  HashedRows rows_;  // one row of output_dim / sparsity buckets per block
 };
 
 /// Count-Sketch transform (sparse embedding, s = 1): one ±1 entry per
@@ -90,14 +89,12 @@ class CountSketchTransform final : public JlTransform {
   std::vector<double> Apply(const std::vector<double>& x) const override;
   std::vector<double> Apply(const SparseVector& x) const override;
   uint64_t input_dimension() const override { return input_dim_; }
-  uint64_t output_dimension() const override { return output_dim_; }
+  uint64_t output_dimension() const override { return rows_.width(); }
   const char* Name() const override { return "countsketch"; }
 
  private:
   uint64_t input_dim_;
-  uint64_t output_dim_;
-  KWiseHash bucket_hash_;
-  KWiseHash sign_hash_;
+  HashedRows rows_;  // one row of output_dim buckets
 };
 
 /// Fast JL transform [AC10]: x -> sample_m( H (D x) ) * sqrt(n/m), where D

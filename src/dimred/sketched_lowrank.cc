@@ -1,15 +1,21 @@
 #include "dimred/sketched_lowrank.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/prng.h"
 #include "common/timer.h"
-#include "hash/kwise_hash.h"
+#include "kernels/hashed_rows.h"
 
 namespace sketch {
 
 namespace {
+
+constexpr RowHashing kCountSketchColumnRows = {
+    [](uint64_t s, uint64_t) { return SplitMix64Once(s * 13 + 1); },
+    [](uint64_t s, uint64_t) { return SplitMix64Once(~s * 13 + 7); },
+    2};
 
 /// In-place modified Gram–Schmidt on the columns of `y`; returns the
 /// number of numerically independent columns kept (others zeroed).
@@ -69,15 +75,10 @@ LowRankResult RandomizedRangeFinder(const DenseMatrix& a, uint64_t rank,
 
   if (type == LowRankSketchType::kCountSketch) {
     // Y[:, h(j)] += sign(j) * A[:, j] — one pass over A.
-    const KWiseHash bucket_hash(2, SplitMix64Once(seed * 13 + 1));
-    const KWiseHash sign_hash(2, SplitMix64Once(~seed * 13 + 7));
+    const HashedRows hashed(l, 1, seed, kCountSketchColumnRows);
     for (uint64_t r = 0; r < rows; ++r) {
-      const double* row = a.Row(r);
-      double* out = y.Row(r);
-      for (uint64_t j = 0; j < cols; ++j) {
-        if (row[j] == 0.0) continue;
-        out[bucket_hash.Bucket(j, l)] += sign_hash.Sign(j) * row[j];
-      }
+      const std::vector<double> out = hashed.Apply({a.Row(r), cols});
+      std::copy(out.begin(), out.end(), y.Row(r));
     }
   } else {
     // Y = A * G with G ~ N(0, 1), generated column-of-G-major so the

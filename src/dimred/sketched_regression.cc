@@ -6,10 +6,22 @@
 #include "common/metrics.h"
 #include "common/prng.h"
 #include "common/timer.h"
-#include "hash/kwise_hash.h"
+#include "kernels/hashed_rows.h"
 #include "linalg/least_squares.h"
 
 namespace sketch {
+
+namespace {
+constexpr RowHashing kOsnapRows = {
+    [](uint64_t s, uint64_t j) { return SplitMix64Once(s * 29 + j); },
+    [](uint64_t s, uint64_t j) { return SplitMix64Once(~s * 29 + j + 5); },
+    2};
+
+constexpr RowHashing kCountSketchRegressionRows = {
+    [](uint64_t s, uint64_t) { return SplitMix64Once(s * 11 + 1); },
+    [](uint64_t s, uint64_t) { return SplitMix64Once(~s * 11 + 5); },
+    2};
+}  // namespace
 
 SketchedRegressionResult SolveSketchedRegression(const DenseMatrix& a,
                                                  const std::vector<double>& b,
@@ -30,43 +42,29 @@ SketchedRegressionResult SolveSketchedRegression(const DenseMatrix& a,
   DenseMatrix sa(sketch_rows, d);
   std::vector<double> sb(sketch_rows, 0.0);
 
-  if (type == RegressionSketchType::kOsnap) {
+  if (type == RegressionSketchType::kOsnap ||
+      type == RegressionSketchType::kCountSketch) {
     // OSNAP [NN12]: the output is split into s blocks; each input row
     // lands once per block with a ±1/sqrt(s) sign. One pass over A,
     // O(s * nnz(A)) work; subspace embedding already at m = O~(d).
-    const int s = osnap_sparsity;
+    // Count-Sketch is the s = 1 case: O(nnz(A) + m d) total.
+    const bool osnap = type == RegressionSketchType::kOsnap;
+    const int s = osnap ? osnap_sparsity : 1;
     SKETCH_CHECK(s >= 1 && static_cast<uint64_t>(s) <= sketch_rows);
-    const uint64_t block = sketch_rows / s;
+    const HashedRows rows(sketch_rows / static_cast<uint64_t>(s),
+                          static_cast<uint64_t>(s), seed,
+                          osnap ? kOsnapRows : kCountSketchRegressionRows);
     const double scale = 1.0 / std::sqrt(static_cast<double>(s));
-    std::vector<KWiseHash> bucket_hashes;
-    std::vector<KWiseHash> sign_hashes;
-    for (int i = 0; i < s; ++i) {
-      bucket_hashes.emplace_back(2, SplitMix64Once(seed * 29 + i));
-      sign_hashes.emplace_back(2, SplitMix64Once(~seed * 29 + i + 5));
-    }
-    for (uint64_t r = 0; r < n; ++r) {
-      const double* row = a.Row(r);
-      for (int i = 0; i < s; ++i) {
-        const uint64_t out = i * block + bucket_hashes[i].Bucket(r, block);
-        const double sign = sign_hashes[i].Sign(r) * scale;
-        double* out_row = sa.Row(out);
-        for (uint64_t c = 0; c < d; ++c) out_row[c] += sign * row[c];
-        sb[out] += sign * b[r];
-      }
-    }
-  } else if (type == RegressionSketchType::kCountSketch) {
-    // Each input row r lands in one hashed output row with a ±1 sign:
-    // a single pass over A, O(nnz(A) + m d) total.
-    const KWiseHash bucket_hash(2, SplitMix64Once(seed * 11 + 1));
-    const KWiseHash sign_hash(2, SplitMix64Once(~seed * 11 + 5));
-    for (uint64_t r = 0; r < n; ++r) {
-      const uint64_t out = bucket_hash.Bucket(r, sketch_rows);
-      const double sign = sign_hash.Sign(r);
-      const double* row = a.Row(r);
-      double* out_row = sa.Row(out);
-      for (uint64_t c = 0; c < d; ++c) out_row[c] += sign * row[c];
-      sb[out] += sign * b[r];
-    }
+    rows.ForEachCellOf(
+        n, [](uint64_t r) { return r; },
+        [&](uint64_t j, uint64_t r, uint64_t bucket, int64_t g) {
+          const uint64_t out = j * rows.width() + bucket;
+          const double sign = static_cast<double>(g) * scale;
+          const double* row = a.Row(r);
+          double* out_row = sa.Row(out);
+          for (uint64_t c = 0; c < d; ++c) out_row[c] += sign * row[c];
+          sb[out] += sign * b[r];
+        });
   } else {
     // Dense Gaussian sketch: S is m x n with N(0, 1/m) entries. Stream S
     // row-block-wise to avoid materializing it: for each input row r,

@@ -6,6 +6,7 @@
 
 #include "server/health_monitor.h"
 #include "telemetry/prometheus.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace sketch::server {
@@ -93,6 +94,10 @@ void SketchServer::AcceptLoop(SocketListener* listener,
                               EventLoopPool::Protocol protocol) {
   while (true) {
     const int fd = listener->AcceptRaw();
+    if (fd == SocketListener::kTransientError) {
+      SKETCH_COUNTER_INC("server.accept_errors");
+      continue;
+    }
     if (fd < 0) break;  // listener closed
     if (service_.shutdown_requested()) {
       ::close(fd);

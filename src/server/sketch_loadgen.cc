@@ -32,14 +32,15 @@
 // percentiles, comparable with committed baselines via
 // tools/bench_compare.py. Integer flags must be whole decimal numbers in
 // range (--writers, --readers and --connections at most 1024, one client
-// thread each); anything else prints the usage line and exits 2.
+// thread each), --read-fraction a finite number in [0, 1] and --rate a
+// finite number >= 0; anything else prints the usage line and exits 2.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,6 +61,7 @@ using sketch::Xoshiro256StarStar;
 using sketch::UpdateSpan;
 using sketch::server::ConnectTcp;
 using sketch::server::ConnectUnix;
+using sketch::server::ParseDouble;
 using sketch::server::ParseFlag;
 using sketch::server::ParseNumber;
 using sketch::server::PointValueResponse;
@@ -276,11 +278,12 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "connections", &value)) {
       ok = ParseNumber(value, 0, kMaxThreads, &config.connections);
     } else if (ParseFlag(arg, "read-fraction", &value)) {
-      config.read_fraction = std::atof(value.c_str());
+      ok = ParseDouble(value, 0.0, 1.0, &config.read_fraction);
     } else if (ParseFlag(arg, "ops", &value)) {
       ok = ParseNumber(value, 0, SIZE_MAX, &config.ops);
     } else if (ParseFlag(arg, "rate", &value)) {
-      config.rate = std::atof(value.c_str());
+      ok = ParseDouble(value, 0.0, std::numeric_limits<double>::max(),
+                       &config.rate);
     } else if (ParseFlag(arg, "query-batch", &value)) {
       ok = ParseNumber(value, 0, SIZE_MAX, &config.query_batch);
     } else if (ParseFlag(arg, "trace-every", &value)) {
@@ -301,18 +304,13 @@ int main(int argc, char** argv) {
                    "[--query-batch=N] [--trace-every=N] [--out=PATH] "
                    "[--shutdown]\n"
                    "  port 0..65535, --writers/--readers/--connections "
-                   "0..%llu\n",
+                   "0..%llu, --read-fraction 0..1, --rate >= 0\n",
                    argv[0], static_cast<unsigned long long>(kMaxThreads));
       return 2;
     }
   }
   if (config.port == 0 && config.unix_path.empty()) {
     std::fprintf(stderr, "sketch_loadgen: need --port or --unix\n");
-    return 2;
-  }
-  if (config.read_fraction < 0.0 || config.read_fraction > 1.0) {
-    std::fprintf(stderr,
-                 "sketch_loadgen: --read-fraction must be in [0, 1]\n");
     return 2;
   }
   if (config.query_batch < 1) config.query_batch = 1;

@@ -1,8 +1,10 @@
 #include "server/transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 namespace sketch::server {
 
@@ -112,7 +115,28 @@ void SocketStream::Close() {
 
 // --- SocketListener -------------------------------------------------------
 
-SocketListener::~SocketListener() { Close(); }
+namespace {
+
+// How long a failed accept waits before the next try.
+constexpr int kBackoffMs = 10;
+
+int ReserveSpareDescriptor() {
+  return ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+}
+
+}  // namespace
+
+SocketListener::SocketListener(Private, int fd, uint16_t port,
+                               std::string unix_path)
+    : fd_(fd),
+      port_(port),
+      unix_path_(std::move(unix_path)),
+      spare_fd_(ReserveSpareDescriptor()) {}
+
+SocketListener::~SocketListener() {
+  Close();
+  if (spare_fd_ >= 0) ::close(spare_fd_);
+}
 
 std::unique_ptr<SocketListener> SocketListener::ListenTcp(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -173,8 +197,39 @@ int SocketListener::AcceptRaw() {
       ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return client;
     }
-    if (errno == EINTR) continue;
-    return -1;  // listener closed or unrecoverable error
+    switch (errno) {
+      case EINTR:
+        continue;
+      case ECONNABORTED:
+      case EPROTO:
+        return kTransientError;  // the client left; the next one may not
+      case EMFILE:
+        // accept() takes its descriptor before it waits for a client, so
+        // EMFILE comes back at once even with nothing queued: wait up to
+        // kBackoffMs for a queued client before shedding one, and never
+        // block in the shedding accept, which would swallow the first
+        // client to arrive after descriptors come back.
+        if (spare_fd_ >= 0) {
+          pollfd queued = {fd, POLLIN, 0};
+          if (::poll(&queued, 1, kBackoffMs) <= 0) continue;
+          ::close(spare_fd_);
+          const int shed = ::accept(fd, nullptr, nullptr);
+          if (shed >= 0) ::close(shed);
+          spare_fd_ = ReserveSpareDescriptor();
+          return kTransientError;
+        }
+        [[fallthrough]];
+      case ENFILE:
+      case ENOBUFS:
+      case ENOMEM:
+        // Nothing to shed with: wait for descriptors or memory to come
+        // back rather than spin on a queue that cannot drain.
+        std::this_thread::sleep_for(std::chrono::milliseconds(kBackoffMs));
+        if (spare_fd_ < 0) spare_fd_ = ReserveSpareDescriptor();
+        return kTransientError;
+      default:
+        return -1;  // listener closed or unrecoverable error
+    }
   }
 }
 

@@ -116,9 +116,13 @@ class SocketListener {
   struct Private {};
 
  public:
-  SocketListener(Private, int fd, uint16_t port, std::string unix_path)
-      : fd_(fd), port_(port), unix_path_(std::move(unix_path)) {}
+  SocketListener(Private, int fd, uint16_t port, std::string unix_path);
   ~SocketListener();
+
+  /// AcceptRaw's result when an accept failed but the listener stays
+  /// open: descriptors or kernel memory ran out, or a client went away
+  /// before it was accepted.
+  static constexpr int kTransientError = -2;
 
   /// Listens on 127.0.0.1:port (port 0 picks a free port; see port()).
   /// Returns nullptr on failure.
@@ -129,8 +133,12 @@ class SocketListener {
   static std::unique_ptr<SocketListener> ListenUnix(const std::string& path);
 
   /// Blocks for the next connection and returns its raw descriptor (the
-  /// caller owns it), or -1 once the listener is closed. The epoll event
-  /// loop manages the descriptors of both ports directly.
+  /// caller owns it), kTransientError after a failed accept, or -1 once
+  /// the listener is closed. The epoll event loop manages the descriptors
+  /// of both ports directly. Out of descriptors (EMFILE), the listener
+  /// frees a spare one, accepts the connection at the head of the queue
+  /// and closes it, so that client is refused instead of left waiting,
+  /// then reserves the spare again.
   int AcceptRaw();
 
   /// Unblocks AcceptRaw and closes the listening socket. Safe to call from
@@ -149,6 +157,8 @@ class SocketListener {
   std::atomic<int> fd_{-1};
   const uint16_t port_ = 0;
   const std::string unix_path_;
+  int spare_fd_ = -1;  // only AcceptRaw (one thread) and the destructor
+                       // touch it; -1 while it could not be reserved
 };
 
 /// Connects to a daemon over TCP (host is an IPv4 literal such as

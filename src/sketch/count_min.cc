@@ -20,8 +20,7 @@ constexpr TableFormat kTableFormat = {
 
 CountMinSketch::CountMinSketch(uint64_t width, uint64_t depth, uint64_t seed,
                                WidthMode mode)
-    : table_(width, depth, seed, mode,
-             {RowBucketSeed, /*sign_seed=*/nullptr, /*sign_independence=*/0}),
+    : table_(width, depth, seed, mode, kCountMinRows),
       bucket_scratch_(depth, 0) {}
 
 CountMinSketch CountMinSketch::FromErrorBounds(double eps, double delta,

@@ -22,8 +22,7 @@ constexpr TableFormat kTableFormat = {
 
 CountSketch::CountSketch(uint64_t width, uint64_t depth, uint64_t seed,
                          WidthMode mode)
-    : table_(width, depth, seed, mode,
-             {RowBucketSeed, RowSignSeed, /*sign_independence=*/2}) {}
+    : table_(width, depth, seed, mode, kCountSketchRows) {}
 
 CountSketch CountSketch::FromErrorBounds(double eps, double delta,
                                          uint64_t seed) {

@@ -151,5 +151,11 @@ TEST(ContractDeathTest, HashedRecoveryMeasureChecksDimension) {
   EXPECT_DEATH(hr.Measure(std::vector<double>(50, 0.0)), "");
 }
 
+TEST(ContractDeathTest, HashedRecoveryRejectsDepthAboveMax) {
+  EXPECT_DEATH(HashedRecovery(HashedRecovery::Variant::kCountSketch, 8,
+                              HashedRecovery::kMaxDepth + 1, 100, 1),
+               "depth exceeds 64");
+}
+
 }  // namespace
 }  // namespace sketch

@@ -604,6 +604,9 @@ TEST(EventLoopTest, StartRunsIoAndAcceptThreadsOnly) {
   options.http_port = 0;
   options.io_threads = 2;
   SketchServer server(options);
+  // A runtime may start a helper thread of its own at the process's first
+  // thread creation (ThreadSanitizer does); start it here, not in Start.
+  std::thread([] {}).join();
   const int threads_before = SettledThreadCount();
   ASSERT_GT(threads_before, 0);
   ASSERT_TRUE(server.Start());

@@ -7,7 +7,8 @@ Writes one directory per harness under the output root:
   count_sketch/    same for CountSketch
   bloom_filter/    same for BloomFilter
   ams_sketch/      same for AmsSketch
-  hashed_recovery/ structured (geometry, y-vector) decoder inputs
+  hashed_recovery/ structured (decoder, geometry, y-vector) inputs for the
+                   HashedRecovery and BitTestRecovery decoders
   server_frame/    sketchwire/1 frames (valid requests + framing violations)
 
 The byte layouts mirror src/common/byte_buffer.h: little-endian u64 words,
@@ -152,6 +153,27 @@ def hashed_recovery_seeds(out):
     write(d, "k_zero",
           hashed_recovery_input(0, 2, 1, 4, 0, 1, [1.0, -1.0]))
     write(d, "empty", b"")
+    # Byte 0 bit 1 picks BitTestRecovery: dimension 16 + 1 = 17 has
+    # log n = 5, so width=4, depth=2 needs 4 * 2 * 6 = 48 measurements.
+    # Bucket 0 of each row holds a clean bit-test pattern for index 9
+    # (cells at y[(row*4 + bucket)*6 + cell]), so decoding reads the index
+    # bits and reaches the decoder's own hash check.
+    spike = [0.0] * 48
+    for row in range(2):
+        cells = (row * 4) * 6
+        spike[cells] = 2.5
+        for bit in range(5):
+            if (9 >> bit) & 1:
+                spike[cells + 1 + bit] = 2.5
+    write(d, "bit_test_valid",
+          hashed_recovery_input(2, 4, 2, 16, 8, 11, spike))
+    write(d, "bit_test_wrong_length_y",
+          hashed_recovery_input(2, 4, 2, 16, 8, 11, [1.0, 2.0, 3.0]))
+    write(d, "bit_test_nan_inf_y",
+          hashed_recovery_input(3, 1, 1, 1, 4, 5,
+                                [float("nan"), float("-inf")]))
+    write(d, "bit_test_zero_rounds",
+          hashed_recovery_input(2, 4, 2, 16, 0, 11, spike))
 
 
 def wire_frame(opcode, payload=b"", version=1, reserved=0, declared_len=None):
