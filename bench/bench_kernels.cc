@@ -1,7 +1,8 @@
 // E20 (substrate): microbenchmarks of the computational kernels every
 // algorithm above sits on — FFT variants, the Walsh-Hadamard butterfly,
-// JL applications, peeling-structure inserts, and the Count-Sketch F2
-// scan behind the served L2 bound (E32). google-benchmark.
+// JL applications, peeling-structure inserts, the Count-Sketch F2 scan
+// behind the served L2 bound (E32), and the counter scatter of a served
+// ingest on a hot and on a rotating set of tables (E36). google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "fft/real_fft.h"
 #include "sfft/flat_filter.h"
 #include "sfft/sparse_wht.h"
+#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/generators.h"
 
@@ -111,6 +113,50 @@ void BM_CountSketchEstimateF2(benchmark::State& state) {
                           static_cast<int64_t>(sketch.SizeInCounters()));
 }
 BENCHMARK(BM_CountSketchEstimateF2)->Arg(0)->Arg(1);
+
+// ApplyBatch on the served ingest_stream load: 16384 x 4 tables, each
+// iteration one window of 8 frames of 4096 Zipf(1.1) updates. Arg 1 (hot):
+// every window goes to one table, which stays in cache. Arg 16
+// (rotating): window i goes to table i mod 16, so each window starts on a
+// table the 15 windows before it have pushed out of L2, as the daemon's
+// rotating ingest sketches do. Reported as time_per_update; the counter
+// scatter's prefetch distance is picked from these rows (E36).
+template <typename Sketch>
+void BM_ApplyBatchWindows(benchmark::State& state) {
+  constexpr std::size_t kTables = 16;
+  constexpr std::size_t kFrames = 8;
+  constexpr std::size_t kFrameUpdates = 4096;
+  constexpr std::size_t kWindowUpdates = kFrames * kFrameUpdates;
+  const auto tables = static_cast<std::size_t>(state.range(0));
+  std::vector<Sketch> sketches;
+  sketches.reserve(tables);
+  for (std::size_t t = 0; t < tables; ++t) {
+    sketches.emplace_back(16384, 4, 100 + t);
+  }
+  const std::vector<StreamUpdate> stream =
+      MakeZipfStream(1 << 20, 1.1, kTables * kWindowUpdates, 14);
+  std::size_t window = 0;
+  for (auto _ : state) {
+    Sketch& sketch = sketches[window % tables];
+    const StreamUpdate* updates =
+        stream.data() + (window % kTables) * kWindowUpdates;
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      sketch.ApplyBatch(UpdateSpan(updates + f * kFrameUpdates, kFrameUpdates));
+    }
+    benchmark::DoNotOptimize(&sketch);
+    benchmark::ClobberMemory();
+    ++window;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kWindowUpdates));
+  state.counters["time_per_update"] = benchmark::Counter(
+      static_cast<double>(kWindowUpdates),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(tables == 1 ? "hot" : "rotating");
+}
+BENCHMARK_TEMPLATE(BM_ApplyBatchWindows, CountMinSketch)->Arg(1)->Arg(16);
+BENCHMARK_TEMPLATE(BM_ApplyBatchWindows, CountSketch)->Arg(1)->Arg(16);
 
 }  // namespace
 }  // namespace sketch

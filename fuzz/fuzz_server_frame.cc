@@ -11,6 +11,7 @@
 //     abort there),
 //   * the service always answers with exactly one well-formed frame,
 //   * the answer always carries a response opcode (0x80-0xff),
+//   * an ingest decodes the same as a borrowed view and as an owned copy,
 //   * no decode path allocates from a hostile length prefix — an
 //     oversized declared length is rejected before the allocation, so the
 //     harness runs clean under ASan's allocator limits.
@@ -37,7 +38,21 @@ void TryAllDecoders(const sketch::server::Frame& frame) {
   CreateSketchRequest create;
   (void)DecodeCreateSketch(frame, &create);
   IngestRequest ingest;
-  (void)DecodeIngest(frame, &ingest);
+  const bool owned = DecodeIngest(frame, &ingest);
+  IngestRequestView ingest_view;
+  if (DecodeIngest(frame, &ingest_view) != owned) {
+    __builtin_trap();  // the two ingest decodes disagree on a frame
+  }
+  if (owned) {
+    std::vector<sketch::StreamUpdate> copied(ingest_view.size());
+    ingest_view.CopyUpdatesTo(copied.data());
+    for (std::size_t i = 0; i < copied.size(); ++i) {
+      if (copied[i].item != ingest.updates[i].item ||
+          copied[i].delta != ingest.updates[i].delta) {
+        __builtin_trap();  // the view copied other updates than the decode
+      }
+    }
+  }
   PointQueryRequest query;
   (void)DecodePointQuery(frame, &query);
   HeavyHittersRequest hh;

@@ -350,6 +350,7 @@ void EventLoopPool::UpdateInterest(Loop* loop, Conn* conn) {
   event.data.fd = conn->fd;
   if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &event) == 0) {
     conn->epollout_armed = conn->want_write;
+    if (conn->want_write) SKETCH_COUNTER_INC("server.epoll.write_waits");
   }
 }
 

@@ -1,8 +1,11 @@
 #include "server/protocol.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -115,6 +118,52 @@ bool TryReadPointValue(ByteReader* reader, PointValueResponse* out) {
     return false;
   }
   out->bound_kind = static_cast<BoundKind>(raw_kind);
+  return true;
+}
+
+/// Writes the updates in `bytes` (kUpdateWireBytes each) to `out`. The
+/// wire order of an update's fields is StreamUpdate's member order, so on
+/// a little-endian host the bytes already are the array.
+void CopyWireUpdates(std::span<const uint8_t> bytes, StreamUpdate* out) {
+  static_assert(std::is_trivially_copyable_v<StreamUpdate> &&
+                    sizeof(StreamUpdate) == kUpdateWireBytes &&
+                    offsetof(StreamUpdate, delta) == 8,
+                "StreamUpdate must be the wire's (item, delta) pair");
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
+  } else {
+    const std::size_t count = bytes.size() / kUpdateWireBytes;
+    for (std::size_t i = 0; i < count; ++i) {
+      const uint8_t* src = bytes.data() + i * kUpdateWireBytes;
+      out[i].item = LoadLittleEndian<uint64_t>(src);
+      out[i].delta = static_cast<int64_t>(LoadLittleEndian<uint64_t>(src + 8));
+    }
+  }
+}
+
+/// The one ingest parser: an IngestRequestView borrows the update bytes,
+/// an IngestRequest copies them. The declared count is checked against
+/// kMaxBatchUpdates and against the bytes present before anything is
+/// sized from it.
+template <typename Request>
+bool ParseIngest(const Frame& frame, Request* out) {
+  if (frame.opcode != Opcode::kIngest) return false;
+  ByteReader reader(frame.payload);
+  uint32_t count = 0;
+  std::span<const uint8_t> updates;
+  if (!TryReadName(&reader, &out->name) ||
+      !TryReadCount(&reader, kMaxBatchUpdates, kUpdateWireBytes, &count) ||
+      !reader.ReadSpan(uint64_t{count} * (kUpdateWireBytes / 8), &updates) ||
+      !reader.AtEnd()) {
+    return false;
+  }
+  if constexpr (std::is_same_v<Request, IngestRequestView>) {
+    out->updates = updates;
+  } else {
+    out->trace_id = frame.trace_id;  // framing metadata, not payload
+    out->updates.resize(count);
+    CopyWireUpdates(updates, out->updates.data());
+  }
   return true;
 }
 
@@ -352,8 +401,8 @@ std::vector<uint8_t> EncodeIngestSpan(const std::string& name,
                                       UpdateSpan updates) {
   SKETCH_CHECK_MSG(updates.size() <= kMaxBatchUpdates,
                    "ingest batch exceeds kMaxBatchUpdates");
-  std::vector<uint8_t> frame =
-      BeginFrame(Opcode::kIngest, 2 + name.size() + 4 + 16 * updates.size());
+  std::vector<uint8_t> frame = BeginFrame(
+      Opcode::kIngest, 2 + name.size() + 4 + kUpdateWireBytes * updates.size());
   AppendName(name, &frame);
   AppendU32(static_cast<uint32_t>(updates.size()), &frame);
   for (const StreamUpdate& update : updates) {
@@ -367,24 +416,16 @@ std::vector<uint8_t> EncodeIngest(const IngestRequest& request) {
   return EncodeIngestSpan(request.name, UpdateSpan(request.updates));
 }
 
+void IngestRequestView::CopyUpdatesTo(StreamUpdate* out) const {
+  CopyWireUpdates(updates, out);
+}
+
+bool DecodeIngest(const Frame& frame, IngestRequestView* out) {
+  return ParseIngest(frame, out);
+}
+
 bool DecodeIngest(const Frame& frame, IngestRequest* out) {
-  if (frame.opcode != Opcode::kIngest) return false;
-  out->trace_id = frame.trace_id;  // framing metadata, not payload
-  ByteReader reader(frame.payload);
-  // Reject before allocating: the declared count must respect the batch
-  // cap AND fit in the bytes actually present (16 bytes per update).
-  uint32_t count = 0;
-  if (!TryReadName(&reader, &out->name) ||
-      !TryReadCount(&reader, kMaxBatchUpdates, 16, &count)) {
-    return false;
-  }
-  out->updates.resize(count);
-  for (StreamUpdate& update : out->updates) {
-    if (!reader.ReadU64(&update.item) || !reader.ReadI64(&update.delta)) {
-      return false;
-    }
-  }
-  return reader.AtEnd();
+  return ParseIngest(frame, out);
 }
 
 std::vector<uint8_t> EncodePointQuery(const PointQueryRequest& request) {

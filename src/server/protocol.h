@@ -303,6 +303,9 @@ struct CreateSketchRequest {
   std::array<uint64_t, 5> params{};
 };
 
+/// Wire bytes of one ingest update: u64 item, then i64 delta.
+inline constexpr std::size_t kUpdateWireBytes = 16;
+
 struct IngestRequest {
   std::string name;
   std::vector<StreamUpdate> updates;
@@ -310,6 +313,22 @@ struct IngestRequest {
   /// itself; the server copies it from Frame::trace_id so coalesced-run
   /// spans can tag which requests fed a batch). 0 = untraced.
   uint64_t trace_id = 0;
+};
+
+/// A decoded ingest whose updates borrow the frame's payload: valid only
+/// while that Frame is alive and unchanged. The update bytes sit wherever
+/// the name leaves them, at any alignment, so the server copies them once
+/// with CopyUpdatesTo into an aligned buffer the kernel reads.
+struct IngestRequestView {
+  std::string name;
+  /// size() * kUpdateWireBytes bytes of wire updates.
+  std::span<const uint8_t> updates;
+
+  std::size_t size() const { return updates.size() / kUpdateWireBytes; }
+
+  /// Writes the size() updates to `out`: one memcpy on a little-endian
+  /// host, the per-field fold elsewhere.
+  void CopyUpdatesTo(StreamUpdate* out) const;
 };
 
 struct PointQueryRequest {
@@ -409,6 +428,7 @@ std::vector<uint8_t> EncodeIngest(const IngestRequest& request);
 /// Encodes directly from a span (avoids copying batches into a request).
 std::vector<uint8_t> EncodeIngestSpan(const std::string& name,
                                       UpdateSpan updates);
+bool DecodeIngest(const Frame& frame, IngestRequestView* out);
 bool DecodeIngest(const Frame& frame, IngestRequest* out);
 
 std::vector<uint8_t> EncodePointQuery(const PointQueryRequest& request);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <type_traits>
@@ -500,6 +501,46 @@ std::string PeekSketchName(const Frame& frame) {
 /// inside WithEntryShared need no signature changes across every handler.
 thread_local uint64_t tls_trace_id = 0;
 
+/// Where an ingest request's updates land before its kernel reads them:
+/// the wire bytes sit at any alignment in the frame payload, so each
+/// request is copied here once. One per thread that serves frames, reused
+/// across requests and never zero-filled; it grows to the largest request
+/// the thread has served, at most kMaxBatchUpdates updates (4 MiB).
+class UpdateScratch {
+ public:
+  UpdateScratch() = default;
+  UpdateScratch(const UpdateScratch&) = delete;
+  UpdateScratch& operator=(const UpdateScratch&) = delete;
+  ~UpdateScratch() { Release(); }
+
+  /// Copies `request`'s updates into the scratch; the span is valid until
+  /// the next Fill on this thread.
+  UpdateSpan Fill(const IngestRequestView& request) {
+    const std::size_t count = request.size();
+    if (count > capacity_) {
+      Release();
+      // Storage only: the copy below creates every update it hands out,
+      // so nothing is written twice.
+      updates_ = std::allocator<StreamUpdate>().allocate(count);
+      capacity_ = count;
+    }
+    request.CopyUpdatesTo(updates_);
+    return UpdateSpan(updates_, count);
+  }
+
+ private:
+  void Release() {
+    if (updates_ != nullptr) {
+      std::allocator<StreamUpdate>().deallocate(updates_, capacity_);
+    }
+  }
+
+  StreamUpdate* updates_ = nullptr;
+  std::size_t capacity_ = 0;
+};
+
+thread_local UpdateScratch tls_update_scratch;
+
 /// Sets tls_trace_id for the scope of one request dispatch.
 class ScopedRequestTraceId {
  public:
@@ -591,15 +632,16 @@ std::vector<uint8_t> SketchService::HandleFrame(const Frame& frame) {
 void SketchService::HandleFrames(std::span<const Frame> frames,
                                  std::vector<std::vector<uint8_t>>* responses) {
   responses->reserve(responses->size() + frames.size());
+  std::vector<IngestRequestView> run;
   std::size_t i = 0;
   while (i < frames.size()) {
     // Collect the longest run of consecutive, well-formed ingest frames
     // addressing the same sketch; the run shares one registry lookup and
-    // one exclusive entry lock.
+    // one exclusive entry lock. Its requests borrow the frames' payloads.
     const std::size_t begin = i;
-    std::vector<IngestRequest> run;
+    run.clear();
     while (i < frames.size() && frames[i].opcode == Opcode::kIngest) {
-      IngestRequest request;
+      IngestRequestView request;
       if (!DecodeIngest(frames[i], &request) ||
           (!run.empty() && request.name != run.front().name)) {
         break;
@@ -686,14 +728,14 @@ std::vector<uint8_t> SketchService::DispatchFrame(const Frame& frame) {
 }
 
 void SketchService::ApplyIngestRun(
-    std::span<const Frame> frames, const std::vector<IngestRequest>& run,
+    std::span<const Frame> frames, std::span<const IngestRequestView> run,
     std::vector<std::vector<uint8_t>>* responses) {
   // The run span carries the first traced request's id so a sampled
   // ingest's Perfetto view shows the coalesced batch it rode in.
   uint64_t run_trace_id = 0;
-  for (const IngestRequest& request : run) {
-    if (request.trace_id != 0) {
-      run_trace_id = request.trace_id;
+  for (const Frame& frame : frames) {
+    if (frame.trace_id != 0) {
+      run_trace_id = frame.trace_id;
       break;
     }
   }
@@ -711,19 +753,19 @@ void SketchService::ApplyIngestRun(
   WriterMutexLock lock(handle->mutex);
   timer.Locked();
   internal::SketchEntry& entry = *handle->entry;
+  UpdateScratch& scratch = tls_update_scratch;
   for (std::size_t i = 0; i < run.size(); ++i) {
-    const IngestRequest& request = run[i];
     const uint64_t start_ns = MonotonicNowNs();
+    const UpdateSpan updates = scratch.Fill(run[i]);
     ErrorResponse error;
-    const bool ok = RunKernel(request.trace_id, [&] {
-      return entry.Ingest(UpdateSpan(request.updates), &error);
-    });
+    const bool ok = RunKernel(frames[i].trace_id,
+                              [&] { return entry.Ingest(updates, &error); });
     if (!ok) {
       responses->push_back(EncodeError(error));
     } else {
-      SKETCH_COUNTER_ADD("server.updates_ingested", request.updates.size());
+      SKETCH_COUNTER_ADD("server.updates_ingested", updates.size());
       IngestAckResponse ack;
-      ack.accepted = request.updates.size();
+      ack.accepted = updates.size();
       responses->push_back(EncodeIngestAck(ack));
     }
     RecordRequest(frames[i], MonotonicNowNs() - start_ns);

@@ -230,9 +230,10 @@ class SketchService {
 
   /// Applies a run of ingest requests for one sketch under a single
   /// exclusive entry lock, appending one ack/error per request. `run[i]`
-  /// is the decoded payload of `frames[i]`.
+  /// is the decoded payload of `frames[i]`; each request's updates are
+  /// copied once, into this thread's update scratch, before its kernel.
   void ApplyIngestRun(std::span<const Frame> frames,
-                      const std::vector<IngestRequest>& run,
+                      std::span<const IngestRequestView> run,
                       std::vector<std::vector<uint8_t>>* responses);
 
   const RegistryStripe& StripeFor(const std::string& name) const;

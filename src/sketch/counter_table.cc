@@ -57,7 +57,12 @@ void CounterTable::ApplyBatch(UpdateSpan updates) {
 
 template <bool kSigned>
 void CounterTable::ApplyBlocks(UpdateSpan updates) {
-  constexpr std::size_t kPrefetchAhead = 8;
+  // How far ahead the counter scatter prefetches, in updates. A served
+  // ingest window starts on a table that other sketches' windows pushed
+  // out of L2; 64 covers that cold start and costs nothing on a hot table
+  // (E36's sweep of 8, 16, 32 and 64 in bench_kernels' ApplyBatchWindows
+  // rows).
+  constexpr std::size_t kPrefetchAhead = 64;
   uint64_t keys[kBlock];
   uint64_t buckets[kBlock];
   [[maybe_unused]] int64_t signs[kBlock];

@@ -3,7 +3,8 @@
 // of the served sketch with a sequential replay, pipelined-frame
 // batching, slow-client backpressure/eviction, fragmented frames,
 // shutdown draining, a Stop that does not wait on a client that stopped
-// reading, HTTP scrapes sharing an I/O thread with sketchwire traffic,
+// reading, a pipeline served through small socket buffers on the served
+// end, HTTP scrapes sharing an I/O thread with sketchwire traffic,
 // the threads a started server runs, and a failed Start that leaves
 // nothing running.
 
@@ -20,9 +21,11 @@
 
 #include "common/prng.h"
 #include "gtest/gtest.h"
+#include "loop_harness.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "server/sketch_service.h"
 #include "server/transport.h"
 #include "sketch/count_min.h"
 #include "stream/update.h"
@@ -353,6 +356,81 @@ TEST(EventLoopTest, TwoMiBRestoreInAnyPiecesIsServedByteIdentically) {
     EXPECT_EQ(snapshot, restore.blob);
   }
   server.Stop();
+}
+
+TEST(EventLoopTest, SmallServedBuffersServeAPipelineAsASequentialReplay) {
+  // The served end of the connection gets a ~4 KiB receive buffer and a
+  // ~4 KiB send buffer. Eight 4096-update ingests and a batch query,
+  // pipelined in one write, reach the loop in short reads that split
+  // frames anywhere; a 1 MiB snapshot behind them leaves the loop's
+  // first write short, so the rest goes out on EPOLLOUT. Every response
+  // must equal what the service answers for the same frames one at a
+  // time, and the snapshot must equal a local replay.
+  telemetry::Counter& write_waits =
+      telemetry::MetricRegistry::Instance().GetCounter(
+          "server.epoll.write_waits");
+  telemetry::Counter& wakeups =
+      telemetry::MetricRegistry::Instance().GetCounter("server.epoll.wakeups");
+  const uint64_t write_waits_before = write_waits.Value();
+  const uint64_t wakeups_before = wakeups.Value();
+
+  LoopHarness harness;
+  std::unique_ptr<ByteStream> stream =
+      harness.ConnectWithBuffers({.receive_bytes = 4096, .send_bytes = 4096});
+  ASSERT_NE(stream, nullptr);
+
+  CreateSketchRequest create;
+  create.name = "small";
+  create.type = SketchType::kCountMin;
+  create.params = {16384, 8, 5, 0, 0};  // 1 MiB of counters
+  std::vector<std::vector<uint8_t>> requests = {EncodeCreateSketch(create)};
+  CountMinSketch replay(16384, 8, 5);
+  constexpr std::size_t kIngests = 8;
+  for (uint64_t f = 0; f < kIngests; ++f) {
+    std::vector<StreamUpdate> updates;
+    for (uint64_t i = 0; i < 4096; ++i) {
+      const uint64_t n = f * 4096 + i;
+      updates.push_back({n * n % 100003, static_cast<int64_t>(n % 7) - 3});
+    }
+    requests.push_back(EncodeIngestSpan("small", UpdateSpan(updates)));
+    replay.ApplyBatch(updates);
+  }
+  PointQueryBatchRequest query;
+  query.name = "small";
+  for (uint64_t i = 0; i < 512; ++i) query.items.push_back(i * 97);
+  requests.push_back(EncodePointQueryBatch(query));
+  requests.push_back(EncodeSnapshot({"small"}));
+
+  std::vector<uint8_t> wire;
+  for (const std::vector<uint8_t>& request : requests) {
+    wire.insert(wire.end(), request.begin(), request.end());
+  }
+  ASSERT_TRUE(WriteAll(stream.get(), wire));
+  std::vector<Frame> responses;
+  ASSERT_TRUE(ReadResponses(stream.get(), requests.size(), &responses));
+
+  SketchService sequential({});
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    FrameDecoder decoder;
+    decoder.Feed(requests[i].data(), requests[i].size());
+    Frame request;
+    ASSERT_EQ(decoder.Next(&request), DecodeStatus::kFrame);
+    FrameDecoder response_decoder;
+    const std::vector<uint8_t> expected = sequential.HandleFrame(request);
+    response_decoder.Feed(expected.data(), expected.size());
+    Frame expected_frame;
+    ASSERT_EQ(response_decoder.Next(&expected_frame), DecodeStatus::kFrame);
+    EXPECT_EQ(responses[i].opcode, expected_frame.opcode) << "frame " << i;
+    EXPECT_EQ(responses[i].payload, expected_frame.payload) << "frame " << i;
+  }
+  BlobResponse snapshot;
+  ASSERT_TRUE(DecodeBlob(responses.back(), &snapshot));
+  EXPECT_EQ(snapshot.bytes, replay.Serialize());
+  EXPECT_GE(snapshot.bytes.size(), std::size_t{1} << 20);
+  // Short reads: the 520 KiB of requests took many more wakeups than
+  // there were frames. Short writes: EPOLLOUT was armed at least once.
+  EXPECT_GT(wakeups.Value() - wakeups_before, 2 * requests.size());
+  EXPECT_GT(write_waits.Value() - write_waits_before, 0u);
 }
 
 TEST(EventLoopTest, ShutdownFrameDrainsAndStopsTheServer) {

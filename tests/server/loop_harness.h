@@ -4,12 +4,18 @@
 // SocketStream, so a test drives the same read -> decode -> dispatch ->
 // flush path that serves real traffic, with no port or socket path.
 // Wire faults wrap the client's end (FaultyStream); the event loop sees
-// them as real short reads and disconnects.
+// them as real short reads and disconnects. Faults at the served end come
+// from the kernel: ConnectWithBuffers shrinks the adopted socket's
+// receive and send buffers, so the loop reads frames in short pieces and
+// its writes stop short, leaving the rest to EPOLLOUT. Tests only: the
+// daemon sets no socket buffer size.
 
 #ifndef SKETCH_TESTS_SERVER_LOOP_HARNESS_H_
 #define SKETCH_TESTS_SERVER_LOOP_HARNESS_H_
 
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstddef>
@@ -59,6 +65,48 @@ class LoopHarness {
     return std::make_unique<SketchClient>(ConnectStream(faults));
   }
 
+  /// Kernel buffer sizes for the served end of a connection, in bytes
+  /// (the kernel doubles them and applies its floor); 0 keeps a default.
+  struct ServedEndBuffers {
+    int receive_bytes = 0;
+    int send_bytes = 0;
+  };
+
+  /// The client end of a new served connection over loopback TCP whose
+  /// adopted end has `buffers`. TCP, not a socketpair: an AF_UNIX stream
+  /// paces a transfer by the sender's buffer alone, while a TCP receive
+  /// buffer sets the window the client may send into. The listener gets
+  /// the receive size before listen(), so the accepted end advertises the
+  /// small window from the handshake on.
+  std::unique_ptr<ByteStream> ConnectWithBuffers(
+      const ServedEndBuffers& buffers) {
+    const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t length = sizeof(address);
+    auto* generic = reinterpret_cast<sockaddr*>(&address);
+    const bool listening =
+        listener >= 0 &&
+        SetBuffer(listener, SO_RCVBUF, buffers.receive_bytes) &&
+        ::bind(listener, generic, sizeof(address)) == 0 &&
+        ::listen(listener, 1) == 0 &&
+        ::getsockname(listener, generic, &length) == 0;
+    std::unique_ptr<ByteStream> client =
+        listening ? ConnectTcp("127.0.0.1", ntohs(address.sin_port)) : nullptr;
+    const int served = client != nullptr
+                           ? ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC)
+                           : -1;
+    if (listener >= 0) ::close(listener);
+    if (served < 0 || !SetBuffer(served, SO_SNDBUF, buffers.send_bytes)) {
+      ADD_FAILURE() << "loopback connection with small buffers failed";
+      if (served >= 0) ::close(served);
+      return nullptr;
+    }
+    pool_.Adopt(served);
+    return client;
+  }
+
   /// Waits for the pool's open-connection count to equal `expected`: the
   /// I/O thread closes a connection asynchronously after its peer goes.
   /// False after a 10 s deadline.
@@ -71,6 +119,13 @@ class LoopHarness {
   }
 
  private:
+  /// Sets socket option `name` (SO_RCVBUF or SO_SNDBUF) to `bytes`; a
+  /// size of 0 leaves the default.
+  static bool SetBuffer(int fd, int name, int bytes) {
+    return bytes == 0 ||
+           ::setsockopt(fd, SOL_SOCKET, name, &bytes, sizeof(bytes)) == 0;
+  }
+
   static EventLoopPool::Options PoolOptions(std::size_t io_threads) {
     EventLoopPool::Options options;
     options.num_threads = io_threads;

@@ -176,6 +176,61 @@ TEST(FrameDecoderTest, LargeFrameAtEverySplitOffsetMatchesBufferedDecode) {
   }
 }
 
+// An ingest frame of exactly one window, and of one window plus or minus
+// 1 to 32 bytes (the served 4096-update frame is ~22 bytes over), with a
+// ping pipelined behind it, received in window-sized reads and drained
+// after each read, as the event loop does: both frames come out equal to
+// the fully buffered decode, and the ingest decodes to its updates.
+TEST(FrameDecoderTest, FramesAroundOneWindowInWindowSizedReads) {
+  constexpr std::size_t kWindow = FrameDecoder::kWindowBytes;
+  // Frame bytes: header, u16 name length, name, u32 count, updates.
+  constexpr std::size_t kFixed = kFrameHeaderBytes + 2 + 4;
+  const std::vector<uint8_t> ping = EncodePing();
+  for (std::size_t frame_bytes = kWindow - 32; frame_bytes <= kWindow + 32;
+       ++frame_bytes) {
+    SCOPED_TRACE(testing::Message() << "frame bytes " << frame_bytes);
+    const std::size_t count = (frame_bytes - kFixed - 1) / kUpdateWireBytes;
+    const std::string name(frame_bytes - kFixed - count * kUpdateWireBytes,
+                           'w');
+    std::vector<StreamUpdate> updates(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      updates[i] = {i * 0x9E3779B97F4A7C15ULL, static_cast<int64_t>(i) - 9};
+    }
+    std::vector<uint8_t> wire = EncodeIngestSpan(name, UpdateSpan(updates));
+    ASSERT_EQ(wire.size(), frame_bytes);
+    wire.insert(wire.end(), ping.begin(), ping.end());
+    const std::vector<Frame> expected = DecodeBuffered(wire);
+    ASSERT_EQ(expected.size(), 2u);
+
+    FrameDecoder decoder;
+    std::vector<Frame> frames;
+    std::size_t offset = 0;
+    while (offset < wire.size()) {
+      const std::span<uint8_t> window = decoder.WriteWindow();
+      const std::size_t n = std::min(window.size(), wire.size() - offset);
+      std::copy_n(wire.data() + offset, n, window.data());
+      decoder.Commit(n);
+      offset += n;
+      ASSERT_EQ(DrainFrames(&decoder, &frames), DecodeStatus::kNeedMore);
+    }
+    EXPECT_EQ(decoder.buffered_bytes(), 0u);
+    ASSERT_EQ(frames.size(), 2u);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(frames[i].opcode, expected[i].opcode);
+      EXPECT_EQ(frames[i].payload, expected[i].payload);
+    }
+    IngestRequest decoded;
+    ASSERT_TRUE(DecodeIngest(frames[0], &decoded));
+    EXPECT_EQ(decoded.name, name);
+    ASSERT_EQ(decoded.updates.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(decoded.updates[i].item, updates[i].item);
+      EXPECT_EQ(decoded.updates[i].delta, updates[i].delta);
+    }
+    EXPECT_EQ(frames[1].opcode, Opcode::kPing);
+  }
+}
+
 // Small frames read a window at a time, drained after every read, as the
 // event loop does: the buffer grows, moves its unread tail to the front
 // and is reused, and every frame comes out whole and in order.
@@ -320,7 +375,8 @@ TEST(ProtocolTest, IngestRoundTrip) {
 }
 
 // A name of 1 to 8 bytes puts the updates at every payload offset
-// modulo 8; each decodes to the values encoded.
+// modulo 8; each decodes to the values encoded, and the view borrows
+// exactly the owning decode's bytes, in place, and copies them out equal.
 TEST(ProtocolTest, IngestDecodesAtEveryPayloadAlignment) {
   IngestRequest request;
   request.updates = {{0, 0},
@@ -328,17 +384,58 @@ TEST(ProtocolTest, IngestDecodesAtEveryPayloadAlignment) {
                      {UINT64_MAX, INT64_MIN},
                      {0x0102030405060708ULL, INT64_MAX}};
   for (std::size_t length = 1; length <= 8; ++length) {
+    SCOPED_TRACE(testing::Message() << "name length " << length);
     request.name = std::string(length, 'n');
+    const Frame frame = DecodeOneFrame(EncodeIngest(request), 64);
     IngestRequest decoded;
-    ASSERT_TRUE(DecodeIngest(DecodeOneFrame(EncodeIngest(request), 64),
-                             &decoded));
+    ASSERT_TRUE(DecodeIngest(frame, &decoded));
     EXPECT_EQ(decoded.name, request.name);
     ASSERT_EQ(decoded.updates.size(), request.updates.size());
     for (std::size_t i = 0; i < request.updates.size(); ++i) {
       EXPECT_EQ(decoded.updates[i].item, request.updates[i].item);
       EXPECT_EQ(decoded.updates[i].delta, request.updates[i].delta);
     }
+
+    IngestRequestView view;
+    ASSERT_TRUE(DecodeIngest(frame, &view));
+    EXPECT_EQ(view.name, request.name);
+    ASSERT_EQ(view.size(), decoded.updates.size());
+    const std::size_t offset = 2 + length + 4;  // name field, then count
+    EXPECT_EQ(view.updates.data(), frame.payload.data() + offset);
+    EXPECT_EQ(view.updates.size(), frame.payload.size() - offset);
+    std::vector<StreamUpdate> copied(view.size(), StreamUpdate{7, 7});
+    view.CopyUpdatesTo(copied.data());
+    for (std::size_t i = 0; i < copied.size(); ++i) {
+      EXPECT_EQ(copied[i].item, decoded.updates[i].item);
+      EXPECT_EQ(copied[i].delta, decoded.updates[i].delta);
+    }
   }
+}
+
+// A count that claims one update more than the payload carries is
+// rejected by both decodes before anything is sized or borrowed from it;
+// the count that matches is accepted.
+TEST(ProtocolTest, IngestCountOverstatingTheBytesByOneIsRejected) {
+  const std::vector<StreamUpdate> updates = {{1, 2}, {3, 4}, {5, 6}};
+  Frame frame = DecodeOneFrame(EncodeIngestSpan("f", UpdateSpan(updates)), 7);
+  constexpr std::size_t kCountOffset = 2 + 1;
+  ASSERT_EQ(LoadLittleEndian<uint32_t>(frame.payload.data() + kCountOffset),
+            updates.size());
+  StoreLittleEndian(static_cast<uint32_t>(updates.size() + 1),
+                    frame.payload.data() + kCountOffset);
+  IngestRequest owning;
+  EXPECT_FALSE(DecodeIngest(frame, &owning));
+  EXPECT_TRUE(owning.updates.empty());
+  EXPECT_EQ(owning.updates.capacity(), 0u);
+  IngestRequestView view;
+  EXPECT_FALSE(DecodeIngest(frame, &view));
+  EXPECT_TRUE(view.updates.empty());
+
+  StoreLittleEndian(static_cast<uint32_t>(updates.size()),
+                    frame.payload.data() + kCountOffset);
+  EXPECT_TRUE(DecodeIngest(frame, &owning));
+  EXPECT_TRUE(DecodeIngest(frame, &view));
+  EXPECT_EQ(view.size(), updates.size());
 }
 
 TEST(ProtocolTest, IngestSpanMatchesVectorEncoding) {

@@ -625,6 +625,47 @@ TEST(SketchServiceTest, LoneIngestIsARunOfOne) {
   }
 }
 
+// A run of ingests of 1, 4096, kMaxBatchUpdates and again 1 update, in
+// one HandleFrames call and as four single frames: each request's updates
+// land in the serving thread's scratch, which grows for the larger ones
+// and is reused, never cleared, for the next. Acks count every update,
+// and both services snapshot to a sequential replay's bytes.
+TEST(SketchServiceTest, IngestRunOfGrowingAndShrinkingBatchesMatchesReplay) {
+  std::vector<Frame> run;
+  CountSketch replay(4096, 4, 17);
+  uint64_t next = 1;
+  for (const std::size_t size :
+       {std::size_t{1}, std::size_t{4096}, std::size_t{kMaxBatchUpdates},
+        std::size_t{1}}) {
+    std::vector<StreamUpdate> updates(size);
+    for (StreamUpdate& update : updates) {
+      next = next * 6364136223846793005ULL + 1442695040888963407ULL;
+      update = {next >> 20, static_cast<int64_t>(next % 9) - 4};
+    }
+    run.push_back(DecodeOne(EncodeIngestSpan("s", UpdateSpan(updates))));
+    replay.ApplyBatch(updates);
+  }
+  SketchService batched({});
+  SketchService single({});
+  for (SketchService* service : {&batched, &single}) {
+    Create(service, "s", SketchType::kCountSketch, {4096, 4, 17, 0, 0});
+  }
+  std::vector<std::vector<uint8_t>> responses;
+  batched.HandleFrames(run, &responses);
+  ASSERT_EQ(responses.size(), run.size());
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    IngestRequestView request;
+    ASSERT_TRUE(DecodeIngest(run[i], &request));
+    IngestAckResponse ack;
+    ASSERT_TRUE(DecodeIngestAck(DecodeOne(responses[i]), &ack));
+    EXPECT_EQ(ack.accepted, request.size());
+    EXPECT_EQ(single.HandleFrame(run[i]), responses[i]);
+  }
+  const std::vector<uint8_t> expected = replay.Serialize();
+  EXPECT_EQ(Snapshot(&batched, "s"), expected);
+  EXPECT_EQ(Snapshot(&single, "s"), expected);
+}
+
 // --- The entry surface: what each family answers or refuses ---------------
 
 struct FamilyCase {

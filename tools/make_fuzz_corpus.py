@@ -302,6 +302,23 @@ def server_frame_seeds(out):
     write(d, "ingest_count_one_past_payload",
           create_f + wire_frame(0x04, wire_string("f") +
                                 struct.pack("<I", 3) + update * 2))
+    # An ingest frame whose payload is one decoder window plus one byte
+    # (an 11-byte name and 4095 updates: 2 + 11 + 4 + 16 * 4095 = 65537),
+    # as the served 4096-update frames are just over one window, and the
+    # same frame with a count one update past the bytes present.
+    window_name = wire_string("w" * 11)
+    window_updates = b"".join(u64(i * 0x9E3779B1) + i64(i % 7 - 3)
+                              for i in range(4095))
+    window_ingest = window_name + struct.pack("<I", 4095) + window_updates
+    assert len(window_ingest) == 64 * 1024 + 1
+    create_w = wire_frame(0x02, window_name + bytes([1]) +
+                          u64(64, 2, 7, 0, 0))
+    write(d, "ingest_payload_window_plus_one",
+          create_w + wire_frame(0x04, window_ingest) +
+          wire_frame(0x05, window_name + u64(3)))
+    write(d, "ingest_window_count_one_past_payload",
+          create_w + wire_frame(0x04, window_name + struct.pack("<I", 4096) +
+                                window_updates))
     write(d, "batch_query_count_over_cap",
           create_f + wire_frame(0x0E, wire_string("f") +
                                 struct.pack("<I", K_MAX_BATCH_QUERY_ITEMS + 1) +
